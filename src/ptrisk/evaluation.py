@@ -110,7 +110,11 @@ def run_oof(
         if test.any():
             p_hat[test] = pipeline.predict_proba(X[test])
 
-    assert not np.isnan(p_hat).any()
+    unpredicted = int(np.isnan(p_hat).sum())
+    if unpredicted:
+        raise ContractError(
+            f"{unpredicted} rows have no out-of-fold prediction; folds must lie in 0..{folds.k - 1}"
+        )
     return OofPredictions(
         record_ids=list(record_ids),
         y=labels.copy(),

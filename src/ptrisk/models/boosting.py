@@ -3,9 +3,11 @@
 Raw scores start at 0.  Each round subsamples rows and columns, fits a
 depth-limited regression tree to the gradient/hessian statistics of the
 logistic loss, and adds the shrunken leaf values -lr * G/(H + lambda).
-Split gain is the usual second-order improvement; a split is accepted
-only when both children carry at least ``min_child_hessian`` hessian
-mass and the gain is positive.
+The tree is grown by ``tree.grow_tree`` from the per-row statistics
+(g, h), so it shares the CART tree's split search and tie-break (lowest
+feature, then lowest threshold).  Split gain is the usual second-order
+improvement; a split is accepted only when both children carry at least
+``_MIN_CHILD_HESSIAN`` hessian mass and the gain is positive.
 """
 
 from __future__ import annotations
@@ -17,74 +19,30 @@ import numpy as np
 from ..errors import TrainingError
 from ..rng import RngKey
 from .logistic import sigmoid
-from .tree import FrozenTree, TreeArrays
+from .tree import FrozenTree, grow_tree
 
 _LAMBDA = 1.0
 _MIN_CHILD_HESSIAN = 1.0
-_MIN_GAIN = 1e-12
 
 
-def _best_newton_split(X, g, h, feature_ids, min_child_hessian, lam):
-    G = g.sum()
-    H = h.sum()
-    parent_score = G * G / (H + lam)
-    best = None
-    for f in feature_ids:
-        col = X[:, f]
-        order = np.argsort(col, kind="stable")
-        v = col[order]
-        boundaries = np.nonzero(v[:-1] < v[1:])[0]
-        if boundaries.size == 0:
-            continue
-        cg = np.cumsum(g[order])
-        ch = np.cumsum(h[order])
-        GL = cg[boundaries]
-        HL = ch[boundaries]
-        GR = G - GL
-        HR = H - HL
-        valid = (HL >= min_child_hessian) & (HR >= min_child_hessian)
-        if not valid.any():
-            continue
-        gain = np.where(
-            valid,
-            0.5 * (GL * GL / (HL + lam) + GR * GR / (HR + lam) - parent_score),
-            -np.inf,
-        )
-        k = int(np.argmax(gain))
-        if gain[k] > _MIN_GAIN and (best is None or gain[k] > best[0]):
-            threshold = 0.5 * (v[boundaries[k]] + v[boundaries[k] + 1])
-            best = (float(gain[k]), int(f), threshold)
-    return best
+def _newton_gain(GL, HL, G, H, n_left, n):
+    GR = G - GL
+    HR = H - HL
+    valid = (HL >= _MIN_CHILD_HESSIAN) & (HR >= _MIN_CHILD_HESSIAN)
+    gain = 0.5 * (GL * GL / (HL + _LAMBDA) + GR * GR / (HR + _LAMBDA) - G * G / (H + _LAMBDA))
+    return np.where(valid, gain, -np.inf)
 
 
-def _build_regression_tree(X, g, h, max_depth, min_child_hessian, lam, learning_rate):
-    """Leaf values are the already-shrunken contributions -lr*G/(H+lam)."""
-    arrays = TreeArrays()
-
-    def grow(rows, depth):
-        node = arrays.add_node()
-        gs = g[rows]
-        hs = h[rows]
-        arrays.value[node] = float(-learning_rate * gs.sum() / (hs.sum() + lam))
-        if depth >= max_depth:
-            return node
-        best = _best_newton_split(
-            X[rows], gs, hs, range(X.shape[1]), min_child_hessian, lam
-        )
-        if best is None:
-            return node
-        _, f, threshold = best
-        go_left = X[rows, f] <= threshold
-        if not go_left.any() or go_left.all():
-            return node
-        arrays.feature[node] = f
-        arrays.threshold[node] = threshold
-        arrays.left[node] = grow(rows[go_left], depth + 1)
-        arrays.right[node] = grow(rows[~go_left], depth + 1)
-        return node
-
-    grow(np.arange(X.shape[0]), 0)
-    return arrays.finalize()
+def _build_regression_tree(X, g, h, max_depth, learning_rate):
+    """Leaf values are the already-shrunken contributions -lr*G/(H+lambda)."""
+    return grow_tree(
+        X,
+        g,
+        h,
+        leaf_value=lambda G, H: -learning_rate * G / (H + _LAMBDA),
+        split_gain=_newton_gain,
+        max_depth=max_depth,
+    )
 
 
 @dataclass(frozen=True)
@@ -153,8 +111,6 @@ def fit_boosted(
             g,
             h,
             max_depth=max_depth,
-            min_child_hessian=_MIN_CHILD_HESSIAN,
-            lam=_LAMBDA,
             learning_rate=learning_rate,
         )
         trees.append(tree)

@@ -1,10 +1,14 @@
-"""CART classification tree with weighted Gini impurity.
+"""Tree growing shared by the CART tree, the forest and the boosted trees.
 
-Split candidates are midpoints of consecutive distinct sorted feature
-values.  Ties between equally good splits resolve to the lowest feature
-index, then the lowest threshold, giving a fully deterministic tree.
-The tree is stored as flat arrays (feature < 0 marks a leaf) so it can
-be serialized to JSON verbatim.
+``grow_tree`` is the one grower and ``_best_split`` the one split search.
+A tree kind supplies two additive per-row statistics, a leaf-value rule
+and a gain rule: (w, w*[y=1]) with the weighted Gini gain for CART, and
+the logistic (gradient, hessian) with the Newton gain for boosting (see
+``boosting.py``).  Split candidates are midpoints of consecutive distinct
+sorted feature values.  Ties between equally good splits resolve to the
+lowest feature index, then the lowest threshold, giving a fully
+deterministic tree.  The tree is stored as flat arrays (feature < 0 marks
+a leaf) so it can be serialized to JSON verbatim.
 """
 
 from __future__ import annotations
@@ -86,43 +90,84 @@ class FrozenTree:
         )
 
 
-def _best_gini_split(X, w, wpos, feature_ids, min_samples_leaf):
-    """Best (gain, feature, threshold) over candidate features, or None."""
-    n = X.shape[0]
-    W = w.sum()
-    Wp = wpos.sum()
-    frac = Wp / W
-    parent_gini = 1.0 - frac * frac - (1.0 - frac) * (1.0 - frac)
+def _best_split(Xn, a, b, A, B, split_gain):
+    """Best (block row, threshold) of one node's (features x rows) block, or None.
 
-    best = None
-    for f in feature_ids:
-        col = X[:, f]
-        order = np.argsort(col, kind="stable")
-        v = col[order]
-        boundaries = np.nonzero(v[:-1] < v[1:])[0]
-        if boundaries.size == 0:
+    One stable sort per block row, running sums of the node's row
+    statistics ``a``, ``b`` (totals ``A``, ``B``) in that order, the gain
+    between every two distinct values, and one flat argmax.
+    """
+    n = Xn.shape[1]
+    if n < 2:
+        return None
+    order = np.argsort(Xn, axis=1, kind="stable")
+    V = np.sort(Xn, axis=1)
+    AL = np.cumsum(a[order], axis=1)[:, :-1]
+    BL = np.cumsum(b[order], axis=1)[:, :-1]
+    gain = np.where(V[:, :-1] < V[:, 1:], split_gain(AL, BL, A, B, np.arange(1, n), n), -np.inf)
+    f, j = divmod(int(np.argmax(gain)), n - 1)
+    if not gain[f, j] > _MIN_GAIN:
+        return None
+    return f, 0.5 * (V[f, j] + V[f, j + 1])
+
+
+def grow_tree(
+    X: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    leaf_value,
+    split_gain,
+    max_depth: int,
+    is_leaf=None,
+    feature_picker=None,
+) -> FrozenTree:
+    """Grow one tree depth-first, left subtree before right, from row statistics.
+
+    The rules see only sums of the per-row statistics ``a``, ``b`` over a
+    node's rows, taken in ascending row order: ``leaf_value(A, B)`` gives
+    the node value, ``is_leaf(A, B, n)`` stops a node before its split
+    search, and ``split_gain(AL, BL, A, B, n_left, n)`` scores the
+    left-child sums (one row per candidate feature, one column per left
+    row count ``n_left``), -inf where the split is not allowed.
+    ``feature_picker(n_features) -> ascending candidate indices`` is
+    called once per searched node, in growth order; None means all.
+    """
+    XT = np.ascontiguousarray(X.T)
+    n_features = XT.shape[0]
+    all_features = np.arange(n_features)
+    arrays = TreeArrays()
+    # (rows, depth, parent's child list, parent); right is pushed before left
+    pending = [(np.arange(XT.shape[1]), 0, None, -1)]
+    while pending:
+        rows, depth, link, parent = pending.pop()
+        node = arrays.add_node()
+        if link is not None:
+            link[parent] = node
+        a_rows = a[rows]
+        b_rows = b[rows]
+        A = a_rows.sum()
+        B = b_rows.sum()
+        arrays.value[node] = float(leaf_value(A, B))
+        if depth >= max_depth or (is_leaf is not None and is_leaf(A, B, rows.size)):
             continue
-        counts = boundaries + 1
-        valid = (counts >= min_samples_leaf) & (n - counts >= min_samples_leaf)
-        if not valid.any():
+        feature_ids = all_features if feature_picker is None else feature_picker(n_features)
+        best = _best_split(XT[feature_ids][:, rows], a_rows, b_rows, A, B, split_gain)
+        if best is None:
             continue
-        cw = np.cumsum(w[order])
-        cwp = np.cumsum(wpos[order])
-        b = boundaries[valid]
-        WL = cw[b]
-        WpL = cwp[b]
-        WR = W - WL
-        WpR = Wp - WpL
-        fl = WpL / WL
-        fr = WpR / WR
-        gl = 1.0 - fl * fl - (1.0 - fl) * (1.0 - fl)
-        gr = 1.0 - fr * fr - (1.0 - fr) * (1.0 - fr)
-        gain = parent_gini - (WL * gl + WR * gr) / W
-        k = int(np.argmax(gain))  # first maximum = lowest threshold
-        if gain[k] > _MIN_GAIN and (best is None or gain[k] > best[0]):
-            threshold = 0.5 * (v[b[k]] + v[b[k] + 1])
-            best = (float(gain[k]), int(f), threshold)
-    return best
+        row, threshold = best
+        f = int(feature_ids[row])
+        go_left = XT[f, rows] <= threshold
+        if not go_left.any() or go_left.all():
+            continue
+        arrays.feature[node] = f
+        arrays.threshold[node] = threshold
+        pending.append((rows[~go_left], depth + 1, arrays.right, node))
+        pending.append((rows[go_left], depth + 1, arrays.left, node))
+    return arrays.finalize()
+
+
+def _gini(frac):
+    return 1.0 - frac * frac - (1.0 - frac) * (1.0 - frac)
 
 
 def build_classification_tree(
@@ -135,6 +180,8 @@ def build_classification_tree(
 ) -> FrozenTree:
     """Grow a CART tree; leaf value is the weighted positive fraction.
 
+    The row statistics are the weight w and the positive weight w*[y=1].
+    A split needs at least ``min_samples_leaf`` rows on each side.
     ``feature_picker(n_features) -> candidate indices`` injects the
     per-split feature subsampling used by the forest; None means all
     features are candidates at every split.
@@ -145,31 +192,23 @@ def build_classification_tree(
         raise TrainingError("non-finite feature value")
     w = np.asarray(sample_weight, dtype=float)
     wpos = np.where(y == 1, w, 0.0)
-    arrays = TreeArrays()
 
-    def grow(rows: np.ndarray, depth: int) -> int:
-        node = arrays.add_node()
-        wr = w[rows]
-        wp = wpos[rows]
-        arrays.value[node] = float(wp.sum() / wr.sum())
-        pure = wp.sum() == 0.0 or wp.sum() == wr.sum()
-        if depth >= max_depth or rows.size < 2 * min_samples_leaf or pure:
-            return node
-        feature_ids = (
-            range(X.shape[1]) if feature_picker is None else feature_picker(X.shape[1])
-        )
-        best = _best_gini_split(X[rows], wr, wp, feature_ids, min_samples_leaf)
-        if best is None:
-            return node
-        _, f, threshold = best
-        go_left = X[rows, f] <= threshold
-        if not go_left.any() or go_left.all():
-            return node
-        arrays.feature[node] = f
-        arrays.threshold[node] = threshold
-        arrays.left[node] = grow(rows[go_left], depth + 1)
-        arrays.right[node] = grow(rows[~go_left], depth + 1)
-        return node
+    def is_leaf(W, Wp, n):
+        return n < 2 * min_samples_leaf or Wp == 0.0 or Wp == W
 
-    grow(np.arange(X.shape[0]), 0)
-    return arrays.finalize()
+    def gini_gain(WL, WpL, W, Wp, n_left, n):
+        WR = W - WL
+        gain = _gini(Wp / W) - (WL * _gini(WpL / WL) + WR * _gini((Wp - WpL) / WR)) / W
+        valid = (n_left >= min_samples_leaf) & (n - n_left >= min_samples_leaf)
+        return np.where(valid, gain, -np.inf)
+
+    return grow_tree(
+        X,
+        w,
+        wpos,
+        leaf_value=lambda W, Wp: Wp / W,
+        split_gain=gini_gain,
+        max_depth=max_depth,
+        is_leaf=is_leaf,
+        feature_picker=feature_picker,
+    )

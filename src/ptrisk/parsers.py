@@ -268,11 +268,12 @@ def load_raw(path, schema: Schema) -> list:
     """Read a delimited cohort file into RawRecords, preserving row order.
 
     The delimiter (comma or semicolon) is auto-detected from the header
-    line.  Every column named by the schema must be present; a missing
-    one raises SchemaError naming the logical field.
+    line, and a UTF-8 byte-order mark before the header is dropped.
+    Every column named by the schema must be present; a missing one
+    raises SchemaError naming the logical field.
     """
     try:
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             content = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read cohort file {path}: {exc}") from exc

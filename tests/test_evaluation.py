@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from ptrisk.errors import ContractError, TrainingError
 from ptrisk.evaluation import (
+    FoldAssignment,
     auc,
     confusion,
     metrics_from_counts,
@@ -128,6 +129,15 @@ def test_oof_leakage_guard():
     b = shifted.fold_pipelines[0].standardizer
     assert np.array_equal(a.mean, b.mean)
     assert np.array_equal(a.std, b.std)
+
+
+def test_oof_unpredicted_rows_raise_contract_error():
+    X, y = _fixture_dataset(15)
+    folds = stratified_kfold(y, k=5, seed=42)
+    fold_of = folds.fold_of.copy()
+    fold_of[:2] = 5  # no fold index < k holds these rows out
+    with pytest.raises(ContractError, match="2 rows have no out-of-fold prediction"):
+        run_oof(X, y, ModelSpec("LR"), FoldAssignment(fold_of=fold_of, k=5, seed=42), RngKey(42))
 
 
 def test_oof_degenerate_training_split_names_fold():

@@ -104,6 +104,13 @@ def test_load_raw_small_file(fixtures_dir):
     assert records[2].biomarkers_raw["leukocytes"] == "7,2"
 
 
+def test_load_raw_ignores_utf8_bom(fixtures_dir, tmp_path):
+    original = fixtures_dir / "cohort_small.csv"
+    bom_copy = tmp_path / "cohort_bom.csv"
+    bom_copy.write_bytes(b"\xef\xbb\xbf" + original.read_bytes())
+    assert load_raw(bom_copy, SMALL_SCHEMA) == load_raw(original, SMALL_SCHEMA)
+
+
 def test_load_raw_missing_pcr_column(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("record_id,qc_flag,age\nR1,OK,30\n")

@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from ptrisk.models import (
     fit_boosted,
     fit_forest,
 )
+from ptrisk.models.boosting import _build_regression_tree
 from ptrisk.models.logistic import sigmoid
 from ptrisk.rng import RngKey
 
@@ -125,3 +128,107 @@ def test_gbt_deterministic():
     m1 = fit_boosted(X, y, RngKey(11).child("g"), n_rounds=15)
     m2 = fit_boosted(X, y, RngKey(11).child("g"), n_rounds=15)
     assert np.array_equal(m1.predict_proba(X), m2.predict_proba(X))
+
+
+# --- the shared split search: tie-breaks and edge cases ------------------------
+
+
+def cart_stump(X, y):
+    return build_classification_tree(X, y, np.ones(len(y)), max_depth=1, min_samples_leaf=1)
+
+
+def newton_stump(X, y):
+    g = np.where(y == 1, -1.0, 1.0)
+    return _build_regression_tree(X, g, np.ones(len(y)), max_depth=1, learning_rate=0.1)
+
+
+STUMPS = pytest.mark.parametrize("stump", [cart_stump, newton_stump], ids=["cart", "newton"])
+
+
+@STUMPS
+def test_equal_gain_features_lower_index_wins(stump):
+    col = np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])
+    y = np.array([0, 0, 1, 1, 1, 1])
+    # same row order, hence bit-identical gains, at different thresholds
+    for X, threshold in (
+        (np.column_stack([col, 10 * col + 3]), 1.5),
+        (np.column_stack([10 * col + 3, col]), 18.0),
+    ):
+        tree = stump(X, y)
+        assert (tree.feature[0], tree.threshold[0]) == (0, threshold)
+
+
+@STUMPS
+def test_strictly_better_feature_beats_lower_index(stump):
+    y = np.array([0, 0, 1, 1, 1, 1])
+    X = np.column_stack([[0.0, 1.0, 0.0, 1.0, 0.0, 1.0], np.arange(6.0)])
+    tree = stump(X, y)
+    assert (tree.feature[0], tree.threshold[0]) == (1, 1.5)
+
+
+@STUMPS
+def test_equal_gain_thresholds_lowest_wins(stump):
+    # splits at 0.5 and 4.5 mirror each other and give bit-identical gains
+    X = np.arange(6.0).reshape(-1, 1)
+    y = np.array([1, 0, 0, 0, 0, 1])
+    tree = stump(X, y)
+    assert (tree.feature[0], tree.threshold[0]) == (0, 0.5)
+
+
+def test_feature_picker_subset_maps_to_global_indices():
+    rng = np.random.default_rng(3)
+    col = rng.normal(size=40)
+    y = (col > 0).astype(int)
+    X = np.column_stack([col, col, np.full(40, 2.0), 10 * col + 3])
+    calls = []
+
+    def picker(n_features):
+        calls.append(n_features)
+        return np.array([2, 3])
+
+    tree = build_classification_tree(
+        X, y, np.ones(40), max_depth=3, min_samples_leaf=1, feature_picker=picker
+    )
+    assert tree.feature[0] == 3
+    assert 3 + 10 * col[y == 0].max() < tree.threshold[0] < 3 + 10 * col[y == 1].min()
+    assert set(tree.feature.tolist()) <= {-1, 3}
+    # one draw per searched node: the root split and its two pure children stop early
+    assert calls == [4]
+
+
+@STUMPS
+def test_constant_column_never_chosen(stump):
+    rng = np.random.default_rng(8)
+    y = rng.integers(0, 2, size=30)
+    weak = y + rng.normal(scale=2.0, size=30)
+    X = np.column_stack([np.full(30, 1.5), weak, np.zeros(30)])
+    assert stump(X, y).feature[0] == 1
+    only_constant = stump(X[:, [0, 2]], y)
+    assert only_constant.feature.tolist() == [-1]
+
+
+@STUMPS
+def test_adjacent_floats_make_a_leaf_not_an_empty_child(stump):
+    v = np.nextafter(1.0, np.inf)
+    upper = np.nextafter(v, np.inf)
+    assert 0.5 * (v + upper) == upper  # the midpoint rounds onto the upper value
+    X = np.array([v, v, v, upper, upper, upper]).reshape(-1, 1)
+    y = np.array([0, 0, 0, 1, 1, 1])
+    tree = stump(X, y)
+    assert tree.feature.tolist() == [-1]
+    assert tree.left.tolist() == [-1] and tree.right.tolist() == [-1]
+
+
+@STUMPS
+def test_growing_leaves_no_reference_cycles(stump):
+    # a cycle would keep each tree's working copies alive until the cyclic collector runs
+    rng = np.random.default_rng(1)
+    X = rng.normal(size=(40, 3))
+    y = (X[:, 0] > 0).astype(int)
+    gc.collect()
+    gc.disable()
+    try:
+        stump(X, y)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
