@@ -49,6 +49,9 @@ DEFAULT_BINARY_TRUE = frozenset({"yes", "y", "true", "1", "pos", "positive"})
 DEFAULT_BINARY_FALSE = frozenset({"no", "n", "false", "0", "neg", "negative"})
 DEFAULT_GENDER_MAP = {"male": 1.0, "m": 1.0, "female": 0.0, "f": 0.0}
 
+# [lo, hi) years binned by age_histogram; ages outside are only counted.
+AGE_RANGE = (0, 120)
+
 # One-hot layout for the visual axes; "unknown" is the dropped reference
 # category, so an unknown appearance encodes as all zeros.
 VISUAL_ONEHOT_COLUMNS = (
@@ -322,7 +325,12 @@ def cohort_summary(ds: CuratedDataset, settings: CurationSettings = CurationSett
         summary["warnings"].append("gender column absent")
     if "age" in f1_names:
         ages = ds.matrices["F1"][:, f1_names.index("age")]
-        summary["age_histogram"] = age_histogram(ages, settings.age_bin_width)
+        bins = age_histogram(ages, settings.age_bin_width)
+        outside = int((~np.isnan(ages)).sum()) - sum(b["count"] for b in bins)
+        if outside:
+            lo, hi = AGE_RANGE
+            summary["warnings"].append(f"{outside} ages outside [{lo}, {hi}) left out of the age histogram")
+        summary["age_histogram"] = bins
     else:
         summary["age_histogram"] = None
         summary["warnings"].append("age column absent")
@@ -330,11 +338,13 @@ def cohort_summary(ds: CuratedDataset, settings: CurationSettings = CurationSett
 
 
 def age_histogram(ages: np.ndarray, bin_width: int = 5) -> list:
-    """Contiguous [lo, hi) bins aligned to multiples of the bin width."""
+    """Contiguous [lo, hi) bins aligned to multiples of the bin width, over
+    the ages inside AGE_RANGE only, so one mistyped age cannot stretch the
+    histogram over hundreds of thousands of empty bins."""
     if bin_width <= 0:
         raise CurationError("bin width must be positive")
     ages = np.asarray(ages, dtype=float)
-    ages = ages[~np.isnan(ages)]
+    ages = ages[(ages >= AGE_RANGE[0]) & (ages < AGE_RANGE[1])]
     if ages.size == 0:
         return []
     start = int(np.floor(ages.min() / bin_width)) * bin_width

@@ -7,10 +7,17 @@ predictions is the out-of-fold (OOF) set that all metrics are computed
 on.  AUC is the tie-aware pairwise probability estimate; threshold
 metrics use a fixed cutoff; uncertainty comes from percentile bootstrap
 over the OOF pairs.
+
+Both the point AUC and every bootstrap resample are computed from counts:
+a metric depends only on how many rows of each kind (confusion cell, or
+score tie group and class) a sample holds, so all B resamples of one
+metric are reduced to count arrays and evaluated with array operations,
+in chunks small enough to keep memory flat.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -200,37 +207,70 @@ def metrics_from_counts(counts: ConfusionCounts) -> ThresholdMetrics:
     return ThresholdMetrics(sensitivity, specificity, precision, f1, tuple(flags))
 
 
+def _threshold_from_counts(metric: str, counts: np.ndarray) -> np.ndarray:
+    """One threshold metric per row of a (b, 4) array of confusion counts
+    in code order 2·y + ŷ (tn, fp, fn, tp); NaN where undefined.  Same
+    zero-division policy and float operations as ``metrics_from_counts``."""
+    tn, fp, fn, tp = counts.T
+    nan = np.full(tp.shape, np.nan)
+    if metric == "specificity":
+        return np.divide(tn, tn + fp, out=nan, where=tn + fp > 0)
+    sensitivity = np.divide(tp, tp + fn, out=nan, where=tp + fn > 0)
+    if metric == "sensitivity":
+        return sensitivity
+    precision = np.divide(tp, tp + fp, out=np.zeros(tp.shape), where=tp + fp > 0)
+    if metric == "precision":
+        return precision
+    total = precision + sensitivity
+    f1 = np.divide(2.0 * precision * sensitivity, total, out=np.zeros(tp.shape), where=total != 0.0)
+    f1[np.isnan(sensitivity)] = np.nan
+    return f1
+
+
 # --- AUC ----------------------------------------------------------------------------
 
-def auc(y: np.ndarray, p_hat: np.ndarray) -> "float | None":
-    """Tie-aware pairwise AUC via midranks; None for single-class input.
+def _auc_codes(y: np.ndarray, p_hat: np.ndarray):
+    """Per-row code 2·(tie group of the score) + [y == 1], and the number
+    of codes; tie groups are numbered in ascending score order."""
+    _, group = np.unique(p_hat, return_inverse=True)
+    width = 2 * (int(group.max()) + 1)
+    return 2 * group + (y == 1), width
 
-    Equal to the pairwise definition (ties count 0.5) exactly: the
-    midrank sum is an exact multiple of 0.5 and the final division is
-    the same operation the pairwise count would perform.
+
+def _auc_from_counts(counts: np.ndarray) -> np.ndarray:
+    """AUC per row of a (b, 2G) count array from ``_auc_codes``; NaN where
+    a class is absent.
+
+    Twice the Mann–Whitney U is an exact integer: each positive in tie
+    group g scores 2 per negative in a lower group and 1 per negative in
+    g.  Halving it is exact, so the only rounding is the division by
+    n₊n₋ (Hanley & McNeil 1982), and the value equals the pairwise
+    definition with ties worth 0.5 bit for bit.
     """
+    neg = counts[:, 0::2]
+    pos = counts[:, 1::2]
+    below = np.cumsum(neg, axis=1) - neg
+    twice_u = (pos * (2 * below + neg)).sum(axis=1)
+    pairs = pos.sum(axis=1) * neg.sum(axis=1)
+    return np.divide(0.5 * twice_u, pairs, out=np.full(pairs.shape, np.nan), where=pairs > 0)
+
+
+def auc(y: np.ndarray, p_hat: np.ndarray) -> "float | None":
+    """Tie-aware pairwise AUC (ties count 0.5); None for single-class input."""
     y = np.asarray(y)
-    p = np.asarray(p_hat, dtype=float)
-    n_pos = int((y == 1).sum())
-    n_neg = int(y.size - n_pos)
-    if n_pos == 0 or n_neg == 0:
+    if y.size == 0:
         return None
-    order = np.argsort(p, kind="stable")
-    ranks = np.empty(y.size, dtype=float)
-    sorted_p = p[order]
-    i = 0
-    while i < y.size:
-        j = i
-        while j + 1 < y.size and sorted_p[j + 1] == sorted_p[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # midrank, 1-based
-        i = j + 1
-    rank_sum = float(ranks[y == 1].sum())
-    u = rank_sum - n_pos * (n_pos + 1) / 2.0
-    return u / (n_pos * n_neg)
+    codes, width = _auc_codes(y, np.asarray(p_hat, dtype=float))
+    value = _auc_from_counts(np.bincount(codes, minlength=width)[None, :])[0]
+    return None if np.isnan(value) else float(value)
 
 
 # --- bootstrap -----------------------------------------------------------------------
+
+# Index cells (resamples × rows) handled per chunk of the bootstrap: keeps
+# the working arrays to a few hundred kB whatever n and B are.
+_CHUNK_CELLS = 1 << 14
+
 
 def percentile_linear(sorted_values: np.ndarray, q: float) -> float:
     """Empirical quantile with linear interpolation between order
@@ -246,18 +286,23 @@ def percentile_linear(sorted_values: np.ndarray, q: float) -> float:
     return float(sorted_values[lo] + (sorted_values[hi] - sorted_values[lo]) * (h - lo))
 
 
-def _metric_value(name: str, y, p_hat, y_hat) -> "float | None":
-    if name == "auc":
-        return auc(y, p_hat)
-    tm = metrics_from_counts(confusion(y, y_hat))
-    return getattr(tm, name)
-
-
 def bootstrap_distribution(
     y: np.ndarray, p_hat: np.ndarray, metric: str, B: int, rng: np.random.Generator, threshold: float = 0.5
 ):
     """Metric values over B resamples; undefined resamples are discarded
-    and counted.  Indices are drawn as one (B, n) block from ``rng``."""
+    and counted.  Indices are drawn as one (B, n) block from ``rng``.
+
+    A resample's metric depends only on how often it drew each kind of
+    row, so every row gets a code — its confusion cell 2·y + ŷ for a
+    threshold metric, (tie group of the score, y) for AUC — and the
+    resamples are reduced to their count of each code.  Confusion counts
+    give the threshold metrics and cumulative negative counts per tie
+    group give AUC (see ``_auc_from_counts``), equal bit for bit to
+    evaluating each resample on its own.  The (B, n) block is reduced in
+    chunks of max(1, _CHUNK_CELLS // n) resamples, one flat ``bincount``
+    per chunk, so the working arrays stay small whatever n and B are; the
+    tie groups are found once per call.
+    """
     if metric not in ALL_METRICS:
         raise ContractError(f"unknown metric {metric!r}")
     y = np.asarray(y)
@@ -265,18 +310,23 @@ def bootstrap_distribution(
     n = y.size
     if n == 0 or B < 1:
         raise ContractError("bootstrap needs a non-empty sample and B >= 1")
-    y_hat = threshold_labels(p_hat, threshold)
     indices = rng.integers(0, n, size=(B, n))
-    values = []
-    discarded = 0
-    for b in range(B):
-        idx = indices[b]
-        value = _metric_value(metric, y[idx], p_hat[idx], y_hat[idx])
-        if value is None:
-            discarded += 1
-        else:
-            values.append(value)
-    return np.asarray(values, dtype=float), discarded
+    if metric == "auc":
+        codes, width = _auc_codes(y, p_hat)
+        from_counts = _auc_from_counts
+    else:
+        codes, width = 2 * y.astype(bool) + threshold_labels(p_hat, threshold), 4
+        from_counts = functools.partial(_threshold_from_counts, metric)
+    values = np.empty(B)
+    chunk = max(1, _CHUNK_CELLS // n)
+    for start in range(0, B, chunk):
+        block = codes[indices[start : start + chunk]]
+        rows = block.shape[0]
+        block += width * np.arange(rows)[:, None]
+        counts = np.bincount(block.reshape(-1), minlength=rows * width).reshape(rows, width)
+        values[start : start + rows] = from_counts(counts)
+    defined = ~np.isnan(values)
+    return values[defined], int(B - defined.sum())
 
 
 def bootstrap_ci(

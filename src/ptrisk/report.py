@@ -14,6 +14,9 @@ import csv
 import hashlib
 import io
 import json
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -142,32 +145,41 @@ def _write_oof(path: Path, oof) -> None:
 def run_experiment(config: ExperimentConfig) -> ReportBundle:
     """Execute ingest -> curation -> grid evaluation -> report emission.
 
-    On any failure the files already written by this invocation are
-    removed and a StageFailure naming the stage is raised.
+    The bundle is written into a staging directory inside ``out_dir`` and
+    moved into place only once it is complete: the old manifest is removed
+    first and the new one moved last, so no manifest ever lists a file
+    that is missing or from another run.  On any failure the staging
+    directory is removed, any earlier bundle in ``out_dir`` is left as it
+    was, and a StageFailure naming the stage is raised.
     """
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
     written = []
 
     def emit(name: str, writer) -> None:
-        path = out_dir / name
-        writer(path)
+        writer(staging / name)
         written.append(name)
 
     try:
-        return _run_stages(config, out_dir, emit, written)
+        bundle = _run_stages(config, staging, emit, written)
+        try:
+            (out_dir / MANIFEST_FILENAME).unlink(missing_ok=True)
+            for name in written + [MANIFEST_FILENAME]:
+                os.replace(staging / name, out_dir / name)
+        except OSError as exc:
+            raise StageFailure("manifest", exc) from exc
+        bundle.out_dir = out_dir
+        return bundle
+    except StageFailure:
+        raise
     except Exception as exc:
-        for name in written:
-            try:
-                (out_dir / name).unlink()
-            except OSError:
-                pass
-        if isinstance(exc, StageFailure):
-            raise
         raise StageFailure("internal", exc) from exc
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
 
-def _run_stages(config: ExperimentConfig, out_dir: Path, emit, written) -> ReportBundle:
+def _run_stages(config: ExperimentConfig, staging: Path, emit, written) -> ReportBundle:
     config_hash = config.config_hash()
 
     stage = "ingest"
@@ -243,7 +255,7 @@ def _run_stages(config: ExperimentConfig, out_dir: Path, emit, written) -> Repor
     stage = "report"
     try:
         bundle = ReportBundle(
-            out_dir=out_dir,
+            out_dir=staging,
             reports=reports,
             summary=summary,
             curation_report=curation_report,
@@ -260,7 +272,7 @@ def _run_stages(config: ExperimentConfig, out_dir: Path, emit, written) -> Repor
 
     stage = "manifest"
     try:
-        write_manifest(out_dir, written, config_hash)
+        write_manifest(staging, written, config_hash)
     except Exception as exc:
         raise StageFailure(stage, exc) from exc
     return bundle

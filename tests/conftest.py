@@ -1,12 +1,8 @@
-import collections
 from pathlib import Path
 
 import pytest
 
 FIXTURES = Path(__file__).parent / "fixtures"
-
-# Acceptance summary: one line per criterion, printed after the run.
-_ACCEPTANCE_RESULTS = collections.defaultdict(list)
 
 
 @pytest.fixture
@@ -27,25 +23,3 @@ def load_corpus(name):
             rows.append(tuple(parts))
     return rows
 
-
-def pytest_runtest_logreport(report):
-    if report.when != "call":
-        return
-    name = report.nodeid
-    if "test_acceptance.py" in name and "criterion" in name:
-        # e.g. ...::test_criterion_5_bootstrap[...]
-        short = name.split("::")[-1]
-        key = short.split("_")[2]  # criterion number token
-        _ACCEPTANCE_RESULTS[key].append((short, report.outcome))
-
-
-def pytest_terminal_summary(terminalreporter):
-    if not _ACCEPTANCE_RESULTS:
-        return
-    terminalreporter.write_sep("-", "acceptance criteria")
-    for key in sorted(_ACCEPTANCE_RESULTS, key=lambda k: (len(k), k)):
-        outcomes = _ACCEPTANCE_RESULTS[key]
-        ok = all(outcome == "passed" for _, outcome in outcomes)
-        names = ", ".join(sorted({short for short, _ in outcomes}))
-        status = "PASS" if ok else "FAIL"
-        terminalreporter.write_line(f"criterion {key}: {status} ({names})")

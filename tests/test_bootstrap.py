@@ -5,6 +5,7 @@ import pytest
 
 from ptrisk.errors import ContractError
 from ptrisk.evaluation import (
+    auc,
     bootstrap_ci,
     bootstrap_distribution,
     evaluate_oof,
@@ -63,13 +64,42 @@ def test_bootstrap_deterministic():
     assert a != c
 
 
-@pytest.mark.parametrize("metric", ["auc", "sensitivity", "specificity", "precision", "f1"])
-def test_bootstrap_matches_naive_oracle(metric):
+def oracle_inputs(case):
     rng = np.random.default_rng(12)
-    n, B, seed = 30, 200, 4242
+    n = 30
     y = rng.integers(0, 2, size=n)
     y[:3] = [1, 0, 1]
-    p = rng.random(n)
+    if case == "uniform":
+        p = rng.random(n)
+    elif case == "knn_ties":  # scores k/5 of a 5-neighbour vote
+        p = rng.integers(0, 6, size=n) / 5.0
+    elif case == "at_threshold":
+        p = rng.choice([0.25, 0.5, 0.75], size=n)
+        p[:2] = 0.5
+    elif case == "low_prevalence":  # many resamples draw no positive
+        y = np.zeros(n, dtype=np.int64)
+        y[[4, 17]] = 1
+        p = rng.random(n)
+    else:  # n large enough that the resamples are reduced in several chunks
+        y = rng.integers(0, 2, size=1000)
+        p = np.round(rng.random(1000), 2)
+    return y, p
+
+
+ORACLE_CASES = ("uniform", "knn_ties", "at_threshold", "low_prevalence", "chunked")
+
+
+@pytest.mark.parametrize(
+    "metric, case",
+    [
+        pytest.param(metric, case, id=metric if case == "uniform" else f"{metric}-{case}")
+        for case in ORACLE_CASES
+        for metric in ("auc", "sensitivity", "specificity", "precision", "f1")
+    ],
+)
+def test_bootstrap_matches_naive_oracle(metric, case):
+    y, p = oracle_inputs(case)
+    n, B, seed = y.size, 200, 4242
 
     low, high, discarded = bootstrap_ci(y, p, metric, B=B, alpha=0.05, rng=seed)
 
@@ -89,8 +119,12 @@ def test_bootstrap_matches_naive_oracle(metric):
         else:
             values.append(value)
     assert discarded == bad
+    if case == "low_prevalence" and metric in ("auc", "sensitivity", "f1"):
+        assert bad > 0
     assert low == naive_quantile(values, 0.025)
     assert high == naive_quantile(values, 0.975)
+    if metric == "auc":
+        assert auc(y, p) == pairwise_auc(y, p)
 
 
 def test_interval_nesting_in_alpha():

@@ -100,6 +100,22 @@ def test_run_internal_error_exit_3(tmp_path, monkeypatch, capsys):
     assert main(["run", "--config", str(ini)]) == 3
 
 
+def test_failed_rerun_keeps_previous_bundle(tmp_path):
+    grid = {"models": {"run": "DT"}, "groups": {"run": "F1"}}
+    ini = write_ini(tmp_path / "cfg.ini", tmp_path, **grid)
+    bad = write_ini(tmp_path / "bad.ini", tmp_path, protocol={"k": "500"}, **grid)
+    assert main(["synth", "--config", str(ini)]) == 0
+    assert main(["run", "--config", str(ini)]) == 0
+    before = {p.name: digest(p) for p in tmp_path.iterdir()}
+
+    assert main(["run", "--config", str(bad)]) == 3  # k exceeds the 60 rows
+    after = {p.name: digest(p) for p in tmp_path.iterdir()}
+    assert after == before
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert manifest["complete"] is True
+    assert {name: after[name] for name in manifest["files"]} == manifest["files"]
+
+
 def test_oof_file_shape(tmp_path):
     ini = write_ini(tmp_path / "cfg.ini", tmp_path)
     main(["synth", "--config", str(ini)])

@@ -259,6 +259,18 @@ def test_summary_age_histogram():
     ]
 
 
+def test_summary_age_histogram_bins_only_plausible_ages():
+    groups = FeatureGroups(f1=("age",), f2=("ph",))
+    table = _table(["age", "ph"], [[20, 7], [3e6, 6], [-1, 7], [29, 5], [120, 6]])
+    summary = cohort_summary(assemble(table, np.array([1, 1, 0, 0, 1]), groups))
+    assert summary["age_histogram"] == [
+        {"lo": 20, "hi": 25, "count": 1},
+        {"lo": 25, "hi": 30, "count": 1},
+    ]
+    assert "3 ages outside [0, 120) left out of the age histogram" in summary["warnings"]
+    assert age_histogram(np.array([3e6]), bin_width=5) == []
+
+
 def test_summary_without_age_warns():
     groups = FeatureGroups(f1=("gender",), f2=("ph",))
     table = _table(["gender", "ph"], [[1, 7], [0, 6]])
