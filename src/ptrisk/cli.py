@@ -2,10 +2,10 @@
 
 Subcommands: ``synth`` (write a synthetic cohort), ``run`` (full
 ingest/curate/evaluate/report pipeline), ``tables`` and ``plotdata``
-(regenerate those outputs from an existing bundle).  All take
-``--config`` (INI file; defaults apply when omitted), ``--out``
-(overrides the output directory) and ``--seed`` (overrides the cohort
-seed, synth only).
+(regenerate those outputs from a bundle the same config wrote, checked
+against its manifest).  All take ``--config`` (INI file; defaults apply
+when omitted), ``--out`` (overrides the output directory) and ``--seed``
+(overrides the cohort seed, synth only).
 
 Exit codes: 0 success, 1 config error, 2 data error, 3 internal error.
 """
@@ -17,7 +17,7 @@ import sys
 
 from .config import load_config, with_out_dir, with_synth_seed
 from .errors import ConfigError, DataError
-from .report import StageFailure, regenerate_plotdata, regenerate_tables, run_experiment
+from .report import StageFailure, regenerate, run_experiment
 from .synth import write_cohort
 
 EXIT_OK = 0
@@ -71,11 +71,7 @@ def main(argv=None) -> int:
             bundle = run_experiment(config)
             print(f"wrote bundle with {len(bundle.reports)} metric reports to {bundle.out_dir}")
             return EXIT_OK
-        if args.command == "tables":
-            names = regenerate_tables(config)
-            print(f"wrote {', '.join(names)}")
-            return EXIT_OK
-        names = regenerate_plotdata(config)
+        names = regenerate(config, args.command)
         print(f"wrote {', '.join(names)}")
         return EXIT_OK
     except StageFailure as exc:

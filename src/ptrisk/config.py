@@ -1,10 +1,22 @@
 """Experiment configuration: flat INI file with sections, one source of
 truth for every protocol constant.
 
-The defaults reproduce the evaluation protocol exactly (k=5, seed=42,
-threshold=0.5, B=1000, alpha=0.05) and the default schema maps every
+Every default lives on a dataclass field: ``ExperimentConfig`` and the
+``Schema``, ``FeatureGroups``, ``CurationSettings`` and ``SynthConfig`` it
+holds.  They reproduce the evaluation protocol exactly (k=5, seed=42,
+threshold=0.5, B=1000, alpha=0.05), and the default schema maps every
 feature to a column of the same name, which is the layout the synthetic
 generator writes.  Environment variables override nothing.
+
+``_SETTINGS`` names each setting once: its INI section and key, its
+attribute path on ``ExperimentConfig``, the parser of its INI text and,
+where it is not ``section.key``, its path in ``to_dict()``.  The same
+table drives ``load_config`` (a key the file leaves out keeps its
+dataclass default), the rejection of unknown keys, and ``to_dict``.
+Three settings sit outside it: ``[output] dir``, which is not hashed;
+``[curation] gender_male``/``gender_female``, two keys for one
+``gender_map``; and the free-form column maps ``[schema.questionnaire]``
+and ``[schema.biomarkers]``.
 """
 
 from __future__ import annotations
@@ -12,19 +24,11 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
-from pathlib import Path
+from dataclasses import dataclass, replace
+from functools import reduce
+from typing import Callable, NamedTuple
 
-from .curation import (
-    CurationSettings,
-    DEFAULT_BINARY_FALSE,
-    DEFAULT_BINARY_TRUE,
-    DEFAULT_F1_FEATURES,
-    DEFAULT_F2_FEATURES,
-    DEFAULT_GENDER_MAP,
-    FeatureGroups,
-    GROUP_TAGS,
-)
+from .curation import CurationSettings, FeatureGroups, GROUP_TAGS
 from .errors import ConfigError
 from .models import MODEL_KINDS
 from .parsers import DEFAULT_VALID_FLAGS, Schema
@@ -35,6 +39,23 @@ _LIST_SEP = "|"
 
 def _split_list(text: str) -> tuple:
     return tuple(part.strip() for part in text.split(_LIST_SEP) if part.strip())
+
+
+def _flag_set(text: str) -> frozenset:
+    return frozenset(_split_list(text))
+
+
+def _lowered_set(text: str) -> frozenset:
+    return frozenset(v.lower() for v in _split_list(text))
+
+
+def _parse_bool(text: str) -> bool:
+    norm = text.strip().lower()
+    if norm in ("true", "1", "yes", "on"):
+        return True
+    if norm in ("false", "0", "no", "off"):
+        return False
+    raise ValueError(text)
 
 
 def _parse_proxy_rules(text: str) -> tuple:
@@ -52,6 +73,73 @@ def _parse_proxy_rules(text: str) -> tuple:
             raise ConfigError(f"malformed proxy rule {item!r}")
         rules.append((target.strip(), source_names))
     return tuple(rules)
+
+
+_EXPECTED = {int: "an integer", float: "a number", _parse_bool: "a boolean"}
+
+
+class _Setting(NamedTuple):
+    section: str
+    key: str
+    attr: str  # dotted attribute path on ExperimentConfig
+    parse: Callable  # INI text -> value; ValueError for a bad value
+    dumped_as: str = ""  # dotted to_dict() path when it is not section.key
+
+
+_SETTINGS = (
+    _Setting("input", "path", "input_path", str, "input_path"),
+    _Setting("schema", "record_id", "schema.record_id", str),
+    _Setting("schema", "qc_flag", "schema.qc_flag", str),
+    _Setting("schema", "pcr_result", "schema.pcr_result", str),
+    _Setting("schema", "source_cohort", "schema.source_cohort", str),
+    _Setting("schema", "visual_text", "schema.visual_text", str),
+    _Setting("schema.pcr_values", "positive", "schema.pcr_positive", _lowered_set, "schema.pcr_positive"),
+    _Setting("schema.pcr_values", "negative", "schema.pcr_negative", _lowered_set, "schema.pcr_negative"),
+    _Setting("groups", "f1", "groups.f1", _split_list),
+    _Setting("groups", "f2", "groups.f2", _split_list),
+    _Setting("groups", "run", "run_groups", _split_list, "run_groups"),
+    _Setting("curation", "valid_flags", "valid_flags", _flag_set),
+    _Setting("curation", "max_missing_fraction", "curation.max_missing_fraction", float),
+    _Setting("curation", "drop_zero_variance", "curation.drop_zero_variance", _parse_bool),
+    _Setting("curation", "blocklist", "curation.blocklist", _split_list),
+    _Setting("curation", "proxy_rules", "curation.proxy_rules", _parse_proxy_rules),
+    _Setting("curation", "binary_true", "curation.binary_true", _lowered_set),
+    _Setting("curation", "binary_false", "curation.binary_false", _lowered_set),
+    _Setting("curation", "age_bin_width", "curation.age_bin_width", int),
+    _Setting("protocol", "k", "k", int),
+    _Setting("protocol", "seed", "seed", int),
+    _Setting("protocol", "threshold", "threshold", float),
+    _Setting("protocol", "bootstrap_samples", "bootstrap_samples", int),
+    _Setting("protocol", "alpha", "alpha", float),
+    _Setting("models", "run", "run_models", _split_list),
+    _Setting("models", "gbt_row_subsample", "gbt_row_subsample", float),
+    _Setting("models", "gbt_col_subsample", "gbt_col_subsample", float),
+    _Setting("synth", "n", "synth.n", int),
+    _Setting("synth", "prevalence", "synth.prevalence", float),
+    _Setting("synth", "biomarker_signal", "synth.biomarker_signal", float),
+    _Setting("synth", "reported_signal", "synth.reported_signal", float),
+    _Setting("synth", "missing_rate", "synth.missing_rate", float),
+    _Setting("synth", "semiquant_rate", "synth.semiquant_rate", float),
+    _Setting("synth", "seed", "synth.seed", int),
+    _Setting("synth", "signal_biomarkers", "synth.signal_biomarkers", _split_list),
+    _Setting("synth", "signal_reported", "synth.signal_reported", _split_list),
+)
+_OUTPUT_DIR = ("output", "dir")
+_GENDER_KEYS = (("gender_male", 1.0), ("gender_female", 0.0))  # [curation] key, code
+_COLUMN_MAPS = {"schema.questionnaire": "questionnaire", "schema.biomarkers": "biomarkers"}
+_KNOWN_KEYS = (
+    {(s.section, s.key) for s in _SETTINGS}
+    | {_OUTPUT_DIR}
+    | {("curation", key) for key, _ in _GENDER_KEYS}
+)
+
+
+def _jsonable(value):
+    if isinstance(value, (set, frozenset)):
+        return sorted(value)
+    if isinstance(value, tuple):
+        return [_jsonable(v) for v in value]
+    return value
 
 
 @dataclass(frozen=True)
@@ -104,58 +192,18 @@ class ExperimentConfig:
         self.synth.validate()
 
     def to_dict(self) -> dict:
-        """Canonical dict of every effective setting, used for hashing
-        and for the config echo embedded in reports."""
-        return {
-            "input_path": str(self.input_path),
-            "schema": {
-                "record_id": self.schema.record_id,
-                "qc_flag": self.schema.qc_flag,
-                "pcr_result": self.schema.pcr_result,
-                "source_cohort": self.schema.source_cohort,
-                "visual_text": self.schema.visual_text,
-                "questionnaire": dict(self.schema.questionnaire),
-                "biomarkers": dict(self.schema.biomarkers),
-                "pcr_positive": sorted(self.schema.pcr_positive),
-                "pcr_negative": sorted(self.schema.pcr_negative),
-            },
-            "groups": {"f1": list(self.groups.f1), "f2": list(self.groups.f2)},
-            "run_groups": list(self.run_groups),
-            "curation": {
-                "valid_flags": sorted(self.valid_flags),
-                "max_missing_fraction": self.curation.max_missing_fraction,
-                "drop_zero_variance": self.curation.drop_zero_variance,
-                "blocklist": list(self.curation.blocklist),
-                "proxy_rules": [[t, list(s)] for t, s in self.curation.proxy_rules],
-                "binary_true": sorted(self.curation.binary_true),
-                "binary_false": sorted(self.curation.binary_false),
-                "gender_map": dict(sorted(self.curation.gender_map.items())),
-                "age_bin_width": self.curation.age_bin_width,
-            },
-            "protocol": {
-                "k": self.k,
-                "seed": self.seed,
-                "threshold": self.threshold,
-                "bootstrap_samples": self.bootstrap_samples,
-                "alpha": self.alpha,
-            },
-            "models": {
-                "run": list(self.run_models),
-                "gbt_row_subsample": self.gbt_row_subsample,
-                "gbt_col_subsample": self.gbt_col_subsample,
-            },
-            "synth": {
-                "n": self.synth.n,
-                "prevalence": self.synth.prevalence,
-                "biomarker_signal": self.synth.biomarker_signal,
-                "reported_signal": self.synth.reported_signal,
-                "missing_rate": self.synth.missing_rate,
-                "semiquant_rate": self.synth.semiquant_rate,
-                "seed": self.synth.seed,
-                "signal_biomarkers": list(self.synth.signal_biomarkers),
-                "signal_reported": list(self.synth.signal_reported),
-            },
-        }
+        """Canonical dict of every effective setting but the output
+        directory, used for hashing and for the config echo embedded in
+        reports."""
+        out = {}
+        for setting in _SETTINGS:
+            *parents, leaf = (setting.dumped_as or f"{setting.section}.{setting.key}").split(".")
+            node = reduce(lambda d, name: d.setdefault(name, {}), parents, out)
+            node[leaf] = _jsonable(reduce(getattr, setting.attr.split("."), self))
+        for name in _COLUMN_MAPS.values():
+            out["schema"][name] = dict(getattr(self.schema, name))
+        out["curation"]["gender_map"] = dict(sorted(self.curation.gender_map.items()))
+        return out
 
     def config_hash(self) -> str:
         canonical = json.dumps(self.to_dict(), sort_keys=True)
@@ -182,32 +230,48 @@ def _read_ini(path) -> configparser.ConfigParser:
     return parser
 
 
-def _get(parser, section, key, fallback):
-    if parser.has_option(section, key):
-        return parser.get(section, key)
-    return fallback
+def _reject_unknown_keys(parser) -> None:
+    """A key outside the table is a typo, not a setting to ignore.  Keys
+    under [DEFAULT] would reach every section, so none is allowed."""
+    unknown = [f"[{parser.default_section}] {key}" for key in parser.defaults()]
+    for section in parser.sections():
+        if section not in _COLUMN_MAPS:  # free-form: feature name = file column
+            unknown += [
+                f"[{section}] {key}"
+                for key in parser.options(section)
+                if (section, key) not in _KNOWN_KEYS
+            ]
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
 
 
-def _get_typed(parser, section, key, fallback, convert, description):
-    raw = _get(parser, section, key, None)
-    if raw is None:
-        return fallback
-    try:
-        return convert(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for [{section}] {key}: expected {description}") from exc
+def _overrides(parser, part: str) -> dict:
+    """Parsed values of the table settings the file sets on one part of
+    the config (``""`` for ExperimentConfig's own fields), by field name."""
+    out = {}
+    for setting in _SETTINGS:
+        owner, _, name = setting.attr.rpartition(".")
+        if owner != part or not parser.has_option(setting.section, setting.key):
+            continue
+        try:
+            out[name] = setting.parse(parser.get(setting.section, setting.key))
+        except ValueError as exc:
+            raise ConfigError(
+                f"bad value for [{setting.section}] {setting.key}: "
+                f"expected {_EXPECTED[setting.parse]}"
+            ) from exc
+    return out
 
 
-def _get_bool(parser, section, key, fallback):
-    raw = _get(parser, section, key, None)
-    if raw is None:
-        return fallback
-    norm = raw.strip().lower()
-    if norm in ("true", "1", "yes", "on"):
-        return True
-    if norm in ("false", "0", "no", "off"):
-        return False
-    raise ConfigError(f"bad value for [{section}] {key}: expected a boolean")
+def _gender_map(parser, default: dict) -> dict:
+    gender_map = {}
+    for key, code in _GENDER_KEYS:
+        if parser.has_option("curation", key):
+            tokens = _split_list(parser.get("curation", key))
+        else:
+            tokens = [token for token, value in default.items() if value == code]
+        gender_map.update((token.lower(), code) for token in tokens)
+    return gender_map or dict(default)
 
 
 def load_config(path=None) -> ExperimentConfig:
@@ -217,119 +281,31 @@ def load_config(path=None) -> ExperimentConfig:
         defaults.validate()
         return defaults
     parser = _read_ini(path)
+    _reject_unknown_keys(parser)
 
-    f1 = _split_list(_get(parser, "groups", "f1", _LIST_SEP.join(DEFAULT_F1_FEATURES)))
-    f2 = _split_list(_get(parser, "groups", "f2", _LIST_SEP.join(DEFAULT_F2_FEATURES)))
-    groups = FeatureGroups(f1=f1, f2=f2)
-
-    questionnaire = (
-        dict(parser.items("schema.questionnaire"))
-        if parser.has_section("schema.questionnaire")
-        else {name: name for name in groups.f1}
+    groups = replace(defaults.groups, **_overrides(parser, "groups"))
+    column_maps = {
+        name: dict(parser.items(section))
+        for section, name in _COLUMN_MAPS.items()
+        if parser.has_section(section)
+    }
+    schema = replace(default_schema(groups), **_overrides(parser, "schema"), **column_maps)
+    curation = replace(
+        defaults.curation,
+        gender_map=_gender_map(parser, defaults.curation.gender_map),
+        **_overrides(parser, "curation"),
     )
-    biomarkers = (
-        dict(parser.items("schema.biomarkers"))
-        if parser.has_section("schema.biomarkers")
-        else {name: name for name in groups.f2}
-    )
-    schema = Schema(
-        record_id=_get(parser, "schema", "record_id", "record_id"),
-        qc_flag=_get(parser, "schema", "qc_flag", "qc_flag"),
-        pcr_result=_get(parser, "schema", "pcr_result", "pcr_result"),
-        source_cohort=_get(parser, "schema", "source_cohort", "source_cohort"),
-        visual_text=_get(parser, "schema", "visual_text", "visual_text"),
-        questionnaire=questionnaire,
-        biomarkers=biomarkers,
-        pcr_positive=frozenset(
-            v.lower()
-            for v in _split_list(
-                _get(parser, "schema.pcr_values", "positive", "pos|positive|1|true|yes|+")
-            )
-        ),
-        pcr_negative=frozenset(
-            v.lower()
-            for v in _split_list(
-                _get(parser, "schema.pcr_values", "negative", "neg|negative|0|false|no|-")
-            )
-        ),
-    )
-
-    gender_map = {}
-    for token in _split_list(_get(parser, "curation", "gender_male", "male|m")):
-        gender_map[token.lower()] = 1.0
-    for token in _split_list(_get(parser, "curation", "gender_female", "female|f")):
-        gender_map[token.lower()] = 0.0
-    curation = CurationSettings(
-        binary_true=frozenset(
-            v.lower()
-            for v in _split_list(
-                _get(parser, "curation", "binary_true", _LIST_SEP.join(sorted(DEFAULT_BINARY_TRUE)))
-            )
-        ),
-        binary_false=frozenset(
-            v.lower()
-            for v in _split_list(
-                _get(parser, "curation", "binary_false", _LIST_SEP.join(sorted(DEFAULT_BINARY_FALSE)))
-            )
-        ),
-        gender_map=gender_map or dict(DEFAULT_GENDER_MAP),
-        max_missing_fraction=_get_typed(
-            parser, "curation", "max_missing_fraction", 0.30, float, "a number"
-        ),
-        drop_zero_variance=_get_bool(parser, "curation", "drop_zero_variance", True),
-        blocklist=_split_list(_get(parser, "curation", "blocklist", "")),
-        proxy_rules=_parse_proxy_rules(_get(parser, "curation", "proxy_rules", "")),
-        age_bin_width=_get_typed(parser, "curation", "age_bin_width", 5, int, "an integer"),
-    )
-
-    synth = SynthConfig(
-        n=_get_typed(parser, "synth", "n", defaults.synth.n, int, "an integer"),
-        prevalence=_get_typed(
-            parser, "synth", "prevalence", defaults.synth.prevalence, float, "a number"
-        ),
-        biomarker_signal=_get_typed(
-            parser, "synth", "biomarker_signal", 0.0, float, "a number"
-        ),
-        reported_signal=_get_typed(
-            parser, "synth", "reported_signal", 0.0, float, "a number"
-        ),
-        missing_rate=_get_typed(parser, "synth", "missing_rate", 0.0, float, "a number"),
-        semiquant_rate=_get_typed(parser, "synth", "semiquant_rate", 0.0, float, "a number"),
-        seed=_get_typed(parser, "synth", "seed", defaults.synth.seed, int, "an integer"),
-        signal_biomarkers=_split_list(
-            _get(parser, "synth", "signal_biomarkers", _LIST_SEP.join(defaults.synth.signal_biomarkers))
-        ),
-        signal_reported=_split_list(
-            _get(parser, "synth", "signal_reported", _LIST_SEP.join(defaults.synth.signal_reported))
-        ),
-    )
-
-    config = ExperimentConfig(
-        input_path=_get(parser, "input", "path", "cohort.csv"),
+    synth = replace(defaults.synth, **_overrides(parser, "synth"))
+    config = replace(
+        defaults,
         schema=schema,
         groups=groups,
-        run_groups=_split_list(_get(parser, "groups", "run", _LIST_SEP.join(GROUP_TAGS))),
         curation=curation,
-        valid_flags=frozenset(
-            _split_list(_get(parser, "curation", "valid_flags", _LIST_SEP.join(sorted(DEFAULT_VALID_FLAGS))))
-        ),
-        k=_get_typed(parser, "protocol", "k", 5, int, "an integer"),
-        seed=_get_typed(parser, "protocol", "seed", 42, int, "an integer"),
-        threshold=_get_typed(parser, "protocol", "threshold", 0.5, float, "a number"),
-        bootstrap_samples=_get_typed(
-            parser, "protocol", "bootstrap_samples", 1000, int, "an integer"
-        ),
-        alpha=_get_typed(parser, "protocol", "alpha", 0.05, float, "a number"),
-        run_models=_split_list(_get(parser, "models", "run", _LIST_SEP.join(MODEL_KINDS))),
-        gbt_row_subsample=_get_typed(
-            parser, "models", "gbt_row_subsample", 0.8, float, "a number"
-        ),
-        gbt_col_subsample=_get_typed(
-            parser, "models", "gbt_col_subsample", 0.8, float, "a number"
-        ),
         synth=synth,
-        out_dir=_get(parser, "output", "dir", "out"),
+        **_overrides(parser, ""),
     )
+    if parser.has_option(*_OUTPUT_DIR):
+        config = with_out_dir(config, parser.get(*_OUTPUT_DIR))
     config.validate()
     return config
 

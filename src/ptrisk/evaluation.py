@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,7 +77,6 @@ class OofPredictions:
     fold: np.ndarray
     model_kind: str
     group_tag: str
-    fold_pipelines: list = field(default_factory=list, repr=False)
 
     def __len__(self) -> int:
         return len(self.record_ids)
@@ -103,7 +102,6 @@ def run_oof(
         record_ids = [str(i) for i in range(n)]
 
     p_hat = np.full(n, np.nan)
-    pipelines = []
     for f in range(folds.k):
         test = folds.fold_of == f
         train = ~test
@@ -113,7 +111,6 @@ def run_oof(
         pipeline = fit_pipeline(
             spec, X[train], y_train, rng.child("model", spec.kind, "group", group_tag, "fold", f)
         )
-        pipelines.append(pipeline)
         if test.any():
             p_hat[test] = pipeline.predict_proba(X[test])
 
@@ -129,7 +126,6 @@ def run_oof(
         fold=folds.fold_of.copy(),
         model_kind=spec.kind,
         group_tag=group_tag,
-        fold_pipelines=pipelines,
     )
 
 

@@ -9,11 +9,8 @@ from .pipeline import (
     FittedPipeline,
     ModelSpec,
     compute_class_weights,
-    default_specs,
     fit_model,
     fit_pipeline,
-    pipeline_from_json,
-    pipeline_to_json,
 )
 from .standardizer import StandardizerParams, apply_standardizer, fit_standardizer
 from .tree import FrozenTree, build_classification_tree
@@ -33,7 +30,6 @@ __all__ = [
     "apply_standardizer",
     "build_classification_tree",
     "compute_class_weights",
-    "default_specs",
     "fit_boosted",
     "fit_forest",
     "fit_knn",
@@ -42,7 +38,5 @@ __all__ = [
     "fit_pipeline",
     "fit_standardizer",
     "objective",
-    "pipeline_from_json",
-    "pipeline_to_json",
     "sigmoid",
 ]

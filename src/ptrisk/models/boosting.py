@@ -19,7 +19,7 @@ import numpy as np
 from ..errors import TrainingError
 from ..rng import RngKey
 from .logistic import sigmoid
-from .tree import FrozenTree, grow_tree
+from .tree import grow_tree
 
 _LAMBDA = 1.0
 _MIN_CHILD_HESSIAN = 1.0
@@ -60,21 +60,6 @@ class BoostedModel:
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return sigmoid(self.raw_scores(X))
-
-    def to_dict(self) -> dict:
-        return {
-            "trees": [t.to_dict() for t in self.trees],
-            "columns": [list(c) for c in self.columns],
-            "train_losses": list(self.train_losses),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BoostedModel":
-        return cls(
-            trees=tuple(FrozenTree.from_dict(t) for t in d["trees"]),
-            columns=tuple(tuple(c) for c in d["columns"]),
-            train_losses=tuple(d["train_losses"]),
-        )
 
 
 def fit_boosted(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..rng import RngKey
-from .tree import FrozenTree, build_classification_tree
+from .tree import build_classification_tree
 
 
 @dataclass(frozen=True)
@@ -25,13 +25,6 @@ class ForestModel:
         for tree in self.trees:
             votes += tree.predict_value(X)
         return votes / len(self.trees)
-
-    def to_dict(self) -> dict:
-        return {"trees": [t.to_dict() for t in self.trees]}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ForestModel":
-        return cls(trees=tuple(FrozenTree.from_dict(t) for t in d["trees"]))
 
 
 def fit_forest(

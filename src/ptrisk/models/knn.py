@@ -38,15 +38,6 @@ class KnnModel:
                 out[i] = float((inv * labels).sum() / inv.sum())
         return out
 
-    def to_dict(self) -> dict:
-        return {"X": self.X.tolist(), "y": self.y.tolist(), "k": self.k}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "KnnModel":
-        return cls(
-            X=np.asarray(d["X"], dtype=float), y=np.asarray(d["y"], dtype=float), k=d["k"]
-        )
-
 
 def fit_knn(X: np.ndarray, y: np.ndarray, k: int = 7) -> KnnModel:
     X = np.asarray(X, dtype=float)

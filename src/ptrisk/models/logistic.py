@@ -54,18 +54,6 @@ class LogisticModel:
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return sigmoid(np.asarray(X, dtype=float) @ self.weights + self.intercept)
 
-    def to_dict(self) -> dict:
-        return {
-            "weights": self.weights.tolist(),
-            "intercept": self.intercept,
-            "converged": self.converged,
-            "n_iter": self.n_iter,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LogisticModel":
-        return cls(np.asarray(d["weights"], dtype=float), d["intercept"], d["converged"], d["n_iter"])
-
 
 def fit_logistic(X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray, C: float = 1.0) -> LogisticModel:
     X = np.asarray(X, dtype=float)

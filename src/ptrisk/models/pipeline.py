@@ -8,23 +8,20 @@ configuration) and there is no tuning path.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ContractError, TrainingError
 from ..rng import RngKey
-from .boosting import BoostedModel, fit_boosted
-from .forest import ForestModel, fit_forest
-from .knn import KnnModel, fit_knn
-from .logistic import LogisticModel, fit_logistic
+from .boosting import fit_boosted
+from .forest import fit_forest
+from .knn import fit_knn
+from .logistic import fit_logistic
 from .standardizer import StandardizerParams, apply_standardizer, fit_standardizer
 from .tree import FrozenTree, build_classification_tree
 
 MODEL_KINDS = ("LR", "DT", "RF", "GBT", "KNN")
-
-PERSISTENCE_FORMAT_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -58,25 +55,12 @@ class ModelSpec:
             raise ContractError(f"unknown model kind {self.kind!r}")
 
 
-def default_specs(gbt_row_subsample: float = 0.8, gbt_col_subsample: float = 0.8) -> dict:
-    return {
-        kind: ModelSpec(kind, gbt_row_subsample, gbt_col_subsample) for kind in MODEL_KINDS
-    }
-
-
 @dataclass(frozen=True)
 class DecisionTreeModel:
     tree: FrozenTree
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return self.tree.predict_value(X)
-
-    def to_dict(self) -> dict:
-        return self.tree.to_dict()
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DecisionTreeModel":
-        return cls(tree=FrozenTree.from_dict(d))
 
 
 def fit_model(spec: ModelSpec, X: np.ndarray, y: np.ndarray, rng: RngKey):
@@ -136,37 +120,3 @@ def fit_pipeline(spec: ModelSpec, X: np.ndarray, y: np.ndarray, rng: RngKey) -> 
     Xs = apply_standardizer(params, X)
     model = fit_model(spec, Xs, y, rng)
     return FittedPipeline(kind=spec.kind, standardizer=params, model=model)
-
-
-_MODEL_CODECS = {
-    "LR": LogisticModel,
-    "DT": DecisionTreeModel,
-    "RF": ForestModel,
-    "GBT": BoostedModel,
-    "KNN": KnnModel,
-}
-
-
-def pipeline_to_json(pipeline: FittedPipeline) -> str:
-    payload = {
-        "format_version": PERSISTENCE_FORMAT_VERSION,
-        "kind": pipeline.kind,
-        "standardizer": pipeline.standardizer.to_dict(),
-        "model": pipeline.model.to_dict(),
-    }
-    return json.dumps(payload, sort_keys=True)
-
-
-def pipeline_from_json(text: str) -> FittedPipeline:
-    payload = json.loads(text)
-    version = payload.get("format_version")
-    if version != PERSISTENCE_FORMAT_VERSION:
-        raise ContractError(f"unsupported pipeline format version {version!r}")
-    kind = payload["kind"]
-    if kind not in _MODEL_CODECS:
-        raise ContractError(f"unknown model kind {kind!r}")
-    return FittedPipeline(
-        kind=kind,
-        standardizer=StandardizerParams.from_dict(payload["standardizer"]),
-        model=_MODEL_CODECS[kind].from_dict(payload["model"]),
-    )

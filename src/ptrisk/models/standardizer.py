@@ -22,23 +22,6 @@ class StandardizerParams:
     standardized: np.ndarray  # bool per column
     zero_variance: np.ndarray  # bool per column (subset of standardized)
 
-    def to_dict(self) -> dict:
-        return {
-            "mean": self.mean.tolist(),
-            "std": self.std.tolist(),
-            "standardized": self.standardized.astype(int).tolist(),
-            "zero_variance": self.zero_variance.astype(int).tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "StandardizerParams":
-        return cls(
-            mean=np.asarray(d["mean"], dtype=float),
-            std=np.asarray(d["std"], dtype=float),
-            standardized=np.asarray(d["standardized"], dtype=bool),
-            zero_variance=np.asarray(d["zero_variance"], dtype=bool),
-        )
-
 
 def _infer_kinds(X: np.ndarray) -> np.ndarray:
     """True where the column should be standardized.

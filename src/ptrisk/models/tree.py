@@ -8,7 +8,7 @@ the logistic (gradient, hessian) with the Newton gain for boosting (see
 sorted feature values.  Ties between equally good splits resolve to the
 lowest feature index, then the lowest threshold, giving a fully
 deterministic tree.  The tree is stored as flat arrays (feature < 0 marks
-a leaf) so it can be serialized to JSON verbatim.
+a leaf).
 """
 
 from __future__ import annotations
@@ -69,25 +69,6 @@ class FrozenTree:
             go_left = X[rows, self.feature[node]] <= self.threshold[node]
             idx[rows] = np.where(go_left, self.left[node], self.right[node])
         return self.value[idx]
-
-    def to_dict(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": self.value.tolist(),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FrozenTree":
-        return cls(
-            feature=np.asarray(d["feature"], dtype=np.intp),
-            threshold=np.asarray(d["threshold"], dtype=float),
-            left=np.asarray(d["left"], dtype=np.intp),
-            right=np.asarray(d["right"], dtype=np.intp),
-            value=np.asarray(d["value"], dtype=float),
-        )
 
 
 def _best_split(Xn, a, b, A, B, split_gain):

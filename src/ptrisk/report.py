@@ -72,14 +72,14 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
-def _write_rows(path: Path, header, rows, footnotes=()) -> None:
+def _csv_text(header, rows, footnotes=()) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
     for note in footnotes:
         buffer.write(note + "\n")
-    path.write_text(buffer.getvalue(), encoding="utf-8")
+    return buffer.getvalue()
 
 
 def _metric_report_to_dict(report: MetricReport, config_hash: str) -> dict:
@@ -139,7 +139,7 @@ def _write_oof(path: Path, oof) -> None:
         (rid, int(fold), int(y), repr(float(p)))
         for rid, fold, y, p in zip(oof.record_ids, oof.fold, oof.y, oof.p_hat)
     ]
-    _write_rows(path, ("record_id", "fold", "y", "p_hat"), rows)
+    path.write_text(_csv_text(("record_id", "fold", "y", "p_hat"), rows), encoding="utf-8")
 
 
 def run_experiment(config: ExperimentConfig) -> ReportBundle:
@@ -338,19 +338,11 @@ def table_files(reports: dict, run_groups, run_models) -> list:
                     _cell(report, "specificity", 3),
                 )
             )
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(("model", "auc_95ci", "precision_95ci", "f1_95ci"))
-        writer.writerows(rows)
-        if "GBT" in run_models:
-            buffer.write(XGB_FOOTNOTE + "\n")
-        out.append((f"table_{tag}.csv", buffer.getvalue()))
-
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(("model", "sensitivity_95ci", "specificity_95ci"))
-        writer.writerows(extended)
-        out.append((f"table_{tag}_extended.csv", buffer.getvalue()))
+        footnotes = (XGB_FOOTNOTE,) if "GBT" in run_models else ()
+        header = ("model", "auc_95ci", "precision_95ci", "f1_95ci")
+        out.append((f"table_{tag}.csv", _csv_text(header, rows, footnotes)))
+        header = ("model", "sensitivity_95ci", "specificity_95ci")
+        out.append((f"table_{tag}_extended.csv", _csv_text(header, extended)))
     return out
 
 
@@ -391,37 +383,24 @@ def plotdata_files(reports: dict, run_groups, run_models, summary: dict) -> list
                 )
             )
 
-    out = []
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(("kind", "model", "group", "auc", "ci_low", "ci_high"))
-    writer.writerows(auc_rows)
-    out.append(("plot_auc_ci.csv", buffer.getvalue()))
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(
-        (
-            "model",
-            "group",
-            "sensitivity",
-            "sens_ci_low",
-            "sens_ci_high",
-            "specificity",
-            "spec_ci_low",
-            "spec_ci_high",
-        )
+    sens_header = (
+        "model",
+        "group",
+        "sensitivity",
+        "sens_ci_low",
+        "sens_ci_high",
+        "specificity",
+        "spec_ci_low",
+        "spec_ci_high",
     )
-    writer.writerows(sens_rows)
-    out.append(("plot_sens_spec.csv", buffer.getvalue()))
-
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(("bin_lo", "bin_hi", "count"))
-    for item in summary.get("age_histogram") or []:
-        writer.writerow((item["lo"], item["hi"], item["count"]))
-    out.append(("plot_age_hist.csv", buffer.getvalue()))
-    return out
+    hist_rows = [
+        (item["lo"], item["hi"], item["count"]) for item in summary.get("age_histogram") or []
+    ]
+    return [
+        ("plot_auc_ci.csv", _csv_text(("kind", "model", "group", "auc", "ci_low", "ci_high"), auc_rows)),
+        ("plot_sens_spec.csv", _csv_text(sens_header, sens_rows)),
+        ("plot_age_hist.csv", _csv_text(("bin_lo", "bin_hi", "count"), hist_rows)),
+    ]
 
 
 def _require_complete(reports: dict, run_groups, run_models) -> None:
@@ -435,57 +414,46 @@ def _require_complete(reports: dict, run_groups, run_models) -> None:
         raise DataError(f"incomplete bundle, missing cells: {', '.join(missing)}")
 
 
-def load_reports(out_dir: Path, run_groups, run_models) -> dict:
-    """Read metric reports back from a bundle directory; missing cells
-    are reported together."""
-    out_dir = Path(out_dir)
-    reports = {}
-    missing = []
-    for tag in run_groups:
-        for kind in run_models:
-            path = out_dir / metrics_filename(tag, kind)
-            if not path.exists():
-                missing.append(f"{tag}/{kind}")
-                continue
-            reports[(tag, kind)] = _metric_report_from_dict(json.loads(path.read_text()))
-    if missing:
-        raise DataError(f"incomplete bundle, missing cells: {', '.join(missing)}")
-    return reports
+def regenerate(config: ExperimentConfig, command: str) -> list:
+    """Rewrite the tables (``command="tables"``) or the plot-data files
+    (``"plotdata"``) of the bundle in ``config.out_dir`` and record their
+    new digests in its manifest.
 
-
-def regenerate_tables(config: ExperimentConfig) -> list:
-    """Rebuild the per-group tables from a bundle on disk."""
+    Only a bundle this config wrote is trusted: its manifest must carry
+    ``config.config_hash()``, and every metric report and the cohort
+    summary read must match its digest there.  Otherwise DataError is
+    raised and nothing is written.
+    """
     out_dir = Path(config.out_dir)
-    reports = load_reports(out_dir, config.run_groups, config.run_models)
-    names = []
-    for name, content in table_files(reports, config.run_groups, config.run_models):
-        (out_dir / name).write_text(content, encoding="utf-8")
-        names.append(name)
-    _refresh_manifest(out_dir, names, config)
-    return names
-
-
-def regenerate_plotdata(config: ExperimentConfig) -> list:
-    """Rebuild the plot-data files from a bundle on disk."""
-    out_dir = Path(config.out_dir)
-    reports = load_reports(out_dir, config.run_groups, config.run_models)
-    summary_path = out_dir / "cohort_summary.json"
-    if not summary_path.exists():
-        raise DataError("incomplete bundle, missing cells: cohort_summary.json")
-    summary = json.loads(summary_path.read_text())
-    names = []
-    for name, content in plotdata_files(reports, config.run_groups, config.run_models, summary):
-        (out_dir / name).write_text(content, encoding="utf-8")
-        names.append(name)
-    _refresh_manifest(out_dir, names, config)
-    return names
-
-
-def _refresh_manifest(out_dir: Path, names, config: ExperimentConfig) -> None:
     manifest_path = out_dir / MANIFEST_FILENAME
-    if not manifest_path.exists():
-        return
-    manifest = json.loads(manifest_path.read_text())
-    for name in names:
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        digests = dict(manifest["files"])
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise DataError(f"no readable {MANIFEST_FILENAME} in {out_dir}: {exc}") from exc
+    if manifest.get("config_hash") != config.config_hash():
+        raise DataError(f"the bundle in {out_dir} was written with a different config")
+
+    def read_json(name: str) -> dict:
+        path = out_dir / name
+        data = path.read_bytes() if path.exists() else b""
+        if hashlib.sha256(data).hexdigest() != digests.get(name):
+            raise DataError(f"{name} is missing or does not match its digest in {MANIFEST_FILENAME}")
+        return json.loads(data)
+
+    reports = {
+        (tag, kind): _metric_report_from_dict(read_json(metrics_filename(tag, kind)))
+        for tag in config.run_groups
+        for kind in config.run_models
+        if (out_dir / metrics_filename(tag, kind)).exists()
+    }
+    if command == "tables":
+        files = table_files(reports, config.run_groups, config.run_models)
+    else:
+        summary = read_json("cohort_summary.json")
+        files = plotdata_files(reports, config.run_groups, config.run_models, summary)
+    for name, content in files:
+        (out_dir / name).write_text(content, encoding="utf-8")
         manifest["files"][name] = _sha256_file(out_dir / name)
     _write_json(manifest_path, manifest)
+    return [name for name, _ in files]

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -177,6 +178,39 @@ def test_tables_and_plotdata_regenerate(tmp_path):
     assert digest(tmp_path / "plot_auc_ci.csv") == before_plot
 
 
+def test_tables_and_plotdata_refuse_untrusted_bundle(tmp_path, capsys):
+    grid = {"models": {"run": "DT"}, "groups": {"run": "F1"}}
+    ini = write_ini(tmp_path / "cfg.ini", tmp_path, **grid)
+    other = write_ini(tmp_path / "other.ini", tmp_path, protocol={"seed": "7"}, **grid)
+    main(["synth", "--config", str(ini)])
+    assert main(["run", "--config", str(ini)]) == 0
+    manifest = tmp_path / "manifest.json"
+    pristine = manifest.read_bytes()
+
+    # a config with another config_hash does not own this bundle
+    for command in ("tables", "plotdata"):
+        assert main([command, "--config", str(other)]) == 2
+        assert "different config" in capsys.readouterr().err
+    assert manifest.read_bytes() == pristine
+
+    # an input file that no longer matches its manifest digest
+    metrics = tmp_path / "metrics_F1_DT.json"
+    original = metrics.read_bytes()
+    metrics.write_bytes(original.replace(b'"n": 60', b'"n": 61'))
+    assert main(["tables", "--config", str(ini)]) == 2
+    assert "metrics_F1_DT.json" in capsys.readouterr().err
+    metrics.write_bytes(original)
+    summary = tmp_path / "cohort_summary.json"
+    summary.write_bytes(summary.read_bytes() + b" ")
+    assert main(["plotdata", "--config", str(ini)]) == 2
+    assert "cohort_summary.json" in capsys.readouterr().err
+    assert manifest.read_bytes() == pristine
+
+    manifest.unlink()
+    assert main(["tables", "--config", str(ini)]) == 2
+    assert "manifest.json" in capsys.readouterr().err
+
+
 def test_tables_on_incomplete_bundle_exit_2(tmp_path, capsys):
     ini = write_ini(tmp_path / "cfg.ini", tmp_path)
     main(["synth", "--config", str(ini)])
@@ -242,3 +276,113 @@ def test_load_config_rejects_bad_values(tmp_path):
     ini.write_text("[models]\nrun = SVM\n")
     with pytest.raises(ConfigError):
         load_config(ini)
+
+
+def test_load_config_rejects_unknown_keys(tmp_path, capsys):
+    from ptrisk.errors import ConfigError
+
+    ini = tmp_path / "typo.ini"
+    for text, named in (
+        ("[protocol]\nbootstrap_sample = 10\n", "[protocol] bootstrap_sample"),
+        ("[protcol]\nk = 3\n", "[protcol] k"),
+        ("[DEFAULT]\nk = 3\n[protocol]\nseed = 1\n", "[DEFAULT] k"),
+    ):
+        ini.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            load_config(ini)
+        assert main(["synth", "--config", str(ini), "--out", str(tmp_path)]) == 1
+        assert named in capsys.readouterr().err
+    # the column-map sections are free-form
+    ini.write_text("[schema.questionnaire]\nage = AgeYears\n[schema.biomarkers]\nph = pH\n")
+    assert load_config(ini).schema.questionnaire == {"age": "AgeYears"}
+
+
+EVERY_KEY_INI = """
+[input]
+path = elsewhere.csv
+[schema]
+record_id = SampleID
+qc_flag = QC
+pcr_result = PCR
+source_cohort = Cohort
+visual_text = Appearance
+[schema.pcr_values]
+positive = Detected
+negative = Not detected
+[schema.questionnaire]
+age = AgeYears
+[schema.biomarkers]
+ph = pH
+[groups]
+f1 = gender|age|prior_std
+f2 = leukocytes|ph
+run = F3
+[curation]
+valid_flags = OK
+max_missing_fraction = 0.1
+drop_zero_variance = false
+blocklist = ph
+proxy_rules = irritation:genital_irritation+dysuria
+binary_true = Yes
+binary_false = No
+gender_male = man
+gender_female = woman
+age_bin_width = 10
+[protocol]
+k = 3
+seed = 7
+threshold = 0.4
+bootstrap_samples = 200
+alpha = 0.1
+[models]
+run = LR|DT
+gbt_row_subsample = 0.5
+gbt_col_subsample = 0.6
+[synth]
+n = 120
+prevalence = 0.5
+biomarker_signal = 1.0
+reported_signal = 0.5
+missing_rate = 0.1
+semiquant_rate = 0.2
+seed = 3
+signal_biomarkers = ph
+signal_reported = prior_std
+[output]
+dir = elsewhere
+"""
+
+
+def _leaves(tree: dict, prefix="") -> dict:
+    """Setting path -> value; the column maps and gender_map are one leaf each."""
+    out = {}
+    for key, value in tree.items():
+        if isinstance(value, dict) and key not in ("questionnaire", "biomarkers", "gender_map"):
+            out.update(_leaves(value, f"{prefix}{key}."))
+        else:
+            out[f"{prefix}{key}"] = value
+    return out
+
+
+def test_every_config_key_reaches_to_dict(tmp_path):
+    ini = tmp_path / "every.ini"
+    ini.write_text(EVERY_KEY_INI)
+    config = load_config(ini)
+    default = load_config(None)
+    leaves, default_leaves = _leaves(config.to_dict()), _leaves(default.to_dict())
+    assert leaves.keys() == default_leaves.keys()
+    assert [path for path in leaves if leaves[path] == default_leaves[path]] == []
+    assert config.out_dir == "elsewhere" != default.out_dir
+    assert config.curation.gender_map == {"man": 1.0, "woman": 0.0}
+    assert config.schema.pcr_negative == frozenset({"not detected"})
+
+
+def test_empty_config_hashes_like_defaults(tmp_path):
+    ini = tmp_path / "empty.ini"
+    ini.write_text("")
+    # pinned: a change here changes every config_hash and curation_report.json
+    assert load_config(None).config_hash() == (
+        "c7f335be7acebaf757e095f85d7d255cb9ab4fa73ee3575891460b9a2c86e5d0"
+    )
+    assert load_config(ini).config_hash() == load_config(None).config_hash()
+    assert load_config(ini) == load_config(None)

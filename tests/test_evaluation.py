@@ -12,7 +12,7 @@ from ptrisk.evaluation import (
     stratified_kfold,
     threshold_labels,
 )
-from ptrisk.models import ModelSpec
+from ptrisk.models import MODEL_KINDS, ModelSpec, fit_pipeline
 from ptrisk.rng import RngKey
 
 
@@ -118,17 +118,23 @@ def test_oof_complete_and_fold_consistent():
 
 
 def test_oof_leakage_guard():
+    # Fold 0's predictions must come from a pipeline fitted on the other
+    # folds alone: shifting the held-out rows must not reach the fit.
     X, y = _fixture_dataset(30, seed=2)
     folds = stratified_kfold(y, k=5, seed=42)
-    base = run_oof(X, y, ModelSpec("LR"), folds, RngKey(42))
-    perturbed = X.copy()
     test_rows = folds.fold_of == 0
+    perturbed = X.copy()
     perturbed[test_rows] += 1000.0
-    shifted = run_oof(perturbed, y, ModelSpec("LR"), folds, RngKey(42))
-    a = base.fold_pipelines[0].standardizer
-    b = shifted.fold_pipelines[0].standardizer
-    assert np.array_equal(a.mean, b.mean)
-    assert np.array_equal(a.std, b.std)
+    for kind in MODEL_KINDS:
+        shifted = run_oof(perturbed, y, ModelSpec(kind), folds, RngKey(42))
+        alone = fit_pipeline(
+            ModelSpec(kind),
+            X[~test_rows],
+            y[~test_rows],
+            RngKey(42).child("model", kind, "group", "", "fold", 0),
+        )
+        expected = alone.predict_proba(perturbed[test_rows])
+        assert shifted.p_hat[test_rows].tobytes() == expected.tobytes()
 
 
 def test_oof_unpredicted_rows_raise_contract_error():

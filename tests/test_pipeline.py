@@ -3,14 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ptrisk.errors import ContractError, TrainingError
-from ptrisk.models import (
-    MODEL_KINDS,
-    ModelSpec,
-    default_specs,
-    fit_pipeline,
-    pipeline_from_json,
-    pipeline_to_json,
-)
+from ptrisk.models import MODEL_KINDS, ModelSpec, fit_pipeline
 from ptrisk.rng import RngKey
 
 
@@ -27,23 +20,6 @@ def _dataset(seed=0, n=40, p=3):
 def test_spec_rejects_unknown_kind():
     with pytest.raises(ContractError):
         ModelSpec("SVM")
-
-
-def test_default_specs_cover_all_kinds():
-    specs = default_specs()
-    assert set(specs) == set(MODEL_KINDS)
-
-
-@pytest.mark.parametrize("kind", MODEL_KINDS)
-def test_persistence_roundtrip_bitexact(kind):
-    X, y = _dataset(seed=3)
-    pipeline = fit_pipeline(ModelSpec(kind), X, y, RngKey(42).child("m", kind))
-    text = pipeline_to_json(pipeline)
-    restored = pipeline_from_json(text)
-    X_new, _ = _dataset(seed=4)
-    assert np.array_equal(pipeline.predict_proba(X_new), restored.predict_proba(X_new))
-    # serialization itself is reproducible
-    assert pipeline_to_json(restored) == text
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -84,9 +60,30 @@ def test_probability_bounds_all_models(seed, n, p):
         assert np.all(probs >= 0.0) and np.all(probs <= 1.0)
 
 
+def _fitted_state(pipeline) -> list:
+    """Every array and scalar a fitted pipeline holds."""
+    std = pipeline.standardizer
+    state = [std.mean, std.std, std.standardized, std.zero_variance]
+    model = pipeline.model
+    if pipeline.kind == "LR":
+        return state + [model.weights, model.intercept, model.converged, model.n_iter]
+    if pipeline.kind == "KNN":
+        return state + [model.X, model.y, model.k]
+    trees = [model.tree] if pipeline.kind == "DT" else list(model.trees)
+    for tree in trees:
+        state += [tree.feature, tree.threshold, tree.left, tree.right, tree.value]
+    if pipeline.kind == "GBT":
+        state += [model.columns, model.train_losses]
+    return state
+
+
 def test_refit_is_deterministic():
     X, y = _dataset(seed=9)
     for kind in MODEL_KINDS:
-        a = fit_pipeline(ModelSpec(kind), X, y, RngKey(5).child(kind))
-        b = fit_pipeline(ModelSpec(kind), X, y, RngKey(5).child(kind))
-        assert pipeline_to_json(a) == pipeline_to_json(b)
+        a = _fitted_state(fit_pipeline(ModelSpec(kind), X, y, RngKey(5).child(kind)))
+        b = _fitted_state(fit_pipeline(ModelSpec(kind), X, y, RngKey(5).child(kind)))
+        assert len(a) == len(b)
+        for left, right in zip(a, b):
+            left, right = np.asarray(left), np.asarray(right)
+            assert left.dtype == right.dtype and left.shape == right.shape
+            assert left.tobytes() == right.tobytes()

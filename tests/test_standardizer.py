@@ -53,16 +53,6 @@ def test_apply_rejects_column_mismatch():
         apply_standardizer(params, np.array([[1.0]]))
 
 
-def test_params_roundtrip():
-    from ptrisk.models import StandardizerParams
-
-    params = fit_standardizer(np.array([[1.0, 0.0], [2.0, 1.0], [9.0, 1.0]]))
-    again = StandardizerParams.from_dict(params.to_dict())
-    assert np.array_equal(params.mean, again.mean)
-    assert np.array_equal(params.std, again.std)
-    assert np.array_equal(params.standardized, again.standardized)
-
-
 def test_class_weights_formula():
     weights = compute_class_weights(np.array([1] * 8 + [0] * 2))
     assert weights.w_pos == pytest.approx(0.625)

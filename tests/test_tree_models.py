@@ -66,8 +66,9 @@ def test_tree_deterministic_tie_break():
 
 
 def test_forest_mean_of_constant_trees():
-    leaf = {"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1], "value": [1.0]}
-    forest = ForestModel(trees=tuple(FrozenTree.from_dict(leaf) for _ in range(200)))
+    none = np.array([-1], dtype=np.intp)
+    leaf = FrozenTree(feature=none, threshold=np.zeros(1), left=none, right=none, value=np.ones(1))
+    forest = ForestModel(trees=(leaf,) * 200)
     X = np.zeros((4, 2))
     assert np.array_equal(forest.predict_proba(X), np.ones(4))
 
