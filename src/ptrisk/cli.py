@@ -5,7 +5,8 @@ ingest/curate/evaluate/report pipeline), ``tables`` and ``plotdata``
 (regenerate those outputs from a bundle the same config wrote, checked
 against its manifest).  All take ``--config`` (INI file; defaults apply
 when omitted), ``--out`` (overrides the output directory) and ``--seed``
-(overrides the cohort seed, synth only).
+(overrides the cohort seed; synth only, any other subcommand rejects it
+with a config error).
 
 Exit codes: 0 success, 1 config error, 2 data error, 3 internal error.
 """
@@ -58,6 +59,8 @@ def _classify(exc: Exception) -> int:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if args.seed is not None and args.command != "synth":
+            raise ConfigError(f"--seed applies to synth only, not to {args.command}")
         config = load_config(args.config)
         if args.out is not None:
             config = with_out_dir(config, args.out)

@@ -29,7 +29,7 @@ from functools import reduce
 from typing import Callable, NamedTuple
 
 from .curation import CurationSettings, FeatureGroups, GROUP_TAGS
-from .errors import ConfigError
+from .errors import ConfigError, CurationError
 from .models import MODEL_KINDS
 from .parsers import DEFAULT_VALID_FLAGS, Schema
 from .synth import SynthConfig
@@ -283,7 +283,10 @@ def load_config(path=None) -> ExperimentConfig:
     parser = _read_ini(path)
     _reject_unknown_keys(parser)
 
-    groups = replace(defaults.groups, **_overrides(parser, "groups"))
+    try:
+        groups = replace(defaults.groups, **_overrides(parser, "groups"))
+    except CurationError as exc:  # f1 and f2 share a feature
+        raise ConfigError(f"bad [groups]: {exc}") from exc
     column_maps = {
         name: dict(parser.items(section))
         for section, name in _COLUMN_MAPS.items()

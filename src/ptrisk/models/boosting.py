@@ -19,7 +19,7 @@ import numpy as np
 from ..errors import TrainingError
 from ..rng import RngKey
 from .logistic import sigmoid
-from .tree import grow_tree
+from .tree import grow_tree, rank_codes
 
 _LAMBDA = 1.0
 _MIN_CHILD_HESSIAN = 1.0
@@ -33,8 +33,10 @@ def _newton_gain(GL, HL, G, H, n_left, n):
     return np.where(valid, gain, -np.inf)
 
 
-def _build_regression_tree(X, g, h, max_depth, learning_rate):
-    """Leaf values are the already-shrunken contributions -lr*G/(H+lambda)."""
+def _build_regression_tree(X, g, h, max_depth, learning_rate, codes=None):
+    """Leaf values are the already-shrunken contributions -lr*G/(H+lambda).
+
+    ``codes`` as for ``grow_tree``."""
     return grow_tree(
         X,
         g,
@@ -42,6 +44,7 @@ def _build_regression_tree(X, g, h, max_depth, learning_rate):
         leaf_value=lambda G, H: -learning_rate * G / (H + _LAMBDA),
         split_gain=_newton_gain,
         max_depth=max_depth,
+        codes=codes,
     )
 
 
@@ -80,6 +83,7 @@ def fit_boosted(
     n_rows = max(1, int(round(row_subsample * n)))
     n_cols = max(1, int(round(col_subsample * p)))
 
+    codes = rank_codes(X.T)
     raw = np.zeros(n)
     trees = []
     columns = []
@@ -97,6 +101,7 @@ def fit_boosted(
             h,
             max_depth=max_depth,
             learning_rate=learning_rate,
+            codes=codes[cols].take(rows, axis=1),
         )
         trees.append(tree)
         columns.append(tuple(int(c) for c in cols))

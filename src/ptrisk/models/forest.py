@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..rng import RngKey
-from .tree import build_classification_tree
+from .tree import build_classification_tree, rank_codes
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,7 @@ def fit_forest(
     y = np.asarray(y)
     n, p = X.shape
     n_candidates = max(1, int(np.floor(np.sqrt(p))))
+    codes = rank_codes(X.T)
     trees = []
     for t in range(n_trees):
         gen = rng.child("tree", t).generator()
@@ -56,6 +57,7 @@ def fit_forest(
                 max_depth=max_depth,
                 min_samples_leaf=min_samples_leaf,
                 feature_picker=picker,
+                codes=codes.take(idx, axis=1),
             )
         )
     return ForestModel(trees=tuple(trees))

@@ -14,6 +14,10 @@ import numpy as np
 
 from ..errors import TrainingError
 
+# elements of one chunk's (query rows x training rows x features) distance
+# block: 256 KiB of float64 per temporary
+_CHUNK_CELLS = 2**15
+
 
 @dataclass(frozen=True)
 class KnnModel:
@@ -23,19 +27,30 @@ class KnnModel:
 
     def predict_proba(self, X_new: np.ndarray) -> np.ndarray:
         X_new = np.asarray(X_new, dtype=float)
-        k = min(self.k, self.X.shape[0])
+        n, p = self.X.shape
+        k = min(self.k, n)
         out = np.empty(X_new.shape[0])
-        for i, q in enumerate(X_new):
-            d = np.sqrt(((self.X - q) ** 2).sum(axis=1))
-            order = np.lexsort((np.arange(d.size), d))[:k]
-            dist = d[order]
+        step = max(1, _CHUNK_CELLS // max(n * p, 1))
+        for start in range(0, X_new.shape[0], step):
+            diff = self.X - X_new[start : start + step, None, :]
+            diff *= diff
+            d = np.sqrt(diff.sum(axis=2))
+            # the k nearest, distance ties broken by training index: the rows
+            # at most the k-th smallest distance away, in index order, stably
+            # sorted by (query row, distance); then the first k of each query
+            rows, cols = np.nonzero(d <= np.partition(d, k - 1, axis=1)[:, k - 1 : k])
+            near = d[rows, cols]
+            ranked = np.lexsort((near, rows))
+            counts = np.bincount(rows, minlength=d.shape[0])
+            pick = ranked[(np.cumsum(counts) - counts)[:, None] + np.arange(k)]
+            order = cols[pick]
+            dist = near[pick]
             labels = self.y[order]
-            if (dist == 0.0).any():
-                zero = dist == 0.0
-                out[i] = labels[zero].mean()
-            else:
-                inv = 1.0 / dist
-                out[i] = float((inv * labels).sum() / inv.sum())
+            zero = dist == 0.0
+            inv = 1.0 / np.where(zero, 1.0, dist)  # rows with a zero take the zero vote
+            vote = (inv * labels).sum(axis=1) / inv.sum(axis=1)
+            zero_vote = (zero * labels).sum(axis=1) / np.maximum(zero.sum(axis=1), 1)
+            out[start : start + step] = np.where(zero.any(axis=1), zero_vote, vote)
         return out
 
 

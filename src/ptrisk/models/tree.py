@@ -9,6 +9,17 @@ sorted feature values.  Ties between equally good splits resolve to the
 lowest feature index, then the lowest threshold, giving a fully
 deterministic tree.  The tree is stored as flat arrays (feature < 0 marks
 a leaf).
+
+The split search never sorts floats.  ``rank_codes`` gives each feature
+column dense integer ranks once per fit (uint8 up to 256 rows, uint16 up
+to 65,536), and each node sorts its block of codes, for which numpy's
+stable argsort is a radix sort.  Codes keep the order and the ties of
+the values, so the row order, the running sums and the gains are those
+of a stable sort of the floats.  The floats are read only to form the
+chosen threshold, the midpoint of the two values at the chosen position,
+and to partition the node's rows by ``value <= threshold``: a midpoint
+of two adjacent floats can round onto the upper value, so the partition
+cannot be taken from the codes.
 """
 
 from __future__ import annotations
@@ -71,25 +82,43 @@ class FrozenTree:
         return self.value[idx]
 
 
-def _best_split(Xn, a, b, A, B, split_gain):
-    """Best (block row, threshold) of one node's (features x rows) block, or None.
+def rank_codes(XT: np.ndarray) -> np.ndarray:
+    """Dense rank of each value within its row of XT (features x rows).
+
+    Equal values, -0.0 and 0.0 among them, share a code, and a larger
+    value has a larger code.  The dtype is the smallest unsigned integer
+    that holds the number of rows minus one.
+    """
+    order = np.argsort(XT, axis=1, kind="stable")
+    V = np.take_along_axis(XT, order, axis=1)
+    step = np.zeros(XT.shape, dtype=np.min_scalar_type(max(XT.shape[1] - 1, 0)))
+    step[:, 1:] = V[:, 1:] > V[:, :-1]
+    codes = np.empty_like(step)
+    np.put_along_axis(codes, order, np.cumsum(step, axis=1, dtype=step.dtype), axis=1)
+    return codes
+
+
+def _best_split(Cn, a, b, A, B, split_gain):
+    """Best split of one node's (features x rows) block of rank codes, or None.
 
     One stable sort per block row, running sums of the node's row
     statistics ``a``, ``b`` (totals ``A``, ``B``) in that order, the gain
-    between every two distinct values, and one flat argmax.
+    between every two distinct codes, and one flat argmax.  Returns the
+    block row and the node-local rows holding the values on either side
+    of the split.
     """
-    n = Xn.shape[1]
+    n = Cn.shape[1]
     if n < 2:
         return None
-    order = np.argsort(Xn, axis=1, kind="stable")
-    V = np.sort(Xn, axis=1)
+    order = np.argsort(Cn, axis=1, kind="stable")
+    S = np.sort(Cn, axis=1)
     AL = np.cumsum(a[order], axis=1)[:, :-1]
     BL = np.cumsum(b[order], axis=1)[:, :-1]
-    gain = np.where(V[:, :-1] < V[:, 1:], split_gain(AL, BL, A, B, np.arange(1, n), n), -np.inf)
+    gain = np.where(S[:, :-1] < S[:, 1:], split_gain(AL, BL, A, B, np.arange(1, n), n), -np.inf)
     f, j = divmod(int(np.argmax(gain)), n - 1)
     if not gain[f, j] > _MIN_GAIN:
         return None
-    return f, 0.5 * (V[f, j] + V[f, j + 1])
+    return f, order[f, j], order[f, j + 1]
 
 
 def grow_tree(
@@ -101,6 +130,7 @@ def grow_tree(
     max_depth: int,
     is_leaf=None,
     feature_picker=None,
+    codes=None,
 ) -> FrozenTree:
     """Grow one tree depth-first, left subtree before right, from row statistics.
 
@@ -112,8 +142,11 @@ def grow_tree(
     row count ``n_left``), -inf where the split is not allowed.
     ``feature_picker(n_features) -> ascending candidate indices`` is
     called once per searched node, in growth order; None means all.
+    ``codes`` is ``rank_codes(X.T)``, or the (features x rows) block of a
+    larger matrix's rank codes that X was taken from; None computes it.
     """
     XT = np.ascontiguousarray(X.T)
+    CT = rank_codes(XT) if codes is None else codes
     n_features = XT.shape[0]
     all_features = np.arange(n_features)
     arrays = TreeArrays()
@@ -132,11 +165,12 @@ def grow_tree(
         if depth >= max_depth or (is_leaf is not None and is_leaf(A, B, rows.size)):
             continue
         feature_ids = all_features if feature_picker is None else feature_picker(n_features)
-        best = _best_split(XT[feature_ids][:, rows], a_rows, b_rows, A, B, split_gain)
+        best = _best_split(CT[feature_ids].take(rows, axis=1), a_rows, b_rows, A, B, split_gain)
         if best is None:
             continue
-        row, threshold = best
+        row, lo, hi = best
         f = int(feature_ids[row])
+        threshold = 0.5 * (XT[f, rows[lo]] + XT[f, rows[hi]])
         go_left = XT[f, rows] <= threshold
         if not go_left.any() or go_left.all():
             continue
@@ -158,6 +192,7 @@ def build_classification_tree(
     max_depth: int,
     min_samples_leaf: int,
     feature_picker=None,
+    codes=None,
 ) -> FrozenTree:
     """Grow a CART tree; leaf value is the weighted positive fraction.
 
@@ -165,7 +200,8 @@ def build_classification_tree(
     A split needs at least ``min_samples_leaf`` rows on each side.
     ``feature_picker(n_features) -> candidate indices`` injects the
     per-split feature subsampling used by the forest; None means all
-    features are candidates at every split.
+    features are candidates at every split.  ``codes`` as for
+    ``grow_tree``.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
@@ -192,4 +228,5 @@ def build_classification_tree(
         max_depth=max_depth,
         is_leaf=is_leaf,
         feature_picker=feature_picker,
+        codes=codes,
     )

@@ -278,6 +278,25 @@ def test_load_config_rejects_bad_values(tmp_path):
         load_config(ini)
 
 
+def test_overlapping_feature_groups_are_a_config_error(tmp_path, capsys):
+    from ptrisk.errors import ConfigError
+
+    ini = tmp_path / "overlap.ini"
+    ini.write_text("[groups]\nf1 = age | ph\nf2 = ph | nitrite\n")
+    with pytest.raises(ConfigError, match="ph"):
+        load_config(ini)
+    assert main(["synth", "--config", str(ini), "--out", str(tmp_path)]) == 1
+    assert "overlap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "tables", "plotdata"])
+def test_seed_outside_synth_is_rejected(tmp_path, capsys, command):
+    ini = write_ini(tmp_path / "cfg.ini", tmp_path)
+    assert main([command, "--config", str(ini), "--seed", "99"]) == 1
+    assert "--seed" in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_load_config_rejects_unknown_keys(tmp_path, capsys):
     from ptrisk.errors import ConfigError
 

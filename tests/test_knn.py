@@ -50,3 +50,34 @@ def test_small_training_set_uses_all_points():
     probs = model.predict_proba(np.array([[0.5]]))
     assert 0.0 <= probs[0] <= 1.0
     assert probs[0] == pytest.approx(knn_oracle(X, y, np.array([0.5]), k=7))
+
+
+def per_row_predict(model, X_new):
+    """Reference: one query row at a time, neighbours by np.lexsort."""
+    k = min(model.k, model.X.shape[0])
+    out = np.empty(X_new.shape[0])
+    for i, q in enumerate(X_new):
+        d = np.sqrt(((model.X - q) ** 2).sum(axis=1))
+        order = np.lexsort((np.arange(d.size), d))[:k]
+        dist = d[order]
+        labels = model.y[order]
+        if (dist == 0.0).any():
+            out[i] = labels[dist == 0.0].mean()
+        else:
+            inv = 1.0 / dist
+            out[i] = float((inv * labels).sum() / inv.sum())
+    return out
+
+
+@pytest.mark.parametrize("n, p, k", [(5, 1, 7), (40, 3, 7), (300, 10, 7), (500, 22, 9)])
+def test_chunked_predictions_match_per_row_loop_bit_for_bit(n, p, k):
+    rng = np.random.default_rng(n + p)
+    # coarse grid values: many equal distances and exact duplicates of training rows
+    X = rng.integers(-2, 3, size=(n, p)).astype(float)
+    y = rng.integers(0, 2, size=n)
+    model = fit_knn(X, y, k=k)
+    queries = np.vstack(
+        [X[: min(n, 20)], rng.integers(-2, 3, size=(60, p)).astype(float), rng.normal(size=(60, p))]
+    )
+    expected = per_row_predict(model, queries)
+    assert model.predict_proba(queries).tobytes() == expected.tobytes()

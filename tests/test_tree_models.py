@@ -11,8 +11,10 @@ from ptrisk.models import (
     fit_boosted,
     fit_forest,
 )
+from ptrisk.models import boosting, tree
 from ptrisk.models.boosting import _build_regression_tree
 from ptrisk.models.logistic import sigmoid
+from ptrisk.models.tree import TreeArrays, rank_codes
 from ptrisk.rng import RngKey
 
 
@@ -233,3 +235,136 @@ def test_growing_leaves_no_reference_cycles(stump):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# --- rank-code split search against the float-sort oracle ----------------------
+
+
+def float_sort_best_split(Xn, a, b, A, B, split_gain):
+    """Reference search: stable sort of the float block itself."""
+    n = Xn.shape[1]
+    if n < 2:
+        return None
+    order = np.argsort(Xn, axis=1, kind="stable")
+    V = np.sort(Xn, axis=1)
+    AL = np.cumsum(a[order], axis=1)[:, :-1]
+    BL = np.cumsum(b[order], axis=1)[:, :-1]
+    gain = np.where(V[:, :-1] < V[:, 1:], split_gain(AL, BL, A, B, np.arange(1, n), n), -np.inf)
+    f, j = divmod(int(np.argmax(gain)), n - 1)
+    if not gain[f, j] > tree._MIN_GAIN:
+        return None
+    return f, 0.5 * (V[f, j] + V[f, j + 1])
+
+
+def float_sort_grow_tree(
+    X, a, b, leaf_value, split_gain, max_depth, is_leaf=None, feature_picker=None, codes=None
+):
+    """Reference grower on ``float_sort_best_split``; ``codes`` is ignored."""
+    XT = np.ascontiguousarray(X.T)
+    n_features = XT.shape[0]
+    all_features = np.arange(n_features)
+    arrays = TreeArrays()
+    pending = [(np.arange(XT.shape[1]), 0, None, -1)]
+    while pending:
+        rows, depth, link, parent = pending.pop()
+        node = arrays.add_node()
+        if link is not None:
+            link[parent] = node
+        a_rows = a[rows]
+        b_rows = b[rows]
+        A = a_rows.sum()
+        B = b_rows.sum()
+        arrays.value[node] = float(leaf_value(A, B))
+        if depth >= max_depth or (is_leaf is not None and is_leaf(A, B, rows.size)):
+            continue
+        feature_ids = all_features if feature_picker is None else feature_picker(n_features)
+        best = float_sort_best_split(XT[feature_ids][:, rows], a_rows, b_rows, A, B, split_gain)
+        if best is None:
+            continue
+        row, threshold = best
+        f = int(feature_ids[row])
+        go_left = XT[f, rows] <= threshold
+        if not go_left.any() or go_left.all():
+            continue
+        arrays.feature[node] = f
+        arrays.threshold[node] = threshold
+        pending.append((rows[~go_left], depth + 1, arrays.right, node))
+        pending.append((rows[go_left], depth + 1, arrays.left, node))
+    return arrays.finalize()
+
+
+def tricky_matrix(rng, n):
+    """Columns with ties, signed zeros, a constant, and adjacent floats
+    whose midpoint rounds onto the upper value."""
+    v = np.nextafter(1.0, np.inf)
+    upper = np.nextafter(v, np.inf)
+    assert 0.5 * (v + upper) == upper
+    return np.column_stack(
+        [
+            rng.normal(size=n),
+            rng.integers(0, 4, size=n).astype(float),
+            np.round(rng.normal(size=n), 1),
+            rng.choice([-1.0, -0.0, 0.0, 1.0], size=n),
+            np.full(n, 2.5),
+            rng.choice([v, upper, np.nextafter(upper, np.inf)], size=n),
+            rng.integers(0, 2, size=n).astype(float),
+        ]
+    )
+
+
+def tree_bytes(fitted):
+    return [
+        (arr.dtype.str, arr.tobytes())
+        for arr in (fitted.feature, fitted.threshold, fitted.left, fitted.right, fitted.value)
+    ]
+
+
+def fit_all(X, y):
+    weights = compute_class_weights(y).per_sample(y)
+    dt = build_classification_tree(X, y, weights, max_depth=4, min_samples_leaf=5)
+    deep = build_classification_tree(X, y, weights, max_depth=8, min_samples_leaf=1)
+    rf = fit_forest(X, y, weights, RngKey(3).child("rf"), n_trees=12, min_samples_leaf=1)
+    gbt = fit_boosted(X, y.astype(float), RngKey(3).child("gbt"), n_rounds=12, max_depth=4)
+    trees = [dt, deep, *rf.trees, *gbt.trees]
+    return [tree_bytes(t) for t in trees], gbt.columns, np.array(gbt.train_losses).tobytes()
+
+
+@pytest.mark.parametrize("n", [30, 256, 257, 420])
+def test_rank_code_search_matches_float_sort_oracle(n, monkeypatch):
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        X = tricky_matrix(rng, n)
+        X = X[:, rng.permutation(X.shape[1])]
+        signal = X[:, 0] + (X[:, 5] > 1.0) + 0.5 * X[:, 1] + rng.normal(size=n)
+        y = (signal > np.median(signal)).astype(int)
+        got = fit_all(X, y)
+        with monkeypatch.context() as patch:
+            patch.setattr(tree, "grow_tree", float_sort_grow_tree)
+            patch.setattr(boosting, "grow_tree", float_sort_grow_tree)
+            expected = fit_all(X, y)
+        assert got == expected
+
+
+def test_rank_codes_keep_order_and_ties():
+    v = np.nextafter(1.0, np.inf)
+    col = np.array([3.0, -0.0, 0.0, v, -2.0, 3.0, np.nextafter(v, np.inf), 0.0])
+    codes = rank_codes(np.vstack([col, np.zeros(8)]))
+    assert codes.tolist() == [[4, 1, 1, 2, 0, 4, 3, 1], [0] * 8]
+    assert rank_codes(np.zeros((2, 256))).dtype == np.uint8
+    assert rank_codes(np.zeros((2, 257))).dtype == np.uint16
+
+
+def test_tied_rows_are_summed_in_row_order():
+    # feature 0 ties all left rows at one value, feature 1 spreads them in row
+    # order; summed in the same (row) order, both splits have bit-identical
+    # gains and the lower index wins, but any other order within the tie
+    # changes the last bits of the left gradient sum
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        left = np.sort(rng.choice(60, size=40, replace=False))
+        is_left = np.isin(np.arange(60), left)
+        g = np.where(is_left, -1.0, 1.0) - rng.uniform(0, 1e-3, size=60)
+        X = np.column_stack([np.where(is_left, 0.0, 1.0), np.full(60, 1000.0)])
+        X[left, 1] = np.arange(40.0)
+        fitted = _build_regression_tree(X, g, np.ones(60), max_depth=1, learning_rate=0.1)
+        assert fitted.feature[0] == 0
