@@ -79,6 +79,30 @@ class FeatureGroups:
     def names(self, tag: str) -> tuple:
         return {"F1": tuple(self.f1), "F2": tuple(self.f2), "F3": self.f3}[tag]
 
+    def with_proxies(self, rules) -> "FeatureGroups":
+        """The groups as ``aggregate_proxies`` leaves the table: in each
+        group's list a rule's target takes the place of the first of its
+        sources and the other sources go, so the proxy column is used
+        where its sources were.  A rule whose sources are split between
+        F1 and F2 has no group to go to and is an error."""
+        f1, f2 = tuple(self.f1), tuple(self.f2)
+        for target, sources in rules:
+            if set(sources) & set(f1) and set(sources) & set(f2):
+                raise CurationError(
+                    f"proxy rule {target}:{'+'.join(sources)} takes sources from both F1 and F2"
+                )
+            f1, f2 = _with_proxy(f1, target, sources), _with_proxy(f2, target, sources)
+        return FeatureGroups(f1=f1, f2=f2)
+
+
+def _with_proxy(names: tuple, target: str, sources) -> tuple:
+    kept = []
+    for name in names:
+        name = target if name in sources else name
+        if name != target or target not in kept:
+            kept.append(name)
+    return tuple(kept)
+
 
 @dataclass(frozen=True)
 class CurationSettings:

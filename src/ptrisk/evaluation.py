@@ -8,11 +8,14 @@ on.  AUC is the tie-aware pairwise probability estimate; threshold
 metrics use a fixed cutoff; uncertainty comes from percentile bootstrap
 over the OOF pairs.
 
-Both the point AUC and every bootstrap resample are computed from counts:
-a metric depends only on how many rows of each kind (confusion cell, or
-score tie group and class) a sample holds, so all B resamples of one
-metric are reduced to count arrays and evaluated with array operations,
-in chunks small enough to keep memory flat.
+Each metric has one count path, used for its point and for all B
+resamples alike: a metric depends only on how many rows of each code
+(confusion cell, or score tie group and class) a sample holds, so
+``_metric_codes`` gives every row its code and one reducer per metric
+(``_threshold_from_counts`` or ``_auc_from_counts``) evaluates any number
+of count vectors.  The point is the whole sample with each row counted
+once; the resamples are reduced to count arrays in chunks small enough
+to keep memory flat.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ ALL_METRICS = ("auc",) + THRESHOLD_METRICS
 class FoldAssignment:
     fold_of: np.ndarray
     k: int
-    seed: int
     warnings: tuple = ()
 
 
@@ -64,7 +66,7 @@ def stratified_kfold(labels: np.ndarray, k: int = 5, seed: int = 42) -> FoldAssi
             warnings.append(f"class {cls} has {idx.size} members for {k} folds")
         shuffled = gen.permutation(idx)
         fold_of[shuffled] = np.arange(idx.size) % k
-    return FoldAssignment(fold_of=fold_of, k=k, seed=seed, warnings=tuple(warnings))
+    return FoldAssignment(fold_of=fold_of, k=k, warnings=tuple(warnings))
 
 
 # --- out-of-fold predictions ---------------------------------------------------
@@ -129,84 +131,17 @@ def run_oof(
     )
 
 
-# --- threshold metrics -----------------------------------------------------------
-
-@dataclass(frozen=True)
-class ConfusionCounts:
-    tp: int
-    tn: int
-    fp: int
-    fn: int
-
-    @property
-    def n(self) -> int:
-        return self.tp + self.tn + self.fp + self.fn
-
-
-@dataclass(frozen=True)
-class ThresholdMetrics:
-    sensitivity: "float | None"
-    specificity: "float | None"
-    precision: float
-    f1: "float | None"
-    flags: tuple = ()
-
-
-def threshold_labels(p_hat: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-    """Binary labels with an inclusive boundary: p == threshold maps to 1."""
-    return (np.asarray(p_hat) >= threshold).astype(np.int64)
-
-
-def confusion(y: np.ndarray, y_hat: np.ndarray) -> ConfusionCounts:
-    y = np.asarray(y).astype(bool)
-    y_hat = np.asarray(y_hat).astype(bool)
-    if y.shape != y_hat.shape:
-        raise ContractError("label vectors differ in length")
-    return ConfusionCounts(
-        tp=int((y & y_hat).sum()),
-        tn=int((~y & ~y_hat).sum()),
-        fp=int((~y & y_hat).sum()),
-        fn=int((y & ~y_hat).sum()),
-    )
-
-
-def metrics_from_counts(counts: ConfusionCounts) -> ThresholdMetrics:
-    """Sensitivity/specificity/precision/F1 with the documented
-    zero-division policy: precision is 0 (flagged) when nothing is
-    predicted positive; F1 is 0 (flagged) when precision + sensitivity
-    is 0; sensitivity/specificity are undefined (None) when their class
-    is absent, as is F1 then."""
-    flags = []
-    if counts.tp + counts.fn > 0:
-        sensitivity = counts.tp / (counts.tp + counts.fn)
-    else:
-        sensitivity = None
-        flags.append("sensitivity_undefined")
-    if counts.tn + counts.fp > 0:
-        specificity = counts.tn / (counts.tn + counts.fp)
-    else:
-        specificity = None
-        flags.append("specificity_undefined")
-    if counts.tp + counts.fp > 0:
-        precision = counts.tp / (counts.tp + counts.fp)
-    else:
-        precision = 0.0
-        flags.append("precision_zero_division")
-    if sensitivity is None:
-        f1 = None
-        flags.append("f1_undefined")
-    elif precision + sensitivity == 0.0:
-        f1 = 0.0
-        flags.append("f1_zero_division")
-    else:
-        f1 = 2.0 * precision * sensitivity / (precision + sensitivity)
-    return ThresholdMetrics(sensitivity, specificity, precision, f1, tuple(flags))
-
+# --- metrics from counts ------------------------------------------------------------
 
 def _threshold_from_counts(metric: str, counts: np.ndarray) -> np.ndarray:
     """One threshold metric per row of a (b, 4) array of confusion counts
-    in code order 2·y + ŷ (tn, fp, fn, tp); NaN where undefined.  Same
-    zero-division policy and float operations as ``metrics_from_counts``."""
+    in code order 2·y + ŷ (tn, fp, fn, tp); NaN where undefined.
+
+    Zero-division policy: sensitivity and specificity are undefined when
+    their class is absent, and so is F1 when sensitivity is; precision is
+    0 when nothing is predicted positive, and F1 is 0 when precision +
+    sensitivity is 0.
+    """
     tn, fp, fn, tp = counts.T
     nan = np.full(tp.shape, np.nan)
     if metric == "specificity":
@@ -223,19 +158,9 @@ def _threshold_from_counts(metric: str, counts: np.ndarray) -> np.ndarray:
     return f1
 
 
-# --- AUC ----------------------------------------------------------------------------
-
-def _auc_codes(y: np.ndarray, p_hat: np.ndarray):
-    """Per-row code 2·(tie group of the score) + [y == 1], and the number
-    of codes; tie groups are numbered in ascending score order."""
-    _, group = np.unique(p_hat, return_inverse=True)
-    width = 2 * (int(group.max()) + 1)
-    return 2 * group + (y == 1), width
-
-
 def _auc_from_counts(counts: np.ndarray) -> np.ndarray:
-    """AUC per row of a (b, 2G) count array from ``_auc_codes``; NaN where
-    a class is absent.
+    """AUC per row of a (b, 2G) count array of AUC codes (see
+    ``_metric_codes``); NaN where a class is absent.
 
     Twice the Mann–Whitney U is an exact integer: each positive in tie
     group g scores 2 per negative in a lower group and 1 per negative in
@@ -251,13 +176,30 @@ def _auc_from_counts(counts: np.ndarray) -> np.ndarray:
     return np.divide(0.5 * twice_u, pairs, out=np.full(pairs.shape, np.nan), where=pairs > 0)
 
 
-def auc(y: np.ndarray, p_hat: np.ndarray) -> "float | None":
-    """Tie-aware pairwise AUC (ties count 0.5); None for single-class input."""
-    y = np.asarray(y)
-    if y.size == 0:
-        return None
-    codes, width = _auc_codes(y, np.asarray(p_hat, dtype=float))
-    value = _auc_from_counts(np.bincount(codes, minlength=width)[None, :])[0]
+def _metric_codes(metric: str, y: np.ndarray, p_hat: np.ndarray, threshold: float):
+    """(codes, width, reducer) of a metric over the rows (y, p_hat).
+
+    A metric depends only on how many rows of each code a sample holds.
+    For AUC the code is 2·(tie group of the score) + [y == 1], tie groups
+    numbered in ascending score order; for a threshold metric it is the
+    confusion cell 2·y + ŷ, where ŷ = [p_hat >= threshold] (a score at
+    the threshold is positive).  The reducer maps a (b, width) array of
+    per-code counts to b metric values, NaN where undefined.
+    """
+    if metric == "auc":
+        scores, group = np.unique(p_hat, return_inverse=True)
+        return 2 * group + (y == 1), 2 * scores.size, _auc_from_counts
+    if metric not in THRESHOLD_METRICS:
+        raise ContractError(f"unknown metric {metric!r}")
+    codes = 2 * y.astype(bool) + (p_hat >= threshold)
+    return codes, 4, functools.partial(_threshold_from_counts, metric)
+
+
+def metric_point(metric: str, y: np.ndarray, p_hat: np.ndarray, threshold: float = 0.5) -> "float | None":
+    """The metric on the whole sample, every row counted once; None where
+    undefined (AUC on single-class input, say)."""
+    codes, width, reducer = _metric_codes(metric, np.asarray(y), np.asarray(p_hat, dtype=float), threshold)
+    value = reducer(np.bincount(codes, minlength=width)[None, :])[0]
     return None if np.isnan(value) else float(value)
 
 
@@ -288,31 +230,20 @@ def bootstrap_distribution(
     """Metric values over B resamples; undefined resamples are discarded
     and counted.  Indices are drawn as one (B, n) block from ``rng``.
 
-    A resample's metric depends only on how often it drew each kind of
-    row, so every row gets a code — its confusion cell 2·y + ŷ for a
-    threshold metric, (tie group of the score, y) for AUC — and the
-    resamples are reduced to their count of each code.  Confusion counts
-    give the threshold metrics and cumulative negative counts per tie
-    group give AUC (see ``_auc_from_counts``), equal bit for bit to
-    evaluating each resample on its own.  The (B, n) block is reduced in
-    chunks of max(1, _CHUNK_CELLS // n) resamples, one flat ``bincount``
-    per chunk, so the working arrays stay small whatever n and B are; the
-    tie groups are found once per call.
+    Each resample is reduced to its count of each code of
+    ``_metric_codes`` and evaluated by the same reducer as the point, so
+    a resample's value equals the metric of that resample evaluated on
+    its own, bit for bit.  The (B, n) block is reduced in chunks of
+    max(1, _CHUNK_CELLS // n) resamples, one flat ``bincount`` per chunk,
+    so the working arrays stay small whatever n and B are; the codes are
+    found once per call.
     """
-    if metric not in ALL_METRICS:
-        raise ContractError(f"unknown metric {metric!r}")
     y = np.asarray(y)
-    p_hat = np.asarray(p_hat, dtype=float)
     n = y.size
     if n == 0 or B < 1:
         raise ContractError("bootstrap needs a non-empty sample and B >= 1")
+    codes, width, reducer = _metric_codes(metric, y, np.asarray(p_hat, dtype=float), threshold)
     indices = rng.integers(0, n, size=(B, n))
-    if metric == "auc":
-        codes, width = _auc_codes(y, p_hat)
-        from_counts = _auc_from_counts
-    else:
-        codes, width = 2 * y.astype(bool) + threshold_labels(p_hat, threshold), 4
-        from_counts = functools.partial(_threshold_from_counts, metric)
     values = np.empty(B)
     chunk = max(1, _CHUNK_CELLS // n)
     for start in range(0, B, chunk):
@@ -320,7 +251,7 @@ def bootstrap_distribution(
         rows = block.shape[0]
         block += width * np.arange(rows)[:, None]
         counts = np.bincount(block.reshape(-1), minlength=rows * width).reshape(rows, width)
-        values[start : start + rows] = from_counts(counts)
+        values[start : start + rows] = reducer(counts)
     defined = ~np.isnan(values)
     return values[defined], int(B - defined.sum())
 
@@ -334,15 +265,10 @@ def bootstrap_ci(
     rng=None,
     threshold: float = 0.5,
 ):
-    """Percentile CI (low, high, discarded) for a metric over OOF pairs.
-
-    ``rng`` is an integer seed (a dedicated "bootstrap" substream is
-    derived from it) or a ready numpy Generator.
-    """
-    if isinstance(rng, (int, np.integer)):
-        rng = substream(int(rng), "bootstrap")
-    elif rng is None:
-        raise ContractError("bootstrap_ci needs a seed or Generator")
+    """Percentile CI (low, high, discarded) for a metric over OOF pairs,
+    resampled with the numpy Generator ``rng``."""
+    if not isinstance(rng, np.random.Generator):
+        raise ContractError("bootstrap_ci needs a numpy Generator")
     values, discarded = bootstrap_distribution(y, p_hat, metric, B, rng, threshold)
     if values.size == 0:
         return None, None, discarded
@@ -378,17 +304,19 @@ def evaluate_oof(
     threshold: float = 0.5,
 ) -> MetricReport:
     """Point estimates plus bootstrap CIs for all five metrics; each
-    metric gets its own substream keyed by (group, model, metric)."""
+    metric gets its own substream keyed by (group, model, metric).  The
+    flags name each zero-division rule of ``_threshold_from_counts`` that
+    the whole sample triggers."""
     y = oof.y
     p_hat = oof.p_hat
-    y_hat = threshold_labels(p_hat, threshold)
-    tm = metrics_from_counts(confusion(y, y_hat))
-    points = {
-        "auc": auc(y, p_hat),
-        "sensitivity": tm.sensitivity,
-        "specificity": tm.specificity,
-        "precision": tm.precision,
-        "f1": tm.f1,
+    points = {metric: metric_point(metric, y, p_hat, threshold) for metric in ALL_METRICS}
+    tn, fp, fn, tp = np.bincount(_metric_codes("f1", y, p_hat, threshold)[0], minlength=4)
+    fired = {
+        "sensitivity_undefined": tp + fn == 0,
+        "specificity_undefined": tn + fp == 0,
+        "precision_zero_division": tp + fp == 0,
+        "f1_undefined": tp + fn == 0,
+        "f1_zero_division": tp == 0 < tp + fn,
     }
     ci_low, ci_high, discarded = {}, {}, {}
     for metric in ALL_METRICS:
@@ -403,7 +331,7 @@ def evaluate_oof(
         ci_low=ci_low,
         ci_high=ci_high,
         discarded=discarded,
-        flags=tm.flags,
+        flags=tuple(flag for flag, on in fired.items() if on),
         B=B,
         alpha=alpha,
         seed=seed,

@@ -1,7 +1,10 @@
 """L2-regularized weighted logistic regression.
 
 Minimizes sum_i w_i * logloss(y_i, sigmoid(x_i.w + b)) + ||w||^2 / (2C)
-with an unpenalized intercept, by damped Newton iterations.  Sample
+with an unpenalized intercept, by damped Newton iterations.  They stop
+when max|grad| < GRAD_TOL, or when the damped step no longer changes the
+parameters in floating point, a fixed point that MAX_ITER more
+iterations would only repeat.  Sample
 weights are rescaled to mean 1 before optimization so that scaling all
 weights by a common constant leaves the fit unchanged (the balanced
 class weights already have mean 1, so this is a no-op on the default
@@ -94,6 +97,14 @@ def fit_logistic(X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray, C: flo
             if new_loss <= loss + 1e-15:
                 break
             t *= 0.5
+        if np.array_equal(candidate, theta):
+            # The accepted step is lost in rounding, so every later iteration
+            # would repeat it.  Stop; converged if the decrease a full Newton
+            # step predicts, half the Newton decrement g'H^-1 g, is within the
+            # rounding of the n-term loss (Boyd & Vandenberghe, Convex
+            # Optimization, 9.5.1).
+            converged = 0.5 * float(grad @ step) <= n * np.finfo(float).eps * abs(loss)
+            break
         theta, loss, grad = candidate, new_loss, new_grad
     else:
         converged = bool(np.max(np.abs(grad)) < GRAD_TOL)

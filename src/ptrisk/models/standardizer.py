@@ -37,14 +37,11 @@ def _infer_kinds(X: np.ndarray) -> np.ndarray:
     return standardized
 
 
-def fit_standardizer(X: np.ndarray, kinds=None) -> StandardizerParams:
-    """Learn per-column centering/scaling from the given rows only.
-
-    ``kinds`` may give the standardize/pass-through decision explicitly
-    as a boolean array; by default it is inferred from the data.
-    """
+def fit_standardizer(X: np.ndarray) -> StandardizerParams:
+    """Learn per-column centering/scaling from the given rows only; which
+    columns are standardized is inferred from the data (``_infer_kinds``)."""
     X = np.asarray(X, dtype=float)
-    standardized = _infer_kinds(X) if kinds is None else np.asarray(kinds, dtype=bool)
+    standardized = _infer_kinds(X)
     mean = np.zeros(X.shape[1])
     std = np.zeros(X.shape[1])
     zero_variance = np.zeros(X.shape[1], dtype=bool)

@@ -205,13 +205,6 @@ def parse_visual(
     return VisualAppearance(color or "unknown", cloudiness or "unknown")
 
 
-def render_visual(appearance: VisualAppearance) -> str:
-    """Canonical text for an appearance; parse_visual(render(a)) == a."""
-    color = appearance.color
-    cloudiness = appearance.cloudiness.replace("_", " ")
-    return f"{color}, {cloudiness}"
-
-
 # --- semi-quantitative parsing ----------------------------------------------
 
 _INEQ_MARKERS = ("<=", ">=", "<", ">", "≤", "≥")

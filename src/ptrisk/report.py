@@ -3,6 +3,11 @@ emission of the report bundle: OOF dumps, metric reports, tables shaped
 like the target publication layout, plot-data files, and a manifest of
 content digests.
 
+The metrics payload of a cell, written as its ``metrics_*.json``, is the
+only report record: ``run`` builds the tables and plot-data files from
+the payloads it writes, and ``tables``/``plotdata`` from the same
+payloads read back.
+
 Everything written here is deterministic for a fixed config: JSON is
 dumped with sorted keys, floats use repr round-tripping, and no
 timestamps are recorded, so re-running a config reproduces every digest.
@@ -17,7 +22,7 @@ import json
 import os
 import shutil
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -51,25 +56,21 @@ class StageFailure(PtriskError):
 
     def __init__(self, stage: str, cause: Exception):
         super().__init__(f"stage '{stage}': {cause}")
-        self.stage = stage
         self.cause = cause
 
 
 @dataclass
 class ReportBundle:
     out_dir: Path
-    reports: dict  # (group_tag, model_kind) -> MetricReport
-    summary: dict
-    curation_report: dict
-    files: list = field(default_factory=list)  # relative names, emission order
+    reports: dict  # (group_tag, model_kind) -> metrics payload, as in metrics_*.json
 
 
 def _sha256_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 def _csv_text(header, rows, footnotes=()) -> str:
@@ -82,7 +83,9 @@ def _csv_text(header, rows, footnotes=()) -> str:
     return buffer.getvalue()
 
 
-def _metric_report_to_dict(report: MetricReport, config_hash: str) -> dict:
+def _metrics_payload(report: MetricReport, k: int, config_hash: str) -> dict:
+    """The record of one cell: written as its metrics_*.json and read
+    back, unchanged, by the tables and plot-data files."""
     return {
         "model": report.model_kind,
         "group": report.group_tag,
@@ -98,7 +101,7 @@ def _metric_report_to_dict(report: MetricReport, config_hash: str) -> dict:
         },
         "flags": list(report.flags),
         "protocol": {
-            "k": None,  # filled by caller
+            "k": k,
             "seed": report.seed,
             "threshold": report.threshold,
             "bootstrap_samples": report.B,
@@ -106,24 +109,6 @@ def _metric_report_to_dict(report: MetricReport, config_hash: str) -> dict:
         },
         "config_hash": config_hash,
     }
-
-
-def _metric_report_from_dict(payload: dict) -> MetricReport:
-    metrics = payload["metrics"]
-    return MetricReport(
-        model_kind=payload["model"],
-        group_tag=payload["group"],
-        n=payload["n"],
-        points={m: metrics[m]["point"] for m in ALL_METRICS},
-        ci_low={m: metrics[m]["ci_low"] for m in ALL_METRICS},
-        ci_high={m: metrics[m]["ci_high"] for m in ALL_METRICS},
-        discarded={m: metrics[m]["discarded_resamples"] for m in ALL_METRICS},
-        flags=tuple(payload["flags"]),
-        B=payload["protocol"]["bootstrap_samples"],
-        alpha=payload["protocol"]["alpha"],
-        seed=payload["protocol"]["seed"],
-        threshold=payload["protocol"]["threshold"],
-    )
 
 
 def oof_filename(group_tag: str, kind: str) -> str:
@@ -134,12 +119,12 @@ def metrics_filename(group_tag: str, kind: str) -> str:
     return f"metrics_{group_tag}_{kind}.json"
 
 
-def _write_oof(path: Path, oof) -> None:
+def _oof_text(oof) -> str:
     rows = [
         (rid, int(fold), int(y), repr(float(p)))
         for rid, fold, y, p in zip(oof.record_ids, oof.fold, oof.y, oof.p_hat)
     ]
-    path.write_text(_csv_text(("record_id", "fold", "y", "p_hat"), rows), encoding="utf-8")
+    return _csv_text(("record_id", "fold", "y", "p_hat"), rows)
 
 
 def run_experiment(config: ExperimentConfig) -> ReportBundle:
@@ -155,42 +140,29 @@ def run_experiment(config: ExperimentConfig) -> ReportBundle:
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
-    written = []
-
-    def emit(name: str, writer) -> None:
-        writer(staging / name)
-        written.append(name)
-
     try:
-        bundle = _run_stages(config, staging, emit, written)
-        try:
-            (out_dir / MANIFEST_FILENAME).unlink(missing_ok=True)
-            for name in written + [MANIFEST_FILENAME]:
-                os.replace(staging / name, out_dir / name)
-        except OSError as exc:
-            raise StageFailure("manifest", exc) from exc
-        bundle.out_dir = out_dir
-        return bundle
-    except StageFailure:
-        raise
-    except Exception as exc:
-        raise StageFailure("internal", exc) from exc
+        return ReportBundle(out_dir=out_dir, reports=_run_stages(config, staging, out_dir))
     finally:
         shutil.rmtree(staging, ignore_errors=True)
 
 
-def _run_stages(config: ExperimentConfig, staging: Path, emit, written) -> ReportBundle:
-    config_hash = config.config_hash()
+def _run_stages(config: ExperimentConfig, staging: Path, out_dir: Path) -> dict:
+    """Write every file of the bundle into ``staging``, then move them into
+    ``out_dir``, manifest last; returns the metrics payloads by cell."""
+    written = []
+
+    def emit(name: str, content: str) -> None:
+        (staging / name).write_text(content, encoding="utf-8")
+        written.append(name)
 
     stage = "ingest"
     try:
+        config_hash = config.config_hash()
         records = load_raw(config.input_path, config.schema)
         kept = qc_filter(records, config.valid_flags)
-    except Exception as exc:
-        raise StageFailure(stage, exc) from exc
 
-    stage = "curation"
-    try:
+        stage = "curation"
+        groups = config.groups.with_proxies(config.curation.proxy_rules)
         table = encode_features(kept, config.groups, config.curation)
         table = aggregate_proxies(table, config.curation.proxy_rules)
         table, dropped = exclude_features(
@@ -199,7 +171,7 @@ def _run_stages(config: ExperimentConfig, staging: Path, emit, written) -> Repor
             drop_zero_variance=config.curation.drop_zero_variance,
             blocklist=config.curation.blocklist,
         )
-        dataset = assemble(table, labels_from_records(kept), config.groups, dropped)
+        dataset = assemble(table, labels_from_records(kept), groups, dropped)
         summary = cohort_summary(dataset, config.curation)
         kept_ids = {k.record_id for k in kept}
         curation_report = {
@@ -211,16 +183,11 @@ def _run_stages(config: ExperimentConfig, staging: Path, emit, written) -> Repor
             "effective_config": config.to_dict(),
             "config_hash": config_hash,
         }
-        emit("curation_report.json", lambda p: _write_json(p, curation_report))
-        emit("cohort_summary.json", lambda p: _write_json(p, summary))
-    except StageFailure:
-        raise
-    except Exception as exc:
-        raise StageFailure(stage, exc) from exc
+        emit("curation_report.json", _json_text(curation_report))
+        emit("cohort_summary.json", _json_text(summary))
 
-    stage = "evaluation"
-    reports = {}
-    try:
+        stage = "evaluation"
+        payloads = {}
         folds = stratified_kfold(dataset.labels, k=config.k, seed=config.seed)
         rng = RngKey(config.seed)
         for tag in config.run_groups:
@@ -242,40 +209,24 @@ def _run_stages(config: ExperimentConfig, staging: Path, emit, written) -> Repor
                     seed=config.seed,
                     threshold=config.threshold,
                 )
-                reports[(tag, kind)] = report
-                emit(oof_filename(tag, kind), lambda p, o=oof: _write_oof(p, o))
-                payload = _metric_report_to_dict(report, config_hash)
-                payload["protocol"]["k"] = config.k
-                emit(metrics_filename(tag, kind), lambda p, d=payload: _write_json(p, d))
-    except StageFailure:
-        raise
-    except Exception as exc:
-        raise StageFailure(stage, exc) from exc
+                payloads[(tag, kind)] = _metrics_payload(report, config.k, config_hash)
+                emit(oof_filename(tag, kind), _oof_text(oof))
+                emit(metrics_filename(tag, kind), _json_text(payloads[(tag, kind)]))
 
-    stage = "report"
-    try:
-        bundle = ReportBundle(
-            out_dir=staging,
-            reports=reports,
-            summary=summary,
-            curation_report=curation_report,
-            files=written,
-        )
-        for name, content in table_files(reports, config.run_groups, config.run_models):
-            emit(name, lambda p, c=content: p.write_text(c, encoding="utf-8"))
-        for name, content in plotdata_files(reports, config.run_groups, config.run_models, summary):
-            emit(name, lambda p, c=content: p.write_text(c, encoding="utf-8"))
-    except StageFailure:
-        raise
-    except Exception as exc:
-        raise StageFailure(stage, exc) from exc
+        stage = "report"
+        for name, content in table_files(payloads, config.run_groups, config.run_models):
+            emit(name, content)
+        for name, content in plotdata_files(payloads, config.run_groups, config.run_models, summary):
+            emit(name, content)
 
-    stage = "manifest"
-    try:
+        stage = "manifest"
         write_manifest(staging, written, config_hash)
+        (out_dir / MANIFEST_FILENAME).unlink(missing_ok=True)
+        for name in written + [MANIFEST_FILENAME]:
+            os.replace(staging / name, out_dir / name)
     except Exception as exc:
         raise StageFailure(stage, exc) from exc
-    return bundle
+    return payloads
 
 
 def write_manifest(out_dir: Path, names, config_hash: str) -> None:
@@ -286,7 +237,7 @@ def write_manifest(out_dir: Path, names, config_hash: str) -> None:
         "complete": True,
         "files": {name: _sha256_file(out_dir / name) for name in sorted(names)},
     }
-    _write_json(out_dir / MANIFEST_FILENAME, manifest)
+    (out_dir / MANIFEST_FILENAME).write_text(_json_text(manifest), encoding="utf-8")
 
 
 # --- tables ------------------------------------------------------------------------
@@ -299,43 +250,43 @@ def _fmt(point, low, high, decimals: int) -> str:
     return f"{point:.{decimals}f} [{low:.{decimals}f}, {high:.{decimals}f}]"
 
 
-def _cell(report: MetricReport, metric: str, decimals: int) -> str:
-    return _fmt(
-        report.points[metric], report.ci_low[metric], report.ci_high[metric], decimals
-    )
+def _cell(payload: dict, metric: str, decimals: int) -> str:
+    block = payload["metrics"][metric]
+    return _fmt(block["point"], block["ci_low"], block["ci_high"], decimals)
 
 
 def _ordered_kinds(run_models) -> list:
     return [kind for kind in MODEL_ROW_ORDER if kind in run_models]
 
 
-def table_files(reports: dict, run_groups, run_models) -> list:
-    """Main and extended per-group tables as (name, content) pairs.
+def table_files(payloads: dict, run_groups, run_models) -> list:
+    """Main and extended per-group tables as (name, content) pairs, from
+    the metrics payloads by (group, model).
 
     AUC cells use 4 decimals, threshold metrics 3.  Rows follow the
     fixed model order with the boosted model labelled XGB.
     """
-    _require_complete(reports, run_groups, run_models)
+    _require_complete(payloads, run_groups, run_models)
     out = []
     for tag in run_groups:
         rows = []
         extended = []
         for kind in _ordered_kinds(run_models):
-            report = reports[(tag, kind)]
+            payload = payloads[(tag, kind)]
             label = DISPLAY_LABELS.get(kind, kind)
             rows.append(
                 (
                     label,
-                    _cell(report, "auc", 4),
-                    _cell(report, "precision", 3),
-                    _cell(report, "f1", 3),
+                    _cell(payload, "auc", 4),
+                    _cell(payload, "precision", 3),
+                    _cell(payload, "f1", 3),
                 )
             )
             extended.append(
                 (
                     label,
-                    _cell(report, "sensitivity", 3),
-                    _cell(report, "specificity", 3),
+                    _cell(payload, "sensitivity", 3),
+                    _cell(payload, "specificity", 3),
                 )
             )
         footnotes = (XGB_FOOTNOTE,) if "GBT" in run_models else ()
@@ -346,40 +297,31 @@ def table_files(reports: dict, run_groups, run_models) -> list:
     return out
 
 
-def plotdata_files(reports: dict, run_groups, run_models, summary: dict) -> list:
+def plotdata_files(payloads: dict, run_groups, run_models, summary: dict) -> list:
     """Plot-data files: AUC points + CIs with the 0.5 reference line,
     sensitivity/specificity points + CIs, and the age histogram."""
-    _require_complete(reports, run_groups, run_models)
+    _require_complete(payloads, run_groups, run_models)
 
     def num(value):
         return "" if value is None else repr(float(value))
+
+    def point_and_ci(payload, metric):
+        block = payload["metrics"][metric]
+        return num(block["point"]), num(block["ci_low"]), num(block["ci_high"])
 
     auc_rows = [("reference", "", "", num(0.5), "", "")]
     sens_rows = []
     for tag in run_groups:
         for kind in _ordered_kinds(run_models):
-            report = reports[(tag, kind)]
+            payload = payloads[(tag, kind)]
             label = DISPLAY_LABELS.get(kind, kind)
-            auc_rows.append(
-                (
-                    "point",
-                    label,
-                    tag,
-                    num(report.points["auc"]),
-                    num(report.ci_low["auc"]),
-                    num(report.ci_high["auc"]),
-                )
-            )
+            auc_rows.append(("point", label, tag, *point_and_ci(payload, "auc")))
             sens_rows.append(
                 (
                     label,
                     tag,
-                    num(report.points["sensitivity"]),
-                    num(report.ci_low["sensitivity"]),
-                    num(report.ci_high["sensitivity"]),
-                    num(report.points["specificity"]),
-                    num(report.ci_low["specificity"]),
-                    num(report.ci_high["specificity"]),
+                    *point_and_ci(payload, "sensitivity"),
+                    *point_and_ci(payload, "specificity"),
                 )
             )
 
@@ -403,12 +345,12 @@ def plotdata_files(reports: dict, run_groups, run_models, summary: dict) -> list
     ]
 
 
-def _require_complete(reports: dict, run_groups, run_models) -> None:
+def _require_complete(payloads: dict, run_groups, run_models) -> None:
     missing = [
         f"{tag}/{kind}"
         for tag in run_groups
         for kind in run_models
-        if (tag, kind) not in reports
+        if (tag, kind) not in payloads
     ]
     if missing:
         raise DataError(f"incomplete bundle, missing cells: {', '.join(missing)}")
@@ -441,19 +383,19 @@ def regenerate(config: ExperimentConfig, command: str) -> list:
             raise DataError(f"{name} is missing or does not match its digest in {MANIFEST_FILENAME}")
         return json.loads(data)
 
-    reports = {
-        (tag, kind): _metric_report_from_dict(read_json(metrics_filename(tag, kind)))
+    payloads = {
+        (tag, kind): read_json(metrics_filename(tag, kind))
         for tag in config.run_groups
         for kind in config.run_models
         if (out_dir / metrics_filename(tag, kind)).exists()
     }
     if command == "tables":
-        files = table_files(reports, config.run_groups, config.run_models)
+        files = table_files(payloads, config.run_groups, config.run_models)
     else:
         summary = read_json("cohort_summary.json")
-        files = plotdata_files(reports, config.run_groups, config.run_models, summary)
+        files = plotdata_files(payloads, config.run_groups, config.run_models, summary)
     for name, content in files:
         (out_dir / name).write_text(content, encoding="utf-8")
         manifest["files"][name] = _sha256_file(out_dir / name)
-    _write_json(manifest_path, manifest)
+    manifest_path.write_text(_json_text(manifest), encoding="utf-8")
     return [name for name, _ in files]

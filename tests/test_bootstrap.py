@@ -5,7 +5,6 @@ import pytest
 
 from ptrisk.errors import ContractError
 from ptrisk.evaluation import (
-    auc,
     bootstrap_ci,
     bootstrap_distribution,
     evaluate_oof,
@@ -16,7 +15,7 @@ from ptrisk.evaluation import (
 from ptrisk.models import ModelSpec
 from ptrisk.rng import RngKey, substream
 
-from test_evaluation import pairwise_auc
+from test_evaluation import pairwise_auc, report_of
 
 
 def naive_threshold_metric(name, y, y_hat):
@@ -48,7 +47,7 @@ def naive_quantile(values, q):
 def test_constant_metric_zero_width_ci():
     y = np.array([1, 0, 1, 0, 1, 1])
     p = y.astype(float)  # perfect predictions: F1 constant at 1.0
-    low, high, discarded = bootstrap_ci(y, p, "f1", B=200, rng=7)
+    low, high, discarded = bootstrap_ci(y, p, "f1", B=200, rng=substream(7, "bootstrap"))
     assert (low, high) == (1.0, 1.0)
     assert discarded > 0  # some resamples are single-class and undefined
 
@@ -57,10 +56,10 @@ def test_bootstrap_deterministic():
     rng = np.random.default_rng(3)
     y = rng.integers(0, 2, size=40)
     p = rng.random(40)
-    a = bootstrap_ci(y, p, "auc", B=300, rng=99)
-    b = bootstrap_ci(y, p, "auc", B=300, rng=99)
+    a = bootstrap_ci(y, p, "auc", B=300, rng=substream(99, "bootstrap"))
+    b = bootstrap_ci(y, p, "auc", B=300, rng=substream(99, "bootstrap"))
     assert a == b
-    c = bootstrap_ci(y, p, "auc", B=300, rng=100)
+    c = bootstrap_ci(y, p, "auc", B=300, rng=substream(100, "bootstrap"))
     assert a != c
 
 
@@ -101,7 +100,7 @@ def test_bootstrap_matches_naive_oracle(metric, case):
     y, p = oracle_inputs(case)
     n, B, seed = y.size, 200, 4242
 
-    low, high, discarded = bootstrap_ci(y, p, metric, B=B, alpha=0.05, rng=seed)
+    low, high, discarded = bootstrap_ci(y, p, metric, B=B, alpha=0.05, rng=substream(seed, "bootstrap"))
 
     # independent replay: same substream, naive metric + naive quantile
     gen = substream(seed, "bootstrap")
@@ -123,8 +122,12 @@ def test_bootstrap_matches_naive_oracle(metric, case):
         assert bad > 0
     assert low == naive_quantile(values, 0.025)
     assert high == naive_quantile(values, 0.975)
-    if metric == "auc":
-        assert auc(y, p) == pairwise_auc(y, p)
+
+    # the point comes from the same count path, every row counted once
+    point = report_of(y, p).points[metric]
+    naive = pairwise_auc(y, p) if metric == "auc" else naive_threshold_metric(metric, y, y_hat)
+    assert point == naive
+    assert type(point) is type(naive)
 
 
 def test_interval_nesting_in_alpha():
@@ -143,7 +146,7 @@ def test_all_resamples_discarded():
     # sensitivity bootstrap on an all-negative cohort cannot
     y = np.zeros(5, dtype=int)
     p = np.linspace(0, 1, 5)
-    low, high, discarded = bootstrap_ci(y, p, "auc", B=50, rng=1)
+    low, high, discarded = bootstrap_ci(y, p, "auc", B=50, rng=substream(1, "bootstrap"))
     assert (low, high) == (None, None)
     assert discarded == 50
 
@@ -159,7 +162,7 @@ def test_low_never_exceeds_high():
         n = int(rng.integers(8, 60))
         y = rng.integers(0, 2, size=n)
         p = rng.random(n)
-        low, high, _ = bootstrap_ci(y, p, "auc", B=100, rng=trial)
+        low, high, _ = bootstrap_ci(y, p, "auc", B=100, rng=substream(trial, "bootstrap"))
         if low is not None:
             assert low <= high
 

@@ -289,6 +289,33 @@ def test_overlapping_feature_groups_are_a_config_error(tmp_path, capsys):
     assert "overlap" in capsys.readouterr().err
 
 
+def test_proxy_target_takes_the_place_of_its_sources(tmp_path, monkeypatch, capsys):
+    from ptrisk import report
+    from ptrisk.curation import DEFAULT_F1_FEATURES, DEFAULT_F2_FEATURES
+
+    datasets = []
+
+    def recording_assemble(*args, **kwargs):
+        datasets.append(assemble(*args, **kwargs))
+        return datasets[-1]
+
+    assemble = report.assemble
+    monkeypatch.setattr(report, "assemble", recording_assemble)
+    rule = {"proxy_rules": "irritation:genital_irritation+dysuria"}
+    ini = write_ini(tmp_path / "cfg.ini", tmp_path, curation=rule)
+    assert main(["synth", "--config", str(ini)]) == 0
+    assert main(["run", "--config", str(ini)]) == 0
+    f1 = [name for name in DEFAULT_F1_FEATURES if name != "genital_irritation"]
+    f1[f1.index("dysuria")] = "irritation"
+    assert datasets[0].feature_names["F1"] == tuple(f1)
+    assert datasets[0].feature_names["F2"] == DEFAULT_F2_FEATURES
+
+    # sources split between F1 and F2 leave the proxy no group
+    split = write_ini(tmp_path / "split.ini", tmp_path, curation={"proxy_rules": "mixed:dysuria+ph"})
+    assert main(["run", "--config", str(split)]) == 2
+    assert "mixed:dysuria+ph" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["run", "tables", "plotdata"])
 def test_seed_outside_synth_is_rejected(tmp_path, capsys, command):
     ini = write_ini(tmp_path / "cfg.ini", tmp_path)

@@ -5,12 +5,11 @@ from hypothesis import given, settings, strategies as st
 from ptrisk.errors import ContractError, TrainingError
 from ptrisk.evaluation import (
     FoldAssignment,
-    auc,
-    confusion,
-    metrics_from_counts,
+    OofPredictions,
+    evaluate_oof,
+    metric_point,
     run_oof,
     stratified_kfold,
-    threshold_labels,
 )
 from ptrisk.models import MODEL_KINDS, ModelSpec, fit_pipeline
 from ptrisk.rng import RngKey
@@ -143,7 +142,7 @@ def test_oof_unpredicted_rows_raise_contract_error():
     fold_of = folds.fold_of.copy()
     fold_of[:2] = 5  # no fold index < k holds these rows out
     with pytest.raises(ContractError, match="2 rows have no out-of-fold prediction"):
-        run_oof(X, y, ModelSpec("LR"), FoldAssignment(fold_of=fold_of, k=5, seed=42), RngKey(42))
+        run_oof(X, y, ModelSpec("LR"), FoldAssignment(fold_of=fold_of, k=5), RngKey(42))
 
 
 def test_oof_degenerate_training_split_names_fold():
@@ -164,73 +163,77 @@ def test_oof_recovers_planted_signal():
     X[:, :3] += shift * y[:, None]
     folds = stratified_kfold(y, k=5, seed=42)
     oof = run_oof(X, y, ModelSpec("RF"), folds, RngKey(42), group_tag="F2")
-    assert auc(oof.y, oof.p_hat) >= 0.85
+    assert metric_point("auc", oof.y, oof.p_hat) >= 0.85
 
 
-# --- threshold + confusion -------------------------------------------------------------
+# --- threshold metrics -------------------------------------------------------------------
+
+def report_of(y, p_hat, threshold=0.5):
+    y = np.asarray(y)
+    oof = OofPredictions(
+        record_ids=[str(i) for i in range(y.size)],
+        y=y,
+        p_hat=np.asarray(p_hat, dtype=float),
+        fold=np.zeros(y.size, dtype=np.intp),
+        model_kind="LR",
+        group_tag="F1",
+    )
+    return evaluate_oof(oof, B=20, seed=1, threshold=threshold)
+
 
 def test_threshold_boundary_inclusive():
-    got = threshold_labels(np.array([0.5, 0.0, 1.0, 0.2, 0.8]))
-    assert got.tolist() == [1, 0, 1, 0, 1]
+    # a score equal to the threshold is predicted positive
+    y = np.array([1, 1, 0, 0])
+    p = np.array([0.5, 0.2, 0.5, 0.1])
+    assert metric_point("sensitivity", y, p) == 0.5
+    assert metric_point("specificity", y, p) == 0.5
+    assert metric_point("sensitivity", y, p, threshold=0.2) == 1.0
+    assert metric_point("specificity", y, p, threshold=0.6) == 1.0
 
 
 def test_confusion_and_metrics_half():
-    counts = confusion(np.array([1, 1, 0, 0]), np.array([1, 0, 1, 0]))
-    assert (counts.tp, counts.fn, counts.fp, counts.tn) == (1, 1, 1, 1)
-    tm = metrics_from_counts(counts)
-    assert tm.sensitivity == 0.5
-    assert tm.specificity == 0.5
-    assert tm.precision == 0.5
-    assert tm.f1 == 0.5
-    assert tm.flags == ()
+    report = report_of([1, 1, 0, 0], [0.9, 0.1, 0.8, 0.2])
+    points = {m: report.points[m] for m in ("sensitivity", "specificity", "precision", "f1")}
+    assert points == {"sensitivity": 0.5, "specificity": 0.5, "precision": 0.5, "f1": 0.5}
+    assert report.flags == ()
 
 
 def test_metrics_perfect_prediction():
     y = np.array([1, 0, 1, 0, 1])
-    tm = metrics_from_counts(confusion(y, y))
-    assert (tm.sensitivity, tm.specificity, tm.precision, tm.f1) == (1.0, 1.0, 1.0, 1.0)
+    report = report_of(y, y)
+    assert [report.points[m] for m in ("auc", "sensitivity", "specificity", "precision", "f1")] == [1.0] * 5
 
 
 def test_metrics_zero_division_policy():
-    y = np.array([1, 1, 0])
-    y_hat = np.zeros(3, dtype=int)
-    tm = metrics_from_counts(confusion(y, y_hat))
-    assert tm.precision == 0.0
-    assert tm.f1 == 0.0
-    assert "precision_zero_division" in tm.flags
-    assert "f1_zero_division" in tm.flags
+    report = report_of([1, 1, 0], [0.1, 0.2, 0.3])
+    assert report.points["precision"] == 0.0
+    assert report.points["f1"] == 0.0
+    assert report.flags == ("precision_zero_division", "f1_zero_division")
 
 
 def test_metrics_undefined_when_class_absent():
-    tm = metrics_from_counts(confusion(np.zeros(4), np.array([1, 0, 1, 0])))
-    assert tm.sensitivity is None
-    assert tm.f1 is None
-    assert tm.specificity == 0.5
-
-
-@given(st.integers(2, 60), st.integers(0, 2**31 - 1))
-@settings(max_examples=50, deadline=None)
-def test_confusion_counts_conserve_n(n, seed):
-    rng = np.random.default_rng(seed)
-    y = rng.integers(0, 2, size=n)
-    y_hat = rng.integers(0, 2, size=n)
-    assert confusion(y, y_hat).n == n
+    report = report_of(np.zeros(4), [0.9, 0.1, 0.9, 0.1])
+    assert report.points["sensitivity"] is None
+    assert report.points["f1"] is None
+    assert report.points["auc"] is None
+    assert report.points["specificity"] == 0.5
+    assert report.flags == ("sensitivity_undefined", "f1_undefined")
 
 
 # --- AUC ---------------------------------------------------------------------------------
 
 def test_auc_worked_example():
-    assert auc(np.array([0, 0, 1, 1]), np.array([0.1, 0.4, 0.35, 0.8])) == 0.75
+    assert metric_point("auc", np.array([0, 0, 1, 1]), np.array([0.1, 0.4, 0.35, 0.8])) == 0.75
 
 
 def test_auc_all_ties_and_perfect():
     y = np.array([0, 1, 0, 1])
-    assert auc(y, np.full(4, 0.3)) == 0.5
-    assert auc(y, np.array([0.1, 0.9, 0.2, 0.8])) == 1.0
+    assert metric_point("auc", y, np.full(4, 0.3)) == 0.5
+    assert metric_point("auc", y, np.array([0.1, 0.9, 0.2, 0.8])) == 1.0
 
 
 def test_auc_single_class_undefined():
-    assert auc(np.ones(4), np.linspace(0, 1, 4)) is None
+    assert metric_point("auc", np.ones(4), np.linspace(0, 1, 4)) is None
 
 
 @given(st.integers(2, 200), st.integers(0, 2**31 - 1), st.booleans())
@@ -243,7 +246,7 @@ def test_auc_equals_pairwise_oracle(n, seed, heavy_ties):
     else:
         p = rng.random(n)
     expected = pairwise_auc(y, p)
-    got = auc(y, p)
+    got = metric_point("auc", y, p)
     if expected is None:
         assert got is None
     else:
@@ -258,5 +261,6 @@ def test_auc_invariant_under_monotone_transform(n, seed):
     if y.min() == y.max():
         y[0] = 1 - y[0]
     p = rng.random(n)
-    assert auc(y, p) == auc(y, 0.1 + 0.5 * p)  # strictly increasing affine map
-    assert auc(y, p) == pytest.approx(auc(y, np.exp(p)), abs=1e-12)
+    value = metric_point("auc", y, p)
+    assert value == metric_point("auc", y, 0.1 + 0.5 * p)  # strictly increasing affine map
+    assert value == pytest.approx(metric_point("auc", y, np.exp(p)), abs=1e-12)
