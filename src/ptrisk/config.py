@@ -92,7 +92,6 @@ _SETTINGS = (
     _Setting("schema", "qc_flag", "schema.qc_flag", str),
     _Setting("schema", "pcr_result", "schema.pcr_result", str),
     _Setting("schema", "source_cohort", "schema.source_cohort", str),
-    _Setting("schema", "visual_text", "schema.visual_text", str),
     _Setting("schema.pcr_values", "positive", "schema.pcr_positive", _lowered_set, "schema.pcr_positive"),
     _Setting("schema.pcr_values", "negative", "schema.pcr_negative", _lowered_set, "schema.pcr_negative"),
     _Setting("groups", "f1", "groups.f1", _split_list),
@@ -186,6 +185,10 @@ class ExperimentConfig:
             raise ConfigError("at least one feature group must be selected")
         if not 0.0 <= self.curation.max_missing_fraction <= 1.0:
             raise ConfigError("max_missing_fraction must be within [0, 1]")
+        if self.curation.age_bin_width <= 0:
+            raise ConfigError("age_bin_width must be positive")
+        if not self.valid_flags:
+            raise ConfigError("valid_flags must name at least one flag")
         for frac in (self.gbt_row_subsample, self.gbt_col_subsample):
             if not 0.0 < frac <= 1.0:
                 raise ConfigError("GBT subsample fractions must be within (0, 1]")

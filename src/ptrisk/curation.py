@@ -1,5 +1,6 @@
 """Rule-based feature engineering: encode parsed records into aligned
-numeric matrices for the three feature groups.
+numeric matrices for the three feature groups.  The encoded table holds
+exactly the features the groups name, F1 then F2.
 
 Missing values are represented as NaN and are never imputed; rows that
 miss any value in the combined feature set are dropped, so F1, F2 and
@@ -13,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CurationError
-from .parsers import PcrResult, parse_semiquant, parse_visual
+from .parsers import PcrResult, parse_semiquant
 
 DEFAULT_F1_FEATURES = (
     "gender",
@@ -51,13 +52,6 @@ DEFAULT_GENDER_MAP = {"male": 1.0, "m": 1.0, "female": 0.0, "f": 0.0}
 
 # [lo, hi) years binned by age_histogram; ages outside are only counted.
 AGE_RANGE = (0, 120)
-
-# One-hot layout for the visual axes; "unknown" is the dropped reference
-# category, so an unknown appearance encodes as all zeros.
-VISUAL_ONEHOT_COLUMNS = (
-    ("color", ("light", "average", "dark")),
-    ("cloudiness", ("cloudless", "cloudy", "very_cloudy")),
-)
 
 
 @dataclass(frozen=True)
@@ -167,17 +161,12 @@ def encode_features(
 ) -> FeatureTable:
     """Encode QC-filtered records into a numeric table with missing markers.
 
-    F1 fields are binary-encoded (gender via the configured map, age
-    numeric), F2 biomarkers go through the semi-quantitative parser, and
-    the visual axes are one-hot encoded with "unknown" as the dropped
-    reference.  Unknown categorical levels become missing, never errors.
+    The columns are the F1 features, then the F2 features.  F1 fields are
+    binary-encoded (gender via the configured map, age numeric), and F2
+    biomarkers go through the semi-quantitative parser.  Unknown
+    categorical levels become missing, never errors.
     """
     columns = list(groups.f1) + list(groups.f2)
-    onehot_names = []
-    for axis, categories in VISUAL_ONEHOT_COLUMNS:
-        onehot_names.extend(f"{axis}_{cat}" for cat in categories)
-    columns += onehot_names
-
     data = np.full((len(records), len(columns)), np.nan)
     for i, record in enumerate(records):
         values = []
@@ -186,17 +175,11 @@ def encode_features(
             if name == "gender":
                 values.append(settings.gender_map.get((raw or "").strip().lower(), np.nan))
             elif name == "age":
-                parsed = parse_semiquant(raw)
-                values.append(np.nan if parsed.is_missing else parsed.value)
+                values.append(parse_semiquant(raw))
             else:
                 values.append(_parse_binary(raw, settings.binary_true, settings.binary_false))
         for name in groups.f2:
-            parsed = parse_semiquant(record.biomarkers_raw.get(name, ""))
-            values.append(np.nan if parsed.is_missing else parsed.value)
-        appearance = parse_visual(record.visual_text)
-        for axis, categories in VISUAL_ONEHOT_COLUMNS:
-            level = getattr(appearance, axis)
-            values.extend(1.0 if level == cat else 0.0 for cat in categories)
+            values.append(parse_semiquant(record.biomarkers_raw.get(name, "")))
         data[i] = values
 
     return FeatureTable(columns, data, [r.record_id for r in records])

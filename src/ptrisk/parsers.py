@@ -1,15 +1,15 @@
 """Raw cohort ingestion and deterministic text normalization.
 
-Free-text urine appearance is reduced to two categorical axes (color,
-cloudiness) by a keyword rule table; semi-quantitative lab strings such
-as "<5" or "7,2" are reduced to numbers.  All parsing is total: no input
-string raises, unparseable content degrades to unknown / missing.
+Semi-quantitative lab strings such as "<5" or "7,2" are reduced to
+numbers.  All parsing is total: no input string raises, unparseable
+content degrades to missing.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -29,35 +29,6 @@ class PcrResult(str, Enum):
     negative = "negative"
     invalid = "invalid"
 
-
-COLORS = ("light", "average", "dark", "unknown")
-CLOUDINESS = ("cloudless", "cloudy", "very_cloudy", "unknown")
-
-# Default keyword lexicon.  The source data's descriptor language is not
-# fixed, so the table is config-extensible; these defaults cover common
-# English urinalysis phrasing.  Multi-word keywords are matched as
-# consecutive words; precedence is longest keyword first, so
-# "very cloudy" is never read as "cloudy".
-DEFAULT_COLOR_KEYWORDS = {
-    "light": "light",
-    "pale": "light",
-    "clear-colored": "light",
-    "average": "average",
-    "normal": "average",
-    "yellow": "average",
-    "dark": "dark",
-    "amber": "dark",
-    "concentrated-color": "dark",
-}
-DEFAULT_CLOUDINESS_KEYWORDS = {
-    "cloudless": "cloudless",
-    "clear": "cloudless",
-    "cloudy": "cloudy",
-    "slightly cloudy": "cloudy",
-    "turbid": "cloudy",
-    "very cloudy": "very_cloudy",
-    "turbid+strong": "very_cloudy",
-}
 
 # PCR label vocabulary, overridable through the schema config.
 DEFAULT_PCR_POSITIVE = frozenset({"pos", "positive", "1", "true", "yes", "+"})
@@ -85,36 +56,9 @@ class RawRecord:
     record_id: str
     source_cohort: SourceCohort
     qc_flag: str
-    visual_text: str
     questionnaire: dict
     biomarkers_raw: dict
     pcr_result: PcrResult
-
-
-@dataclass(frozen=True)
-class VisualAppearance:
-    color: str
-    cloudiness: str
-
-    def __post_init__(self):
-        if self.color not in COLORS:
-            raise ValueError(f"not a color category: {self.color!r}")
-        if self.cloudiness not in CLOUDINESS:
-            raise ValueError(f"not a cloudiness category: {self.cloudiness!r}")
-
-
-@dataclass(frozen=True)
-class SemiQuantValue:
-    value: "float | None"
-    was_inequality: bool
-
-    def __post_init__(self):
-        if self.value is None and self.was_inequality:
-            raise ValueError("missing value cannot carry an inequality marker")
-
-    @property
-    def is_missing(self) -> bool:
-        return self.value is None
 
 
 @dataclass(frozen=True)
@@ -130,79 +74,10 @@ class Schema:
     qc_flag: str = "qc_flag"
     pcr_result: str = "pcr_result"
     source_cohort: "str | None" = "source_cohort"
-    visual_text: "str | None" = "visual_text"
     questionnaire: dict = field(default_factory=dict)
     biomarkers: dict = field(default_factory=dict)
     pcr_positive: frozenset = DEFAULT_PCR_POSITIVE
     pcr_negative: frozenset = DEFAULT_PCR_NEGATIVE
-
-
-# --- visual-appearance parsing ---------------------------------------------
-
-def _strip_parentheticals(text: str) -> str:
-    out = []
-    depth = 0
-    for ch in text:
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth = max(0, depth - 1)
-        elif depth == 0:
-            out.append(ch)
-    return "".join(out)
-
-
-def _words(token: str) -> tuple:
-    # Whitespace-delimited chunks with edge punctuation trimmed; internal
-    # "+" and "-" stay, so "clear-colored" is one word and never matches
-    # the bare keyword "clear".
-    words = []
-    for chunk in token.split():
-        word = chunk.strip(".,:;!?\"'")
-        if word:
-            words.append(word)
-    return tuple(words)
-
-
-def _ordered_keywords(table: dict) -> list:
-    # Longest keyword string first; alphabetical among equals for determinism.
-    return sorted(table.items(), key=lambda kv: (-len(kv[0]), kv[0]))
-
-
-def _match_axis(tokens: list, ordered: list) -> "str | None":
-    for token_words in tokens:
-        for keyword, category in ordered:
-            kw = tuple(keyword.split())
-            m = len(kw)
-            if m == 0 or m > len(token_words):
-                continue
-            for start in range(len(token_words) - m + 1):
-                if token_words[start : start + m] == kw:
-                    return category
-    return None
-
-
-def parse_visual(
-    text: "str | None",
-    color_keywords: dict = DEFAULT_COLOR_KEYWORDS,
-    cloudiness_keywords: dict = DEFAULT_CLOUDINESS_KEYWORDS,
-) -> VisualAppearance:
-    """Normalize a free-text appearance description to (color, cloudiness).
-
-    Parenthetical comments are deleted, the rest is lowercased and split
-    on "," / ";" / "/"; each token is matched against the keyword table,
-    longest keyword first.  No match on an axis leaves it "unknown".
-    """
-    if not text:
-        return VisualAppearance("unknown", "unknown")
-    cleaned = _strip_parentheticals(text).lower()
-    for sep in (";", "/"):
-        cleaned = cleaned.replace(sep, ",")
-    tokens = [_words(t) for t in cleaned.split(",")]
-    tokens = [t for t in tokens if t]
-    color = _match_axis(tokens, _ordered_keywords(color_keywords))
-    cloudiness = _match_axis(tokens, _ordered_keywords(cloudiness_keywords))
-    return VisualAppearance(color or "unknown", cloudiness or "unknown")
 
 
 # --- semi-quantitative parsing ----------------------------------------------
@@ -210,30 +85,25 @@ def parse_visual(
 _INEQ_MARKERS = ("<=", ">=", "<", ">", "≤", "≥")
 
 
-def parse_semiquant(text: "str | None") -> SemiQuantValue:
-    """Parse a lab value string; "<5" gives 5.0 with the inequality flagged.
+def parse_semiquant(text: "str | None") -> float:
+    """Parse a lab value string to a float; "<5" gives 5.0.
 
     One leading inequality marker is stripped, decimal commas are accepted,
     surrounding whitespace is ignored.  Anything that does not leave a
-    finite number becomes the missing marker (with was_inequality False).
+    finite number is missing, returned as NaN.
     """
     if text is None:
-        return SemiQuantValue(None, False)
+        return math.nan
     stripped = text.strip()
-    was_inequality = False
     for marker in _INEQ_MARKERS:
         if stripped.startswith(marker):
             stripped = stripped[len(marker) :].strip()
-            was_inequality = True
             break
-    stripped = stripped.replace(",", ".")
     try:
-        value = float(stripped)
+        value = float(stripped.replace(",", "."))
     except ValueError:
-        return SemiQuantValue(None, False)
-    if value != value or value in (float("inf"), float("-inf")):
-        return SemiQuantValue(None, False)
-    return SemiQuantValue(value, was_inequality)
+        return math.nan
+    return value if math.isfinite(value) else math.nan
 
 
 # --- file ingestion ----------------------------------------------------------
@@ -263,7 +133,9 @@ def load_raw(path, schema: Schema) -> list:
     The delimiter (comma or semicolon) is auto-detected from the header
     line, and a UTF-8 byte-order mark before the header is dropped.
     Every column named by the schema must be present; a missing one
-    raises SchemaError naming the logical field.
+    raises SchemaError naming the logical field.  A non-empty header that
+    appears twice is a SchemaError too, because its cells would be
+    ambiguous.
     """
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -277,6 +149,9 @@ def load_raw(path, schema: Schema) -> list:
     reader = csv.reader(io.StringIO(content), delimiter=delimiter)
     rows = list(reader)
     header = [h.strip() for h in rows[0]]
+    repeated = sorted({name for name in header if name and header.count(name) > 1})
+    if repeated:
+        raise SchemaError(f"repeated column headers: {', '.join(repeated)}")
     col_index = {name: i for i, name in enumerate(header)}
 
     required = {
@@ -291,10 +166,7 @@ def load_raw(path, schema: Schema) -> list:
         if column not in col_index:
             raise SchemaError(f"{logical} (column {column!r} not in file)")
 
-    core_columns = set(required.values())
-    for optional in (schema.source_cohort, schema.visual_text):
-        if optional is not None:
-            core_columns.add(optional)
+    core_columns = set(required.values()) | {schema.source_cohort}
     assigned = core_columns | set(schema.questionnaire.values()) | set(schema.biomarkers.values())
     unassigned = [c for c in header if c not in assigned]
 
@@ -329,17 +201,11 @@ def load_raw(path, schema: Schema) -> list:
             if schema.source_cohort is not None and schema.source_cohort in col_index
             else SourceCohort.Other
         )
-        visual = (
-            cell(row, schema.visual_text)
-            if schema.visual_text is not None and schema.visual_text in col_index
-            else ""
-        )
         records.append(
             RawRecord(
                 record_id=record_id,
                 source_cohort=source,
                 qc_flag=cell(row, schema.qc_flag).strip(),
-                visual_text=visual,
                 questionnaire=questionnaire,
                 biomarkers_raw=biomarkers,
                 pcr_result=_parse_pcr(cell(row, schema.pcr_result), schema),

@@ -4,10 +4,7 @@ Continuous biomarkers are class-conditional Gaussians with a configured
 standardized mean shift; patient-reported binaries are Bernoulli with a
 log-odds shift.  Both families have closed-form large-sample AUCs which
 are recorded in the ground-truth sidecar, so evaluation code can be
-checked against known discrimination.  The free-text appearance field is
-rendered from the parser's own keyword table (with separator variants
-and parenthetical noise), exercising the parser adversarially while
-keeping the planted categories recoverable.
+checked against known discrimination.
 """
 
 from __future__ import annotations
@@ -23,7 +20,6 @@ import numpy as np
 
 from .curation import DEFAULT_F1_FEATURES, DEFAULT_F2_FEATURES
 from .errors import ConfigError
-from .parsers import DEFAULT_CLOUDINESS_KEYWORDS, DEFAULT_COLOR_KEYWORDS
 from .rng import substream
 
 # Per-biomarker base (mean, scale); clinical realism is out of scope,
@@ -39,10 +35,6 @@ BIOMARKER_BASES = {
     "calcium": (2.3, 0.8),
     "creatinine": (95.0, 35.0),
 }
-
-_SEPARATORS = (", ", "; ", " / ")
-_NOISE = ("(see note)", "(routine)", "(sample)")
-_UNKNOWN_TOKENS = ("", "not recorded", "n/a")
 
 COHORT_FILENAME = "cohort.csv"
 SIDECAR_FILENAME = "cohort_sidecar.json"
@@ -116,28 +108,6 @@ class CohortData:
         return buffer.getvalue()
 
 
-def _render_visual_variant(color: str, cloudiness: str, gen: np.random.Generator) -> str:
-    color_variants = [k for k, v in sorted(DEFAULT_COLOR_KEYWORDS.items()) if v == color]
-    cloud_variants = [
-        k for k, v in sorted(DEFAULT_CLOUDINESS_KEYWORDS.items()) if v == cloudiness
-    ]
-    parts = []
-    if color != "unknown":
-        parts.append(color_variants[gen.integers(len(color_variants))])
-    if cloudiness != "unknown":
-        parts.append(cloud_variants[gen.integers(len(cloud_variants))])
-    if not parts:
-        return _UNKNOWN_TOKENS[gen.integers(len(_UNKNOWN_TOKENS))]
-    if len(parts) == 2 and gen.random() < 0.5:
-        parts.reverse()
-    if gen.random() < 0.3:
-        parts[gen.integers(len(parts))] += " " + _NOISE[gen.integers(len(_NOISE))]
-    if gen.random() < 0.3:
-        parts[0] = parts[0].capitalize()
-    separator = _SEPARATORS[gen.integers(len(_SEPARATORS))]
-    return separator.join(parts)
-
-
 def generate_cohort(config: SynthConfig) -> CohortData:
     """Build the full cohort table and ground-truth sidecar in memory.
 
@@ -175,18 +145,6 @@ def generate_cohort(config: SynthConfig) -> CohortData:
         centers = mu + np.where(positive, 0.5, -0.5) * shift * scale
         biomarkers[name] = gen.normal(loc=centers, scale=scale)
 
-    visual_gen = substream(config.seed, "synth", "visual")
-    color_choices = ("light", "average", "dark", "unknown")
-    cloud_choices = ("cloudless", "cloudy", "very_cloudy", "unknown")
-    visual_texts = [
-        _render_visual_variant(
-            color_choices[visual_gen.integers(4)],
-            cloud_choices[visual_gen.integers(4)],
-            visual_gen,
-        )
-        for _ in range(n)
-    ]
-
     source_gen = substream(config.seed, "synth", "source")
     sources = np.where(source_gen.random(n) < 0.5, "UT2018", "LeipzigCE2019")
 
@@ -197,7 +155,7 @@ def generate_cohort(config: SynthConfig) -> CohortData:
         return "" if missing_gen.random() < config.missing_rate else rendered
 
     header = (
-        ["record_id", "source_cohort", "qc_flag", "visual_text", "gender", "age"]
+        ["record_id", "source_cohort", "qc_flag", "gender", "age"]
         + [name for name in DEFAULT_F1_FEATURES if name not in ("gender", "age")]
         + list(DEFAULT_F2_FEATURES)
         + ["pcr_result"]
@@ -208,7 +166,6 @@ def generate_cohort(config: SynthConfig) -> CohortData:
             f"S{i:04d}",
             str(sources[i]),
             "OK",
-            visual_texts[i],
             maybe_missing(str(gender[i])),
             maybe_missing(str(int(ages[i]))),
         ]

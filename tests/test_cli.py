@@ -315,6 +315,27 @@ def test_proxy_target_takes_the_place_of_its_sources(tmp_path, monkeypatch, caps
     assert main(["run", "--config", str(split)]) == 2
     assert "mixed:dysuria+ph" in capsys.readouterr().err
 
+    # the encoded table holds only the group features, so no color_* column exists
+    rule = {"proxy_rules": "dark_or_avg:color_dark+color_average"}
+    unknown = write_ini(tmp_path / "unknown.ini", tmp_path, curation=rule)
+    assert main(["run", "--config", str(unknown)]) == 2
+    assert "color_dark" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "curation,named",
+    [({"age_bin_width": "0"}, "age_bin_width"), ({"valid_flags": ""}, "valid_flags")],
+)
+def test_curation_settings_are_checked_at_load(tmp_path, capsys, curation, named):
+    from ptrisk.errors import ConfigError
+
+    ini = write_ini(tmp_path / "cfg.ini", tmp_path, curation=curation)
+    with pytest.raises(ConfigError, match=named):
+        load_config(ini)
+    assert main(["run", "--config", str(ini)]) == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "manifest.json").exists()
+
 
 @pytest.mark.parametrize("command", ["run", "tables", "plotdata"])
 def test_seed_outside_synth_is_rejected(tmp_path, capsys, command):
@@ -332,6 +353,8 @@ def test_load_config_rejects_unknown_keys(tmp_path, capsys):
         ("[protocol]\nbootstrap_sample = 10\n", "[protocol] bootstrap_sample"),
         ("[protcol]\nk = 3\n", "[protcol] k"),
         ("[DEFAULT]\nk = 3\n[protocol]\nseed = 1\n", "[DEFAULT] k"),
+        # an appearance column is an ordinary unmapped column, not a schema field
+        ("[schema]\nvisual_text = Appearance\n", "[schema] visual_text"),
     ):
         ini.write_text(text)
         with pytest.raises(ConfigError, match=re.escape(named)):
@@ -351,7 +374,6 @@ record_id = SampleID
 qc_flag = QC
 pcr_result = PCR
 source_cohort = Cohort
-visual_text = Appearance
 [schema.pcr_values]
 positive = Detected
 negative = Not detected
@@ -428,7 +450,7 @@ def test_empty_config_hashes_like_defaults(tmp_path):
     ini.write_text("")
     # pinned: a change here changes every config_hash and curation_report.json
     assert load_config(None).config_hash() == (
-        "c7f335be7acebaf757e095f85d7d255cb9ab4fa73ee3575891460b9a2c86e5d0"
+        "0b84de1726d70fe79bdd9604d7e3e7ec8b81b5dd33a42a84e6e1800a3a08966c"
     )
     assert load_config(ini).config_hash() == load_config(None).config_hash()
     assert load_config(ini) == load_config(None)

@@ -20,12 +20,11 @@ from ptrisk.errors import CurationError
 from ptrisk.parsers import PcrResult, RawRecord, SourceCohort
 
 
-def make_record(record_id, questionnaire=None, biomarkers=None, visual="", pcr=PcrResult.positive):
+def make_record(record_id, questionnaire=None, biomarkers=None, pcr=PcrResult.positive):
     return RawRecord(
         record_id=record_id,
         source_cohort=SourceCohort.UT2018,
         qc_flag="OK",
-        visual_text=visual,
         questionnaire=questionnaire or {},
         biomarkers_raw=biomarkers or {},
         pcr_result=pcr,
@@ -55,6 +54,7 @@ def test_encode_gender_and_binaries():
         make_record("b", {"gender": "female", "age": "31", "prior_std": "no"}, {"leukocytes": "<5", "ph": "7,5"}),
     ]
     table = encode_features(records, SMALL_GROUPS)
+    assert table.columns == list(SMALL_GROUPS.f3)
     assert table.column("gender").tolist() == [1.0, 0.0]
     assert table.column("prior_std").tolist() == [1.0, 0.0]
     assert table.column("age").tolist() == [25.0, 31.0]
@@ -71,19 +71,19 @@ def test_encode_unknown_level_is_missing():
 
 
 def test_encode_visual_onehot_reference_unknown():
+    # an appearance text, described or unknown, is an unmapped questionnaire
+    # entry: it encodes to no column and changes no feature
+    base = {"gender": "male", "age": "25", "prior_std": "yes"}
+    biomarkers = [{"leukocytes": "5", "ph": "6"}, {"leukocytes": "<5", "ph": "7,5"}]
     records = [
-        make_record("a", visual="average, cloudy"),
-        make_record("b", visual=""),
+        make_record("a", {**base, "visual_text": "average, cloudy"}, biomarkers[0]),
+        make_record("b", {**base, "visual_text": ""}, biomarkers[1]),
     ]
+    bare = [make_record(r.record_id, base, b) for r, b in zip(records, biomarkers)]
     table = encode_features(records, SMALL_GROUPS)
-    assert table.column("color_light")[0] == 0.0
-    assert table.column("color_average")[0] == 1.0
-    assert table.column("color_dark")[0] == 0.0
-    # unknown appearance = reference category = all zeros
-    assert table.column("color_light")[1] == 0.0
-    assert table.column("color_average")[1] == 0.0
-    assert table.column("color_dark")[1] == 0.0
-    assert table.column("cloudiness_cloudy")[0] == 1.0
+    assert table.columns == list(SMALL_GROUPS.f3)
+    np.testing.assert_array_equal(table.data, encode_features(bare, SMALL_GROUPS).data)
+    assert encode_features(records).columns == list(FeatureGroups().f3)
 
 
 def test_labels_from_records():

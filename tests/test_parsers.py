@@ -1,86 +1,53 @@
+import csv
+import math
+import tempfile
+from pathlib import Path
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ptrisk.errors import DataError, SchemaError
 from ptrisk.parsers import (
-    CLOUDINESS,
-    COLORS,
     PcrResult,
     Schema,
     SourceCohort,
-    SemiQuantValue,
-    VisualAppearance,
     load_raw,
     parse_semiquant,
-    parse_visual,
     qc_filter,
     RawRecord,
 )
 from conftest import load_corpus
 
 
-# --- fixture corpora ---------------------------------------------------------
-
-@pytest.mark.parametrize("text,color,cloudiness", load_corpus("visual_corpus.tsv"))
-def test_visual_corpus(text, color, cloudiness):
-    assert parse_visual(text) == VisualAppearance(color, cloudiness)
-
+# --- semi-quantitative values ------------------------------------------------
 
 @pytest.mark.parametrize("text,value,ineq", load_corpus("semiquant_corpus.tsv"))
 def test_semiquant_corpus(text, value, ineq):
-    expected_value = None if value == "missing" else float(value)
+    # ``ineq`` marks the rows whose text starts with an inequality marker;
+    # the parser strips the marker and returns the bare number either way
     got = parse_semiquant(text)
-    assert got.value == expected_value
-    assert got.was_inequality is (ineq == "true")
+    if value == "missing":
+        assert math.isnan(got)
+    else:
+        assert got == float(value)
 
 
 def test_corpus_sizes():
-    assert len(load_corpus("visual_corpus.tsv")) >= 20
     assert len(load_corpus("semiquant_corpus.tsv")) >= 12
 
 
-# --- parse_visual details ------------------------------------------------------
-
-def test_visual_empty_and_none():
-    assert parse_visual("") == VisualAppearance("unknown", "unknown")
-    assert parse_visual(None) == VisualAppearance("unknown", "unknown")
-
-
-def test_very_cloudy_never_degrades():
-    assert parse_visual("very cloudy").cloudiness == "very_cloudy"
-    assert parse_visual("cloudy").cloudiness == "cloudy"
-
-
 def test_semiquant_missing_never_flags_inequality():
-    got = parse_semiquant("<abc")
-    assert got.is_missing and got.was_inequality is False
-    with pytest.raises(ValueError):
-        SemiQuantValue(None, True)
-
-
-# --- properties ----------------------------------------------------------------
-
-@given(st.text(max_size=80))
-def test_visual_total_and_deterministic(text):
-    first = parse_visual(text)
-    assert first.color in COLORS and first.cloudiness in CLOUDINESS
-    assert parse_visual(text) == first
-
-
-@given(st.text(max_size=80))
-def test_visual_render_roundtrip(text):
-    # the canonical text of an appearance parses back to it
-    parsed = parse_visual(text)
-    assert parse_visual(f"{parsed.color}, {parsed.cloudiness.replace('_', ' ')}") == parsed
+    # an inequality marker before no finite number is missing, not a bound;
+    # only one leading marker is stripped
+    for text in ("<abc", "<", "> ", ">=", "≤n/a", "<nan", ">inf", "<-inf", "<<5", "<>5"):
+        assert math.isnan(parse_semiquant(text)), text
 
 
 @given(st.text(max_size=40))
 def test_semiquant_total(text):
     got = parse_semiquant(text)
-    if got.is_missing:
-        assert got.was_inequality is False
-    else:
-        assert isinstance(got.value, float)
+    assert isinstance(got, float)
+    assert math.isnan(got) or math.isfinite(got)
 
 
 # --- load_raw --------------------------------------------------------------------
@@ -98,7 +65,8 @@ def test_load_raw_small_file(fixtures_dir):
     assert records[1].pcr_result is PcrResult.negative
     assert records[0].source_cohort is SourceCohort.UT2018
     assert records[1].source_cohort is SourceCohort.LeipzigCE2019
-    assert records[0].visual_text == "light, cloudless"
+    # the appearance column is mapped nowhere, so it is kept under its header
+    assert records[0].questionnaire["visual_text"] == "light, cloudless"
     assert records[0].questionnaire["gender"] == "male"
     assert records[0].biomarkers_raw["leukocytes"] == "<5"
     assert records[2].biomarkers_raw["leukocytes"] == "7,2"
@@ -136,6 +104,82 @@ def test_load_raw_duplicate_ids(tmp_path):
         load_raw(path, Schema())
 
 
+def test_load_raw_rejects_repeated_headers(tmp_path):
+    path = tmp_path / "repeated.csv"
+    path.write_text("record_id,qc_flag,pcr_result,age,note,age,note\nA,OK,POS,25,x,99,y\n")
+    with pytest.raises(SchemaError, match="age, note"):
+        load_raw(path, Schema(questionnaire={"age": "age"}))
+    # blank headers (e.g. from trailing delimiters) may repeat
+    path.write_text("record_id,qc_flag,pcr_result,age,,\nA,OK,POS,25,,\n")
+    (record,) = load_raw(path, Schema(questionnaire={"age": "age"}))
+    assert record.questionnaire["age"] == "25"
+
+
+# --- the urine-appearance column ------------------------------------------------
+# No schema field maps it, so it is an unmapped column, kept verbatim in the
+# questionnaire under its header and read by no feature.
+
+APPEARANCE_HEADER = ["record_id", "qc_flag", "pcr_result", "age", "visual_text"]
+APPEARANCE_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=80)
+
+
+def _write_rows(path, header, rows, delimiter=","):
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, delimiter=delimiter)
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
+def test_visual_empty_and_none(fixtures_dir, tmp_path):
+    # an empty appearance cell is kept as empty text; a file without the
+    # column has no such entry; neither is an error
+    records = load_raw(fixtures_dir / "cohort_small.csv", Schema())
+    assert records[2].questionnaire["visual_text"] == ""
+    path = _write_rows(tmp_path / "none.csv", APPEARANCE_HEADER[:-1], [["A", "OK", "POS", "25"]])
+    (record,) = load_raw(path, Schema())
+    assert record.questionnaire == {"age": "25"}
+
+
+def test_very_cloudy_never_degrades(tmp_path):
+    # the text is not normalised: spacing, case and punctuation survive
+    texts = ["very cloudy", "very   cloudy", " Very Cloudy; dark ", "cloudy", "Trüb (unklar)"]
+    rows = [[f"R{i}", "OK", "POS", "25", text] for i, text in enumerate(texts)]
+    path = _write_rows(tmp_path / "appearance.csv", APPEARANCE_HEADER, rows)
+    assert [r.questionnaire["visual_text"] for r in load_raw(path, Schema())] == texts
+
+
+@given(APPEARANCE_TEXT)
+@settings(max_examples=60, deadline=None)
+def test_visual_total_and_deterministic(text):
+    # any appearance text loads, loads the same twice, and leaves the
+    # record's other fields as they are without the column
+    with tempfile.TemporaryDirectory() as tmp:
+        row = ["A", "OK", "POS", "25"]
+        path = _write_rows(Path(tmp) / "with.csv", APPEARANCE_HEADER, [row + [text]])
+        bare = _write_rows(Path(tmp) / "bare.csv", APPEARANCE_HEADER[:-1], [row])
+        (first,) = load_raw(path, Schema())
+        assert load_raw(path, Schema()) == [first]
+        (without,) = load_raw(bare, Schema())
+    questionnaire = dict(first.questionnaire)
+    del questionnaire["visual_text"]
+    assert questionnaire == without.questionnaire
+    assert (first.record_id, first.qc_flag, first.pcr_result, first.source_cohort) == (
+        without.record_id, without.qc_flag, without.pcr_result, without.source_cohort,
+    )
+
+
+@given(APPEARANCE_TEXT, st.sampled_from([",", ";"]))
+@settings(max_examples=60, deadline=None)
+def test_visual_render_roundtrip(text, delimiter):
+    # an appearance text written to a cohort file reads back verbatim
+    with tempfile.TemporaryDirectory() as tmp:
+        rows = [["A", "OK", "POS", "25", text]]
+        path = _write_rows(Path(tmp) / "c.csv", APPEARANCE_HEADER, rows, delimiter)
+        (record,) = load_raw(path, Schema())
+    assert record.questionnaire["visual_text"] == text
+
+
 def test_load_raw_unparseable_pcr_is_invalid(tmp_path):
     path = tmp_path / "inv.csv"
     path.write_text("record_id,qc_flag,pcr_result\nA,OK,maybe\n")
@@ -157,7 +201,6 @@ def _record(record_id, qc="OK", cohort=SourceCohort.UT2018, pcr=PcrResult.positi
         record_id=record_id,
         source_cohort=cohort,
         qc_flag=qc,
-        visual_text="",
         questionnaire={},
         biomarkers_raw={},
         pcr_result=pcr,

@@ -13,8 +13,7 @@ from ptrisk.curation import (
     labels_from_records,
 )
 from ptrisk.errors import ConfigError
-from ptrisk.parsers import Schema, load_raw, parse_semiquant, parse_visual, qc_filter
-from ptrisk.rng import substream
+from ptrisk.parsers import Schema, load_raw, parse_semiquant, qc_filter
 from ptrisk.synth import (
     SynthConfig,
     generate_cohort,
@@ -22,7 +21,6 @@ from ptrisk.synth import (
     implied_auc_gaussian,
     positive_count,
     write_cohort,
-    _render_visual_variant,
 )
 
 FULL_SCHEMA = Schema(
@@ -107,17 +105,20 @@ def test_sidecar_records_implied_aucs():
         assert sidecar["implied_auc"][name] == implied_auc_binary(0.7)
 
 
-def test_visual_rendering_roundtrips():
-    gen = substream(9, "test", "visual")
-    colors = ("light", "average", "dark", "unknown")
-    clouds = ("cloudless", "cloudy", "very_cloudy", "unknown")
-    for trial in range(300):
-        color = colors[trial % 4]
-        cloudiness = clouds[(trial // 4) % 4]
-        rendered = _render_visual_variant(color, cloudiness, gen)
-        parsed = parse_visual(rendered)
-        assert parsed.color == color, rendered
-        assert parsed.cloudiness == cloudiness, rendered
+def test_visual_rendering_roundtrips(tmp_path):
+    # the cohort renders no appearance field and no other unmapped column:
+    # every rendered cell reads back verbatim under its mapped name
+    config = SynthConfig(n=40, prevalence=0.5, missing_rate=0.1, semiquant_rate=0.3, seed=9)
+    cohort = generate_cohort(config)
+    cohort_path, _ = write_cohort(config, tmp_path)
+    records = load_raw(cohort_path, FULL_SCHEMA)
+    assert "visual_text" not in cohort.header
+    assert len(records) == len(cohort.rows)
+    for row, record in zip(cohort.rows, records):
+        cells = dict(zip(cohort.header, row))
+        assert record.record_id == cells["record_id"]
+        assert record.questionnaire == {name: cells[name] for name in DEFAULT_F1_FEATURES}
+        assert record.biomarkers_raw == {name: cells[name] for name in DEFAULT_F2_FEATURES}
 
 
 def test_semiquant_rendering_parses_back():
@@ -128,9 +129,9 @@ def test_semiquant_rendering_parses_back():
     for row in cohort.rows:
         for j, name in enumerate(DEFAULT_F2_FEATURES):
             raw = row[biomarker_start + j]
-            parsed = parse_semiquant(raw)
-            assert not parsed.is_missing
-            saw_inequality = saw_inequality or parsed.was_inequality
+            marked = raw[0] in "<>"
+            assert parse_semiquant(raw) == float(raw[1:] if marked else raw)
+            saw_inequality = saw_inequality or marked
     assert saw_inequality
 
 
