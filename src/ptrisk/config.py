@@ -111,8 +111,6 @@ _SETTINGS = (
     _Setting("protocol", "bootstrap_samples", "bootstrap_samples", int),
     _Setting("protocol", "alpha", "alpha", float),
     _Setting("models", "run", "run_models", _split_list),
-    _Setting("models", "gbt_row_subsample", "gbt_row_subsample", float),
-    _Setting("models", "gbt_col_subsample", "gbt_col_subsample", float),
     _Setting("synth", "n", "synth.n", int),
     _Setting("synth", "prevalence", "synth.prevalence", float),
     _Setting("synth", "biomarker_signal", "synth.biomarker_signal", float),
@@ -155,8 +153,6 @@ class ExperimentConfig:
     bootstrap_samples: int = 1000
     alpha: float = 0.05
     run_models: tuple = MODEL_KINDS
-    gbt_row_subsample: float = 0.8
-    gbt_col_subsample: float = 0.8
     synth: SynthConfig = SynthConfig()
     out_dir: str = "out"
 
@@ -189,9 +185,6 @@ class ExperimentConfig:
             raise ConfigError("age_bin_width must be positive")
         if not self.valid_flags:
             raise ConfigError("valid_flags must name at least one flag")
-        for frac in (self.gbt_row_subsample, self.gbt_col_subsample):
-            if not 0.0 < frac <= 1.0:
-                raise ConfigError("GBT subsample fractions must be within (0, 1]")
         self.synth.validate()
 
     def to_dict(self) -> dict:

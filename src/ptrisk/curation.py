@@ -1,6 +1,9 @@
 """Rule-based feature engineering: encode parsed records into aligned
 numeric matrices for the three feature groups.  The encoded table holds
-exactly the features the groups name, F1 then F2.
+exactly the features the groups name, F1 then F2, and tags each column
+with its group; from there on the tags, not the group lists, say which
+group a column is in.  A proxy column replaces its sources in place and
+takes their group.
 
 Missing values are represented as NaN and are never imputed; rows that
 miss any value in the combined feature set are dropped, so F1, F2 and
@@ -66,37 +69,6 @@ class FeatureGroups:
         if overlap:
             raise CurationError(f"feature groups overlap: {sorted(overlap)}")
 
-    @property
-    def f3(self) -> tuple:
-        return tuple(self.f1) + tuple(self.f2)
-
-    def names(self, tag: str) -> tuple:
-        return {"F1": tuple(self.f1), "F2": tuple(self.f2), "F3": self.f3}[tag]
-
-    def with_proxies(self, rules) -> "FeatureGroups":
-        """The groups as ``aggregate_proxies`` leaves the table: in each
-        group's list a rule's target takes the place of the first of its
-        sources and the other sources go, so the proxy column is used
-        where its sources were.  A rule whose sources are split between
-        F1 and F2 has no group to go to and is an error."""
-        f1, f2 = tuple(self.f1), tuple(self.f2)
-        for target, sources in rules:
-            if set(sources) & set(f1) and set(sources) & set(f2):
-                raise CurationError(
-                    f"proxy rule {target}:{'+'.join(sources)} takes sources from both F1 and F2"
-                )
-            f1, f2 = _with_proxy(f1, target, sources), _with_proxy(f2, target, sources)
-        return FeatureGroups(f1=f1, f2=f2)
-
-
-def _with_proxy(names: tuple, target: str, sources) -> tuple:
-    kept = []
-    for name in names:
-        name = target if name in sources else name
-        if name != target or target not in kept:
-            kept.append(name)
-    return tuple(kept)
-
 
 @dataclass(frozen=True)
 class CurationSettings:
@@ -112,21 +84,18 @@ class CurationSettings:
 
 @dataclass
 class FeatureTable:
-    """Column-named numeric table; NaN is the missing marker."""
+    """Column-named numeric table; NaN is the missing marker.  ``tags``
+    holds each column's group, "F1" or "F2"."""
 
     columns: list
+    tags: list
     data: np.ndarray  # shape (n_rows, n_columns), float64
     row_ids: list
 
     def __post_init__(self):
-        if self.data.shape != (len(self.row_ids), len(self.columns)):
+        shape = (len(self.row_ids), len(self.columns))
+        if self.data.shape != shape or len(self.tags) != len(self.columns):
             raise CurationError("feature table shape mismatch")
-
-    def column(self, name: str) -> np.ndarray:
-        return self.data[:, self.columns.index(name)]
-
-    def copy(self) -> "FeatureTable":
-        return FeatureTable(list(self.columns), self.data.copy(), list(self.row_ids))
 
 
 @dataclass
@@ -135,7 +104,6 @@ class CuratedDataset:
     labels: np.ndarray  # 0/1 ints
     matrices: dict  # tag -> np.ndarray
     feature_names: dict  # tag -> tuple of names
-    dropped_features: dict  # tag -> list of (name, reason)
     dropped_rows: list  # (record_id, reason)
 
     @property
@@ -161,17 +129,19 @@ def encode_features(
 ) -> FeatureTable:
     """Encode QC-filtered records into a numeric table with missing markers.
 
-    The columns are the F1 features, then the F2 features.  F1 fields are
+    The columns are the F1 features, tagged "F1", then the F2 features,
+    tagged "F2"; each reads the record field of its name.  F1 fields are
     binary-encoded (gender via the configured map, age numeric), and F2
     biomarkers go through the semi-quantitative parser.  Unknown
     categorical levels become missing, never errors.
     """
     columns = list(groups.f1) + list(groups.f2)
+    tags = ["F1"] * len(groups.f1) + ["F2"] * len(groups.f2)
     data = np.full((len(records), len(columns)), np.nan)
     for i, record in enumerate(records):
         values = []
         for name in groups.f1:
-            raw = record.questionnaire.get(name, "")
+            raw = record.fields.get(name, "")
             if name == "gender":
                 values.append(settings.gender_map.get((raw or "").strip().lower(), np.nan))
             elif name == "age":
@@ -179,10 +149,10 @@ def encode_features(
             else:
                 values.append(_parse_binary(raw, settings.binary_true, settings.binary_false))
         for name in groups.f2:
-            values.append(parse_semiquant(record.biomarkers_raw.get(name, "")))
+            values.append(parse_semiquant(record.fields.get(name, "")))
         data[i] = values
 
-    return FeatureTable(columns, data, [r.record_id for r in records])
+    return FeatureTable(columns, tags, data, [r.record_id for r in records])
 
 
 def labels_from_records(records: list) -> np.ndarray:
@@ -199,29 +169,36 @@ def aggregate_proxies(table: FeatureTable, rules) -> FeatureTable:
     """Collapse groups of binary indicator columns into OR-proxy columns.
 
     The proxy is the logical OR of the non-missing sources and is missing
-    only when every source is missing; source columns are removed.
+    only when every source is missing.  It takes the place and the group
+    of whichever source comes first in the table, and the other sources
+    go.  Rules apply in order, so a later rule may use an earlier target
+    as a source.  Sources from both groups leave the proxy no group, and
+    a target naming a column other than its sources would duplicate it;
+    both are errors.
     """
-    if not rules:
-        return table
-    out = table.copy()
+    columns, tags, data = list(table.columns), list(table.tags), table.data
     for target, sources in rules:
-        idx = []
+        rule = f"{target}:{'+'.join(sources)}"
         for name in sources:
-            if name not in out.columns:
+            if name not in columns:
                 raise CurationError(f"proxy source column not found: {name}")
-            col = out.column(name)
-            finite = col[~np.isnan(col)]
-            if finite.size and not np.isin(finite, (0.0, 1.0)).all():
+        idx = sorted({columns.index(name) for name in sources})
+        if len({tags[j] for j in idx}) > 1:
+            raise CurationError(f"proxy rule {rule} takes sources from both F1 and F2")
+        if target in columns and columns.index(target) not in idx:
+            raise CurationError(f"proxy rule {rule} targets a column that is not its source")
+        for name in sources:
+            col = data[:, columns.index(name)]
+            if not np.isin(col[~np.isnan(col)], (0.0, 1.0)).all():
                 raise CurationError(f"proxy source column not binary: {name}")
-            idx.append(out.columns.index(name))
-        block = out.data[:, idx]
-        any_one = np.nansum(np.where(np.isnan(block), 0.0, block), axis=1) > 0
-        all_missing = np.isnan(block).all(axis=1)
-        proxy = np.where(all_missing, np.nan, any_one.astype(float))
-        keep = [j for j in range(len(out.columns)) if j not in set(idx)]
-        out.data = np.column_stack([out.data[:, keep], proxy])
-        out.columns = [out.columns[j] for j in keep] + [target]
-    return out
+        block = data[:, idx]
+        proxy = np.where(np.isnan(block).all(axis=1), np.nan, (block == 1.0).any(axis=1))
+        first, rest = idx[0], idx[1:]  # first stays put when the rest go
+        data = np.delete(data, rest, axis=1)
+        data[:, first] = proxy
+        columns = [target if j == first else c for j, c in enumerate(columns) if j not in rest]
+        tags = [t for j, t in enumerate(tags) if j not in rest]
+    return FeatureTable(columns, tags, data, list(table.row_ids))
 
 
 def exclude_features(
@@ -255,60 +232,44 @@ def exclude_features(
             continue
         keep.append(j)
     reduced = FeatureTable(
-        [table.columns[j] for j in keep], table.data[:, keep].copy(), list(table.row_ids)
+        [table.columns[j] for j in keep],
+        [table.tags[j] for j in keep],
+        table.data[:, keep],
+        list(table.row_ids),
     )
     return reduced, dropped
 
 
-def assemble(
-    table: FeatureTable,
-    labels: np.ndarray,
-    groups: FeatureGroups = FeatureGroups(),
-    dropped_features=(),
-) -> CuratedDataset:
+def assemble(table: FeatureTable, labels: np.ndarray) -> CuratedDataset:
     """Drop rows with missing values in the combined feature set and cut
-    the three row-aligned matrices."""
+    the three row-aligned matrices: F1 and F2 are the columns tagged so,
+    in table order, and F3 is F1 then F2."""
     if len(labels) != len(table.row_ids):
         raise CurationError("labels length does not match table rows")
 
-    effective = {
-        "F1": [n for n in groups.f1 if n in table.columns],
-        "F2": [n for n in groups.f2 if n in table.columns],
-    }
-    effective["F3"] = effective["F1"] + effective["F2"]
-    if not effective["F3"]:
+    idx = {tag: [j for j, t in enumerate(table.tags) if t == tag] for tag in ("F1", "F2")}
+    idx["F3"] = idx["F1"] + idx["F2"]
+    if not idx["F3"]:
         raise CurationError("no group features left after exclusions")
+    names = {tag: tuple(table.columns[j] for j in idx[tag]) for tag in GROUP_TAGS}
 
-    f3_idx = [table.columns.index(n) for n in effective["F3"]]
-    f3_block = table.data[:, f3_idx]
+    f3_block = table.data[:, idx["F3"]]
     row_missing = np.isnan(f3_block).any(axis=1)
 
     dropped_rows = []
     for i in np.nonzero(row_missing)[0]:
-        missing_names = [effective["F3"][k] for k in np.nonzero(np.isnan(f3_block[i]))[0]]
+        missing_names = [names["F3"][k] for k in np.nonzero(np.isnan(f3_block[i]))[0]]
         dropped_rows.append((table.row_ids[i], f"missing: {', '.join(missing_names)}"))
 
     keep = ~row_missing
     if not keep.any():
         raise CurationError("no rows survive the combined missing-value filter")
 
-    matrices = {}
-    for tag in ("F1", "F2", "F3"):
-        idx = [table.columns.index(n) for n in effective[tag]]
-        matrices[tag] = table.data[np.ix_(keep, idx)].copy()
-
-    by_tag = {
-        "F1": [(n, r) for n, r in dropped_features if n in groups.f1],
-        "F2": [(n, r) for n, r in dropped_features if n in groups.f2],
-    }
-    by_tag["F3"] = by_tag["F1"] + by_tag["F2"]
-
     return CuratedDataset(
         row_ids=[rid for rid, k in zip(table.row_ids, keep) if k],
         labels=np.asarray(labels)[keep].astype(np.int64),
-        matrices=matrices,
-        feature_names={tag: tuple(effective[tag]) for tag in GROUP_TAGS},
-        dropped_features=by_tag,
+        matrices={tag: table.data[np.ix_(keep, idx[tag])] for tag in GROUP_TAGS},
+        feature_names=names,
         dropped_rows=dropped_rows,
     )
 

@@ -1,9 +1,8 @@
 """The five fixed-hyperparameter classifiers behind one contract.
 
 A FittedPipeline couples a fold-fitted standardizer with the fitted
-model; ``predict_proba`` applies both.  Hyperparameters are fixed at
-construction (only the boosting subsample fractions are exposed as
-configuration) and there is no tuning path.
+model; ``predict_proba`` applies both.  Every hyperparameter is fixed in
+``fit_model``: none is configurable and there is no tuning path.
 """
 
 from __future__ import annotations
@@ -47,8 +46,6 @@ def compute_class_weights(y: np.ndarray) -> ClassWeights:
 @dataclass(frozen=True)
 class ModelSpec:
     kind: str
-    gbt_row_subsample: float = 0.8
-    gbt_col_subsample: float = 0.8
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
@@ -93,8 +90,8 @@ def fit_model(spec: ModelSpec, X: np.ndarray, y: np.ndarray, rng: RngKey):
             n_rounds=200,
             max_depth=3,
             learning_rate=0.1,
-            row_subsample=spec.gbt_row_subsample,
-            col_subsample=spec.gbt_col_subsample,
+            row_subsample=0.8,
+            col_subsample=0.8,
         )
     return fit_knn(X, y, k=7)
 

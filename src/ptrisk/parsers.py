@@ -17,13 +17,6 @@ from .errors import DataError, SchemaError
 
 # --- category vocabularies -------------------------------------------------
 
-class SourceCohort(str, Enum):
-    UT2018 = "UT2018"
-    LeipzigCE2019 = "LeipzigCE2019"
-    BetaLAMP = "BetaLAMP"
-    Other = "Other"
-
-
 class PcrResult(str, Enum):
     positive = "positive"
     negative = "negative"
@@ -37,27 +30,24 @@ DEFAULT_PCR_NEGATIVE = frozenset({"neg", "negative", "0", "false", "no", "-"})
 # QC flags accepted by default; the real flag vocabulary is deployment-specific.
 DEFAULT_VALID_FLAGS = frozenset({"OK", "PASS", "VALID"})
 
-_COHORT_ALIASES = {
-    "ut2018": SourceCohort.UT2018,
-    "ut_2018": SourceCohort.UT2018,
-    "leipzigce2019": SourceCohort.LeipzigCE2019,
-    "leipzig_ce_2019": SourceCohort.LeipzigCE2019,
-    "leipzig2019": SourceCohort.LeipzigCE2019,
-    "betalamp": SourceCohort.BetaLAMP,
-    "beta_lamp": SourceCohort.BetaLAMP,
-    "beta-lamp": SourceCohort.BetaLAMP,
-}
+# Source-cohort spellings (lower case, spaces removed) of the beta-LAMP
+# assay cohort, which qc_filter excludes.
+_BETA_ASSAY_COHORTS = frozenset({"betalamp", "beta_lamp", "beta-lamp"})
 
 
 # --- domain types ----------------------------------------------------------
 
 @dataclass(frozen=True)
 class RawRecord:
+    """One parsed row.  ``fields`` maps each feature name to its raw cell
+    text: the logical names of both schema maps, and every unmapped
+    column under its own header.  ``beta_assay`` marks a row whose source
+    cohort is the beta-LAMP assay."""
+
     record_id: str
-    source_cohort: SourceCohort
+    beta_assay: bool
     qc_flag: str
-    questionnaire: dict
-    biomarkers_raw: dict
+    fields: dict
     pcr_result: PcrResult
 
 
@@ -66,8 +56,11 @@ class Schema:
     """Maps logical field names to column headers of the input file.
 
     ``questionnaire`` / ``biomarkers`` assign logical feature names to
-    columns; every mapped column must exist in the file.  Columns mapped
-    nowhere are retained in the questionnaire map under their own header.
+    columns; every mapped column must exist in the file.  Both maps feed
+    one ``RawRecord.fields`` dict, which also holds every column mapped
+    nowhere under its own header; a mapped name shadows a header of the
+    same name.  A feature's group comes from the feature groups, not from
+    the map that names its column.
     """
 
     record_id: str = "record_id"
@@ -117,12 +110,6 @@ def _parse_pcr(raw: str, schema: Schema) -> PcrResult:
     return PcrResult.invalid
 
 
-def parse_source_cohort(raw: "str | None") -> SourceCohort:
-    if raw is None:
-        return SourceCohort.Other
-    return _COHORT_ALIASES.get(raw.strip().lower().replace(" ", ""), SourceCohort.Other)
-
-
 def _sniff_delimiter(header_line: str) -> str:
     return ";" if header_line.count(";") > header_line.count(",") else ","
 
@@ -135,7 +122,9 @@ def load_raw(path, schema: Schema) -> list:
     Every column named by the schema must be present; a missing one
     raises SchemaError naming the logical field.  A non-empty header that
     appears twice is a SchemaError too, because its cells would be
-    ambiguous.
+    ambiguous, and so is a name the two schema maps send to different
+    columns.  A row with a non-empty cell past the last header is a
+    DataError naming the record: its cells are likely shifted.
     """
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -159,16 +148,16 @@ def load_raw(path, schema: Schema) -> list:
         "qc_flag": schema.qc_flag,
         "pcr_result": schema.pcr_result,
     }
-    for logical, column in required.items():
+    mapped = {**schema.questionnaire, **schema.biomarkers}
+    for logical, column in [*required.items(), *mapped.items()]:
         if column not in col_index:
             raise SchemaError(f"{logical} (column {column!r} not in file)")
-    for logical, column in {**schema.questionnaire, **schema.biomarkers}.items():
-        if column not in col_index:
-            raise SchemaError(f"{logical} (column {column!r} not in file)")
+    clashes = sorted(n for n, c in schema.questionnaire.items() if schema.biomarkers.get(n, c) != c)
+    if clashes:
+        raise SchemaError(f"mapped to two different columns: {', '.join(clashes)}")
 
-    core_columns = set(required.values()) | {schema.source_cohort}
-    assigned = core_columns | set(schema.questionnaire.values()) | set(schema.biomarkers.values())
-    unassigned = [c for c in header if c not in assigned]
+    assigned = set(required.values()) | {schema.source_cohort} | set(mapped.values())
+    field_columns = {c: c for c in header if c not in assigned} | mapped
 
     def cell(row, column):
         idx = col_index.get(column)
@@ -184,30 +173,19 @@ def load_raw(path, schema: Schema) -> list:
         record_id = cell(row, schema.record_id).strip()
         if not record_id:
             raise DataError("row with empty record_id")
+        if any(c.strip() for c in row[len(header) :]):
+            raise DataError(f"record {record_id!r} has cells past the last of {len(header)} columns")
         if record_id in seen_ids:
             raise DataError(f"duplicate record_id {record_id!r}")
         seen_ids.add(record_id)
 
-        questionnaire = {
-            logical: cell(row, column) for logical, column in schema.questionnaire.items()
-        }
-        for column in unassigned:
-            questionnaire[column] = cell(row, column)
-        biomarkers = {
-            logical: cell(row, column) for logical, column in schema.biomarkers.items()
-        }
-        source = (
-            parse_source_cohort(cell(row, schema.source_cohort))
-            if schema.source_cohort is not None and schema.source_cohort in col_index
-            else SourceCohort.Other
-        )
+        cohort = cell(row, schema.source_cohort).strip().lower().replace(" ", "")
         records.append(
             RawRecord(
                 record_id=record_id,
-                source_cohort=source,
+                beta_assay=cohort in _BETA_ASSAY_COHORTS,
                 qc_flag=cell(row, schema.qc_flag).strip(),
-                questionnaire=questionnaire,
-                biomarkers_raw=biomarkers,
+                fields={name: cell(row, column) for name, column in field_columns.items()},
                 pcr_result=_parse_pcr(cell(row, schema.pcr_result), schema),
             )
         )
@@ -223,6 +201,6 @@ def qc_filter(records: list, valid_flags=DEFAULT_VALID_FLAGS) -> list:
         r
         for r in records
         if r.qc_flag in valid_flags
-        and r.source_cohort is not SourceCohort.BetaLAMP
+        and not r.beta_assay
         and r.pcr_result is not PcrResult.invalid
     ]

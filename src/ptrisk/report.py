@@ -162,7 +162,6 @@ def _run_stages(config: ExperimentConfig, staging: Path, out_dir: Path) -> dict:
         kept = qc_filter(records, config.valid_flags)
 
         stage = "curation"
-        groups = config.groups.with_proxies(config.curation.proxy_rules)
         table = encode_features(kept, config.groups, config.curation)
         table = aggregate_proxies(table, config.curation.proxy_rules)
         table, dropped = exclude_features(
@@ -171,7 +170,7 @@ def _run_stages(config: ExperimentConfig, staging: Path, out_dir: Path) -> dict:
             drop_zero_variance=config.curation.drop_zero_variance,
             blocklist=config.curation.blocklist,
         )
-        dataset = assemble(table, labels_from_records(kept), groups, dropped)
+        dataset = assemble(table, labels_from_records(kept))
         summary = cohort_summary(dataset, config.curation)
         kept_ids = {k.record_id for k in kept}
         curation_report = {
@@ -192,7 +191,7 @@ def _run_stages(config: ExperimentConfig, staging: Path, out_dir: Path) -> dict:
         rng = RngKey(config.seed)
         for tag in config.run_groups:
             for kind in config.run_models:
-                spec = ModelSpec(kind, config.gbt_row_subsample, config.gbt_col_subsample)
+                spec = ModelSpec(kind)
                 oof = run_oof(
                     dataset.matrices[tag],
                     dataset.labels,

@@ -246,7 +246,6 @@ def test_load_config_parses_sections(tmp_path):
                 "seed = 9",
                 "[models]",
                 "run = LR|KNN",
-                "gbt_row_subsample = 0.5",
                 "[curation]",
                 "max_missing_fraction = 0.2",
                 "blocklist = lab_result_code",
@@ -259,7 +258,6 @@ def test_load_config_parses_sections(tmp_path):
     config = load_config(ini)
     assert config.k == 4 and config.seed == 9
     assert config.run_models == ("LR", "KNN")
-    assert config.gbt_row_subsample == 0.5
     assert config.curation.max_missing_fraction == 0.2
     assert config.curation.blocklist == ("lab_result_code",)
     assert config.curation.proxy_rules == (("irritation", ("genital_irritation", "dysuria")),)
@@ -323,6 +321,32 @@ def test_proxy_target_takes_the_place_of_its_sources(tmp_path, monkeypatch, caps
 
 
 @pytest.mark.parametrize(
+    "section,key", [("schema.questionnaire", "age"), ("schema.biomarkers", "leukocytes")]
+)
+def test_partial_column_map_keeps_the_other_features(tmp_path, monkeypatch, section, key):
+    # a column map that names one feature leaves every other feature under
+    # its own header, and each group still finds its columns there
+    from ptrisk import report
+    from ptrisk.curation import DEFAULT_F1_FEATURES, DEFAULT_F2_FEATURES
+
+    datasets = []
+
+    def recording_assemble(*args, **kwargs):
+        datasets.append(assemble(*args, **kwargs))
+        return datasets[-1]
+
+    assemble = report.assemble
+    monkeypatch.setattr(report, "assemble", recording_assemble)
+    ini = write_ini(tmp_path / "cfg.ini", tmp_path, **{section: {key: key}})
+    assert main(["synth", "--config", str(ini)]) == 0
+    assert main(["run", "--config", str(ini)]) == 0
+    assert datasets[0].feature_names["F1"] == DEFAULT_F1_FEATURES
+    assert datasets[0].feature_names["F2"] == DEFAULT_F2_FEATURES
+    curation_report = json.loads((tmp_path / "curation_report.json").read_text())
+    assert curation_report["dropped_features"] == []
+
+
+@pytest.mark.parametrize(
     "curation,named",
     [({"age_bin_width": "0"}, "age_bin_width"), ({"valid_flags": ""}, "valid_flags")],
 )
@@ -355,6 +379,9 @@ def test_load_config_rejects_unknown_keys(tmp_path, capsys):
         ("[DEFAULT]\nk = 3\n[protocol]\nseed = 1\n", "[DEFAULT] k"),
         # an appearance column is an ordinary unmapped column, not a schema field
         ("[schema]\nvisual_text = Appearance\n", "[schema] visual_text"),
+        # the boosting subsample fractions are fixed, not settings
+        ("[models]\ngbt_row_subsample = 0.8\n", "[models] gbt_row_subsample"),
+        ("[models]\ngbt_col_subsample = 0.8\n", "[models] gbt_col_subsample"),
     ):
         ini.write_text(text)
         with pytest.raises(ConfigError, match=re.escape(named)):
@@ -404,8 +431,6 @@ bootstrap_samples = 200
 alpha = 0.1
 [models]
 run = LR|DT
-gbt_row_subsample = 0.5
-gbt_col_subsample = 0.6
 [synth]
 n = 120
 prevalence = 0.5
@@ -450,7 +475,7 @@ def test_empty_config_hashes_like_defaults(tmp_path):
     ini.write_text("")
     # pinned: a change here changes every config_hash and curation_report.json
     assert load_config(None).config_hash() == (
-        "0b84de1726d70fe79bdd9604d7e3e7ec8b81b5dd33a42a84e6e1800a3a08966c"
+        "f0352205702b9452c02d5dabc1b82797b8b18d651ca7767f94ac5f71f5b16562"
     )
     assert load_config(ini).config_hash() == load_config(None).config_hash()
     assert load_config(ini) == load_config(None)

@@ -10,7 +10,6 @@ from ptrisk.errors import DataError, SchemaError
 from ptrisk.parsers import (
     PcrResult,
     Schema,
-    SourceCohort,
     load_raw,
     parse_semiquant,
     qc_filter,
@@ -63,13 +62,12 @@ def test_load_raw_small_file(fixtures_dir):
     assert [r.record_id for r in records] == ["R1", "R2", "R3"]
     assert records[0].pcr_result is PcrResult.positive
     assert records[1].pcr_result is PcrResult.negative
-    assert records[0].source_cohort is SourceCohort.UT2018
-    assert records[1].source_cohort is SourceCohort.LeipzigCE2019
+    assert [r.beta_assay for r in records] == [False, False, False]
     # the appearance column is mapped nowhere, so it is kept under its header
-    assert records[0].questionnaire["visual_text"] == "light, cloudless"
-    assert records[0].questionnaire["gender"] == "male"
-    assert records[0].biomarkers_raw["leukocytes"] == "<5"
-    assert records[2].biomarkers_raw["leukocytes"] == "7,2"
+    assert records[0].fields["visual_text"] == "light, cloudless"
+    assert records[0].fields["gender"] == "male"
+    assert records[0].fields["leukocytes"] == "<5"
+    assert records[2].fields["leukocytes"] == "7,2"
 
 
 def test_load_raw_ignores_utf8_bom(fixtures_dir, tmp_path):
@@ -94,7 +92,7 @@ def test_load_raw_semicolon_delimiter(tmp_path):
     assert [r.record_id for r in records] == ["S1", "S2"]
     assert records[0].pcr_result is PcrResult.positive
     assert records[1].pcr_result is PcrResult.negative
-    assert records[0].source_cohort is SourceCohort.Other
+    assert not records[0].beta_assay
 
 
 def test_load_raw_duplicate_ids(tmp_path):
@@ -112,12 +110,54 @@ def test_load_raw_rejects_repeated_headers(tmp_path):
     # blank headers (e.g. from trailing delimiters) may repeat
     path.write_text("record_id,qc_flag,pcr_result,age,,\nA,OK,POS,25,,\n")
     (record,) = load_raw(path, Schema(questionnaire={"age": "age"}))
-    assert record.questionnaire["age"] == "25"
+    assert record.fields["age"] == "25"
+
+
+def test_load_raw_rejects_cells_past_the_header(tmp_path):
+    path = tmp_path / "long.csv"
+    path.write_text("record_id,qc_flag,pcr_result,age\nA,OK,POS,25\nB,OK,POS,25,99\n")
+    with pytest.raises(DataError, match="'B'"):
+        load_raw(path, Schema(questionnaire={"age": "age"}))
+    # trailing empty cells are only trailing delimiters
+    path.write_text("record_id,qc_flag,pcr_result,age\nA,OK,POS,25,, \n")
+    (record,) = load_raw(path, Schema(questionnaire={"age": "age"}))
+    assert record.fields == {"age": "25"}
+
+
+def test_load_raw_mapped_name_shadows_same_named_column(tmp_path):
+    path = tmp_path / "both.csv"
+    path.write_text("record_id,qc_flag,pcr_result,AgeYears,age\nA,OK,POS,25,99\n")
+    (record,) = load_raw(path, Schema(questionnaire={"age": "AgeYears"}))
+    assert record.fields["age"] == "25"
+    assert "AgeYears" not in record.fields
+
+
+def test_load_raw_rejects_a_name_mapped_to_two_columns(tmp_path):
+    path = tmp_path / "two.csv"
+    path.write_text("record_id,qc_flag,pcr_result,pH,ph\nA,OK,POS,6,7\n")
+    with pytest.raises(SchemaError, match="ph"):
+        load_raw(path, Schema(questionnaire={"ph": "pH"}, biomarkers={"ph": "ph"}))
+    (record,) = load_raw(path, Schema(questionnaire={"ph": "ph"}, biomarkers={"ph": "ph"}))
+    assert record.fields == {"pH": "6", "ph": "7"}
+
+
+@pytest.mark.parametrize(
+    "cohort,beta",
+    [("BetaLAMP", True), (" beta lamp ", True), ("Beta_LAMP", True), ("beta-lamp", True),
+     ("UT2018", False), ("LeipzigCE2019", False), ("", False)],
+)
+def test_load_raw_marks_beta_assay_rows(tmp_path, cohort, beta):
+    header = ["record_id", "source_cohort", "qc_flag", "pcr_result"]
+    path = _write_rows(tmp_path / "c.csv", header, [["A", cohort, "OK", "POS"]])
+    (record,) = load_raw(path, Schema())
+    assert record.beta_assay is beta
+    # without a cohort column no row is a beta-assay row
+    assert load_raw(path, Schema(source_cohort=None))[0].beta_assay is False
 
 
 # --- the urine-appearance column ------------------------------------------------
 # No schema field maps it, so it is an unmapped column, kept verbatim in the
-# questionnaire under its header and read by no feature.
+# record's fields under its header and read by no feature.
 
 APPEARANCE_HEADER = ["record_id", "qc_flag", "pcr_result", "age", "visual_text"]
 APPEARANCE_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=80)
@@ -135,10 +175,10 @@ def test_visual_empty_and_none(fixtures_dir, tmp_path):
     # an empty appearance cell is kept as empty text; a file without the
     # column has no such entry; neither is an error
     records = load_raw(fixtures_dir / "cohort_small.csv", Schema())
-    assert records[2].questionnaire["visual_text"] == ""
+    assert records[2].fields["visual_text"] == ""
     path = _write_rows(tmp_path / "none.csv", APPEARANCE_HEADER[:-1], [["A", "OK", "POS", "25"]])
     (record,) = load_raw(path, Schema())
-    assert record.questionnaire == {"age": "25"}
+    assert record.fields == {"age": "25"}
 
 
 def test_very_cloudy_never_degrades(tmp_path):
@@ -146,7 +186,7 @@ def test_very_cloudy_never_degrades(tmp_path):
     texts = ["very cloudy", "very   cloudy", " Very Cloudy; dark ", "cloudy", "Trüb (unklar)"]
     rows = [[f"R{i}", "OK", "POS", "25", text] for i, text in enumerate(texts)]
     path = _write_rows(tmp_path / "appearance.csv", APPEARANCE_HEADER, rows)
-    assert [r.questionnaire["visual_text"] for r in load_raw(path, Schema())] == texts
+    assert [r.fields["visual_text"] for r in load_raw(path, Schema())] == texts
 
 
 @given(APPEARANCE_TEXT)
@@ -161,11 +201,11 @@ def test_visual_total_and_deterministic(text):
         (first,) = load_raw(path, Schema())
         assert load_raw(path, Schema()) == [first]
         (without,) = load_raw(bare, Schema())
-    questionnaire = dict(first.questionnaire)
-    del questionnaire["visual_text"]
-    assert questionnaire == without.questionnaire
-    assert (first.record_id, first.qc_flag, first.pcr_result, first.source_cohort) == (
-        without.record_id, without.qc_flag, without.pcr_result, without.source_cohort,
+    fields = dict(first.fields)
+    del fields["visual_text"]
+    assert fields == without.fields
+    assert (first.record_id, first.qc_flag, first.pcr_result, first.beta_assay) == (
+        without.record_id, without.qc_flag, without.pcr_result, without.beta_assay,
     )
 
 
@@ -177,7 +217,7 @@ def test_visual_render_roundtrip(text, delimiter):
         rows = [["A", "OK", "POS", "25", text]]
         path = _write_rows(Path(tmp) / "c.csv", APPEARANCE_HEADER, rows, delimiter)
         (record,) = load_raw(path, Schema())
-    assert record.questionnaire["visual_text"] == text
+    assert record.fields["visual_text"] == text
 
 
 def test_load_raw_unparseable_pcr_is_invalid(tmp_path):
@@ -187,24 +227,17 @@ def test_load_raw_unparseable_pcr_is_invalid(tmp_path):
     assert record.pcr_result is PcrResult.invalid
 
 
-def test_load_raw_unassigned_columns_go_to_questionnaire(tmp_path):
+def test_load_raw_unassigned_columns_go_to_fields(tmp_path):
     path = tmp_path / "extra.csv"
     path.write_text("record_id,qc_flag,pcr_result,extra_note\nA,OK,POS,hello\n")
     (record,) = load_raw(path, Schema())
-    assert record.questionnaire["extra_note"] == "hello"
+    assert record.fields == {"extra_note": "hello"}
 
 
 # --- qc_filter ---------------------------------------------------------------------
 
-def _record(record_id, qc="OK", cohort=SourceCohort.UT2018, pcr=PcrResult.positive):
-    return RawRecord(
-        record_id=record_id,
-        source_cohort=cohort,
-        qc_flag=qc,
-        questionnaire={},
-        biomarkers_raw={},
-        pcr_result=pcr,
-    )
+def _record(record_id, qc="OK", beta=False, pcr=PcrResult.positive):
+    return RawRecord(record_id=record_id, beta_assay=beta, qc_flag=qc, fields={}, pcr_result=pcr)
 
 
 def test_qc_filter_flags():
@@ -222,7 +255,7 @@ def test_qc_filter_flags():
 def test_qc_filter_excludes_beta_lamp_regardless_of_flag():
     records = [
         _record("a"),
-        _record("b", cohort=SourceCohort.BetaLAMP),
+        _record("b", beta=True),
         _record("c"),
         _record("d"),
     ]
@@ -243,11 +276,7 @@ def test_qc_filter_identity_when_all_valid():
 @given(st.lists(st.tuples(st.sampled_from(["OK", "FAIL"]), st.booleans()), max_size=30))
 def test_qc_filter_is_subsequence(spec):
     records = [
-        _record(
-            f"r{i}",
-            qc=qc,
-            cohort=SourceCohort.BetaLAMP if beta else SourceCohort.Other,
-        )
+        _record(f"r{i}", qc=qc, beta=beta)
         for i, (qc, beta) in enumerate(spec)
     ]
     kept = qc_filter(records, {"OK"})

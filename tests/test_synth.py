@@ -117,8 +117,8 @@ def test_visual_rendering_roundtrips(tmp_path):
     for row, record in zip(cohort.rows, records):
         cells = dict(zip(cohort.header, row))
         assert record.record_id == cells["record_id"]
-        assert record.questionnaire == {name: cells[name] for name in DEFAULT_F1_FEATURES}
-        assert record.biomarkers_raw == {name: cells[name] for name in DEFAULT_F2_FEATURES}
+        features = DEFAULT_F1_FEATURES + DEFAULT_F2_FEATURES
+        assert record.fields == {name: cells[name] for name in features}
 
 
 def test_semiquant_rendering_parses_back():
@@ -146,7 +146,8 @@ def test_roundtrip_through_ingestion_and_curation(tmp_path):
     assert len(records) == 60
     table = encode_features(records)
     table, dropped = exclude_features(table)
-    ds = assemble(table, labels_from_records(records), dropped_features=dropped)
+    assert dropped == []
+    ds = assemble(table, labels_from_records(records))
     assert ds.n == 60  # no rows lost when missing_rate is 0
     assert ds.matrices["F3"].shape[1] == len(DEFAULT_F1_FEATURES) + len(DEFAULT_F2_FEATURES)
     assert ds.matrices["F1"].shape[1] == 13
@@ -158,7 +159,7 @@ def test_missingness_drops_rows_downstream(tmp_path):
     cohort_path, _ = write_cohort(config, tmp_path)
     records = qc_filter(load_raw(cohort_path, FULL_SCHEMA))
     table = encode_features(records)
-    table, dropped = exclude_features(table)
-    ds = assemble(table, labels_from_records(records), dropped_features=dropped)
+    table, _ = exclude_features(table)
+    ds = assemble(table, labels_from_records(records))
     assert ds.n < 80
     assert ds.n + len(ds.dropped_rows) == 80
