@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Callable, NamedTuple
 
-from .curation import CurationSettings, FeatureGroups, GROUP_TAGS
+from .curation import CurationSettings, FeatureGroups, GROUP_TAGS, plan_proxies
 from .errors import ConfigError, CurationError
 from .models import MODEL_KINDS
 from .parsers import DEFAULT_VALID_FLAGS, Schema
@@ -294,6 +294,10 @@ def load_config(path=None) -> ExperimentConfig:
         gender_map=_gender_map(parser, defaults.curation.gender_map),
         **_overrides(parser, "curation"),
     )
+    try:
+        plan_proxies(*groups.columns_and_tags(), curation.proxy_rules)
+    except CurationError as exc:  # the groups alone make a rule impossible
+        raise ConfigError(f"bad [curation] proxy_rules: {exc}") from exc
     synth = replace(defaults.synth, **_overrides(parser, "synth"))
     config = replace(
         defaults,

@@ -69,6 +69,10 @@ class FeatureGroups:
         if overlap:
             raise CurationError(f"feature groups overlap: {sorted(overlap)}")
 
+    def columns_and_tags(self) -> tuple:
+        """The encoded table's columns, F1 then F2, and each one's group."""
+        return list(self.f1) + list(self.f2), ["F1"] * len(self.f1) + ["F2"] * len(self.f2)
+
 
 @dataclass(frozen=True)
 class CurationSettings:
@@ -135,8 +139,7 @@ def encode_features(
     biomarkers go through the semi-quantitative parser.  Unknown
     categorical levels become missing, never errors.
     """
-    columns = list(groups.f1) + list(groups.f2)
-    tags = ["F1"] * len(groups.f1) + ["F2"] * len(groups.f2)
+    columns, tags = groups.columns_and_tags()
     data = np.full((len(records), len(columns)), np.nan)
     for i, record in enumerate(records):
         values = []
@@ -165,39 +168,59 @@ def labels_from_records(records: list) -> np.ndarray:
     return np.asarray(labels, dtype=np.int64)
 
 
-def aggregate_proxies(table: FeatureTable, rules) -> FeatureTable:
-    """Collapse groups of binary indicator columns into OR-proxy columns.
+def plan_proxies(columns, tags, rules) -> tuple:
+    """Lay the proxy rules out on column names and group tags alone.
 
-    The proxy is the logical OR of the non-missing sources and is missing
-    only when every source is missing.  It takes the place and the group
-    of whichever source comes first in the table, and the other sources
-    go.  Rules apply in order, so a later rule may use an earlier target
-    as a source.  Sources from both groups leave the proxy no group, and
-    a target naming a column other than its sources would duplicate it;
-    both are errors.
+    Each proxy takes the place and the group of whichever source comes
+    first among the columns, and the other sources go.  Rules apply in
+    order, so a later rule may use an earlier target as a source.  A
+    source no column holds, sources from both groups (the proxy would
+    have no group) and a target naming a column other than its sources
+    (it would be duplicated) are errors.  Returns the columns and tags
+    after every rule, and per rule a dict from each source to its column
+    index just before that rule.
     """
-    columns, tags, data = list(table.columns), list(table.tags), table.data
+    columns, tags = list(columns), list(tags)
+    steps = []
     for target, sources in rules:
         rule = f"{target}:{'+'.join(sources)}"
         for name in sources:
             if name not in columns:
                 raise CurationError(f"proxy source column not found: {name}")
-        idx = sorted({columns.index(name) for name in sources})
+        where = {name: columns.index(name) for name in sources}
+        idx = sorted(set(where.values()))
         if len({tags[j] for j in idx}) > 1:
             raise CurationError(f"proxy rule {rule} takes sources from both F1 and F2")
         if target in columns and columns.index(target) not in idx:
             raise CurationError(f"proxy rule {rule} targets a column that is not its source")
-        for name in sources:
-            col = data[:, columns.index(name)]
+        first, rest = idx[0], idx[1:]
+        columns = [target if j == first else c for j, c in enumerate(columns) if j not in rest]
+        tags = [t for j, t in enumerate(tags) if j not in rest]
+        steps.append(where)
+    return columns, tags, steps
+
+
+def aggregate_proxies(table: FeatureTable, rules) -> FeatureTable:
+    """Collapse groups of binary indicator columns into OR-proxy columns,
+    laid out by ``plan_proxies``.
+
+    The proxy is the logical OR of the non-missing sources and is missing
+    only when every source is missing.  A source with a value other than
+    0 or 1 is an error.
+    """
+    columns, tags, steps = plan_proxies(table.columns, table.tags, rules)
+    data = table.data
+    for where in steps:
+        for name, j in where.items():
+            col = data[:, j]
             if not np.isin(col[~np.isnan(col)], (0.0, 1.0)).all():
                 raise CurationError(f"proxy source column not binary: {name}")
+        idx = sorted(set(where.values()))
         block = data[:, idx]
         proxy = np.where(np.isnan(block).all(axis=1), np.nan, (block == 1.0).any(axis=1))
         first, rest = idx[0], idx[1:]  # first stays put when the rest go
         data = np.delete(data, rest, axis=1)
         data[:, first] = proxy
-        columns = [target if j == first else c for j, c in enumerate(columns) if j not in rest]
-        tags = [t for j, t in enumerate(tags) if j not in rest]
     return FeatureTable(columns, tags, data, list(table.row_ids))
 
 

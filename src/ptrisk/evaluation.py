@@ -4,7 +4,10 @@ Folds are stratified per class by seeded shuffle + round-robin deal.
 For each fold the standardizer and model are fitted on the other folds
 only, then applied to the held-out fold; the union of held-out
 predictions is the out-of-fold (OOF) set that all metrics are computed
-on.  AUC is the tie-aware pairwise probability estimate; threshold
+on.  ``run_oof`` returns it as the array p_hat in row order, and
+``evaluate_oof`` takes the labels and p_hat of one (model, group) cell
+with the cell's names and the protocol's B, alpha, seed and threshold.
+AUC is the tie-aware pairwise probability estimate; threshold
 metrics use a fixed cutoff; uncertainty comes from percentile bootstrap
 over the OOF pairs.
 
@@ -71,37 +74,21 @@ def stratified_kfold(labels: np.ndarray, k: int = 5, seed: int = 42) -> FoldAssi
 
 # --- out-of-fold predictions ---------------------------------------------------
 
-@dataclass
-class OofPredictions:
-    record_ids: list
-    y: np.ndarray
-    p_hat: np.ndarray
-    fold: np.ndarray
-    model_kind: str
-    group_tag: str
-
-    def __len__(self) -> int:
-        return len(self.record_ids)
-
-
 def run_oof(
     X: np.ndarray,
     labels: np.ndarray,
     spec: ModelSpec,
     folds: FoldAssignment,
     rng: RngKey,
-    record_ids=None,
     group_tag: str = "",
-) -> OofPredictions:
-    """Cross-fitted probabilities: each row predicted by the pipeline
-    trained with that row's fold held out."""
+) -> np.ndarray:
+    """Cross-fitted probabilities p_hat, one per row: each row predicted
+    by the pipeline trained with that row's fold held out."""
     X = np.asarray(X, dtype=float)
     labels = np.asarray(labels)
     n = labels.size
     if folds.fold_of.size != n or X.shape[0] != n:
         raise ContractError("fold assignment does not match the dataset")
-    if record_ids is None:
-        record_ids = [str(i) for i in range(n)]
 
     p_hat = np.full(n, np.nan)
     for f in range(folds.k):
@@ -121,14 +108,7 @@ def run_oof(
         raise ContractError(
             f"{unpredicted} rows have no out-of-fold prediction; folds must lie in 0..{folds.k - 1}"
         )
-    return OofPredictions(
-        record_ids=list(record_ids),
-        y=labels.copy(),
-        p_hat=p_hat,
-        fold=folds.fold_of.copy(),
-        model_kind=spec.kind,
-        group_tag=group_tag,
-    )
+    return p_hat
 
 
 # --- metrics from counts ------------------------------------------------------------
@@ -282,8 +262,6 @@ def bootstrap_ci(
 
 @dataclass(frozen=True)
 class MetricReport:
-    model_kind: str
-    group_tag: str
     n: int
     points: dict  # metric -> float | None
     ci_low: dict
@@ -291,24 +269,25 @@ class MetricReport:
     discarded: dict  # metric -> int
     flags: tuple
     B: int
-    alpha: float
-    seed: int
-    threshold: float
 
 
 def evaluate_oof(
-    oof: OofPredictions,
+    y: np.ndarray,
+    p_hat: np.ndarray,
+    model_kind: str,
+    group_tag: str,
     B: int = 1000,
     alpha: float = 0.05,
     seed: int = 42,
     threshold: float = 0.5,
 ) -> MetricReport:
-    """Point estimates plus bootstrap CIs for all five metrics; each
-    metric gets its own substream keyed by (group, model, metric).  The
-    flags name each zero-division rule of ``_threshold_from_counts`` that
-    the whole sample triggers."""
-    y = oof.y
-    p_hat = oof.p_hat
+    """Point estimates plus B-resample percentile CIs at level 1 - alpha
+    for all five metrics of the out-of-fold pairs (y, p_hat) of one cell.
+    Each metric resamples its own substream of ``seed`` keyed by
+    (group_tag, model_kind, metric).  The flags name each zero-division
+    rule of ``_threshold_from_counts`` that the whole sample triggers."""
+    y = np.asarray(y)
+    p_hat = np.asarray(p_hat, dtype=float)
     points = {metric: metric_point(metric, y, p_hat, threshold) for metric in ALL_METRICS}
     tn, fp, fn, tp = np.bincount(_metric_codes("f1", y, p_hat, threshold)[0], minlength=4)
     fired = {
@@ -320,20 +299,15 @@ def evaluate_oof(
     }
     ci_low, ci_high, discarded = {}, {}, {}
     for metric in ALL_METRICS:
-        gen = substream(seed, "bootstrap", oof.group_tag, oof.model_kind, metric)
+        gen = substream(seed, "bootstrap", group_tag, model_kind, metric)
         low, high, bad = bootstrap_ci(y, p_hat, metric, B=B, alpha=alpha, rng=gen, threshold=threshold)
         ci_low[metric], ci_high[metric], discarded[metric] = low, high, bad
     return MetricReport(
-        model_kind=oof.model_kind,
-        group_tag=oof.group_tag,
-        n=len(oof),
+        n=y.size,
         points=points,
         ci_low=ci_low,
         ci_high=ci_high,
         discarded=discarded,
         flags=tuple(flag for flag, on in fired.items() if on),
         B=B,
-        alpha=alpha,
-        seed=seed,
-        threshold=threshold,
     )

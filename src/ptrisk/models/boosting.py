@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import TrainingError
 from ..rng import RngKey
 from .logistic import sigmoid
 from .tree import grow_tree, rank_codes
@@ -75,10 +74,6 @@ def fit_boosted(
     row_subsample: float = 0.8,
     col_subsample: float = 0.8,
 ) -> BoostedModel:
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if not np.isfinite(X).all():
-        raise TrainingError("non-finite feature value")
     n, p = X.shape
     n_rows = max(1, int(round(row_subsample * n)))
     n_cols = max(1, int(round(col_subsample * p)))

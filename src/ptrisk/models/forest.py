@@ -36,8 +36,6 @@ def fit_forest(
     max_depth: int = 4,
     min_samples_leaf: int = 5,
 ) -> ForestModel:
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
     n, p = X.shape
     n_candidates = max(1, int(np.floor(np.sqrt(p))))
     codes = rank_codes(X.T)

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import TrainingError
-
 # elements of one chunk's (query rows x training rows x features) distance
 # block: 256 KiB of float64 per temporary
 _CHUNK_CELLS = 2**15
@@ -55,7 +53,4 @@ class KnnModel:
 
 
 def fit_knn(X: np.ndarray, y: np.ndarray, k: int = 7) -> KnnModel:
-    X = np.asarray(X, dtype=float)
-    if not np.isfinite(X).all():
-        raise TrainingError("non-finite feature value")
-    return KnnModel(X=X.copy(), y=np.asarray(y, dtype=float).copy(), k=k)
+    return KnnModel(X=np.array(X, dtype=float), y=np.array(y, dtype=float), k=k)

@@ -17,8 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import TrainingError
-
 MAX_ITER = 1000
 GRAD_TOL = 1e-8
 
@@ -59,10 +57,6 @@ class LogisticModel:
 
 
 def fit_logistic(X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray, C: float = 1.0) -> LogisticModel:
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if not np.isfinite(X).all():
-        raise TrainingError("non-finite feature value")
     n, p = X.shape
     sw = np.asarray(sample_weight, dtype=float)
     sw = sw / sw.mean()

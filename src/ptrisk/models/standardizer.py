@@ -56,9 +56,9 @@ def fit_standardizer(X: np.ndarray) -> StandardizerParams:
 def apply_standardizer(params: StandardizerParams, X: np.ndarray) -> np.ndarray:
     """Transform rows using the stored parameters only."""
     X = np.asarray(X, dtype=float)
-    if X.shape[1] != params.mean.shape[0]:
+    if X.ndim != 2 or X.shape[1] != params.mean.shape[0]:
         raise ContractError(
-            f"column mismatch: got {X.shape[1]}, standardizer has {params.mean.shape[0]}"
+            f"column mismatch: got shape {X.shape}, standardizer has {params.mean.shape[0]} columns"
         )
     out = X.copy()
     for j in np.nonzero(params.standardized)[0]:

@@ -28,8 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import TrainingError
-
 _MIN_GAIN = 1e-12
 
 
@@ -203,10 +201,6 @@ def build_classification_tree(
     features are candidates at every split.  ``codes`` as for
     ``grow_tree``.
     """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
-    if not np.isfinite(X).all():
-        raise TrainingError("non-finite feature value")
     w = np.asarray(sample_weight, dtype=float)
     wpos = np.where(y == 1, w, 0.0)
 

@@ -83,12 +83,14 @@ def _csv_text(header, rows, footnotes=()) -> str:
     return buffer.getvalue()
 
 
-def _metrics_payload(report: MetricReport, k: int, config_hash: str) -> dict:
+def _metrics_payload(
+    report: MetricReport, tag: str, kind: str, config: ExperimentConfig, config_hash: str
+) -> dict:
     """The record of one cell: written as its metrics_*.json and read
     back, unchanged, by the tables and plot-data files."""
     return {
-        "model": report.model_kind,
-        "group": report.group_tag,
+        "model": kind,
+        "group": tag,
         "n": report.n,
         "metrics": {
             m: {
@@ -101,11 +103,11 @@ def _metrics_payload(report: MetricReport, k: int, config_hash: str) -> dict:
         },
         "flags": list(report.flags),
         "protocol": {
-            "k": k,
-            "seed": report.seed,
-            "threshold": report.threshold,
-            "bootstrap_samples": report.B,
-            "alpha": report.alpha,
+            "k": config.k,
+            "seed": config.seed,
+            "threshold": config.threshold,
+            "bootstrap_samples": config.bootstrap_samples,
+            "alpha": config.alpha,
         },
         "config_hash": config_hash,
     }
@@ -119,10 +121,10 @@ def metrics_filename(group_tag: str, kind: str) -> str:
     return f"metrics_{group_tag}_{kind}.json"
 
 
-def _oof_text(oof) -> str:
+def _oof_text(row_ids, fold_of, labels, p_hat) -> str:
     rows = [
         (rid, int(fold), int(y), repr(float(p)))
-        for rid, fold, y, p in zip(oof.record_ids, oof.fold, oof.y, oof.p_hat)
+        for rid, fold, y, p in zip(row_ids, fold_of, labels, p_hat)
     ]
     return _csv_text(("record_id", "fold", "y", "p_hat"), rows)
 
@@ -191,25 +193,22 @@ def _run_stages(config: ExperimentConfig, staging: Path, out_dir: Path) -> dict:
         rng = RngKey(config.seed)
         for tag in config.run_groups:
             for kind in config.run_models:
-                spec = ModelSpec(kind)
-                oof = run_oof(
-                    dataset.matrices[tag],
-                    dataset.labels,
-                    spec,
-                    folds,
-                    rng,
-                    record_ids=dataset.row_ids,
-                    group_tag=tag,
+                p_hat = run_oof(
+                    dataset.matrices[tag], dataset.labels, ModelSpec(kind), folds, rng, group_tag=tag
                 )
                 report = evaluate_oof(
-                    oof,
+                    dataset.labels,
+                    p_hat,
+                    kind,
+                    tag,
                     B=config.bootstrap_samples,
                     alpha=config.alpha,
                     seed=config.seed,
                     threshold=config.threshold,
                 )
-                payloads[(tag, kind)] = _metrics_payload(report, config.k, config_hash)
-                emit(oof_filename(tag, kind), _oof_text(oof))
+                payloads[(tag, kind)] = _metrics_payload(report, tag, kind, config, config_hash)
+                oof_text = _oof_text(dataset.row_ids, folds.fold_of, dataset.labels, p_hat)
+                emit(oof_filename(tag, kind), oof_text)
                 emit(metrics_filename(tag, kind), _json_text(payloads[(tag, kind)]))
 
         stage = "report"
@@ -265,7 +264,6 @@ def table_files(payloads: dict, run_groups, run_models) -> list:
     AUC cells use 4 decimals, threshold metrics 3.  Rows follow the
     fixed model order with the boosted model labelled XGB.
     """
-    _require_complete(payloads, run_groups, run_models)
     out = []
     for tag in run_groups:
         rows = []
@@ -299,7 +297,6 @@ def table_files(payloads: dict, run_groups, run_models) -> list:
 def plotdata_files(payloads: dict, run_groups, run_models, summary: dict) -> list:
     """Plot-data files: AUC points + CIs with the 0.5 reference line,
     sensitivity/specificity points + CIs, and the age histogram."""
-    _require_complete(payloads, run_groups, run_models)
 
     def num(value):
         return "" if value is None else repr(float(value))
@@ -344,26 +341,16 @@ def plotdata_files(payloads: dict, run_groups, run_models, summary: dict) -> lis
     ]
 
 
-def _require_complete(payloads: dict, run_groups, run_models) -> None:
-    missing = [
-        f"{tag}/{kind}"
-        for tag in run_groups
-        for kind in run_models
-        if (tag, kind) not in payloads
-    ]
-    if missing:
-        raise DataError(f"incomplete bundle, missing cells: {', '.join(missing)}")
-
-
 def regenerate(config: ExperimentConfig, command: str) -> list:
     """Rewrite the tables (``command="tables"``) or the plot-data files
     (``"plotdata"``) of the bundle in ``config.out_dir`` and record their
     new digests in its manifest.
 
     Only a bundle this config wrote is trusted: its manifest must carry
-    ``config.config_hash()``, and every metric report and the cohort
-    summary read must match its digest there.  Otherwise DataError is
-    raised and nothing is written.
+    ``config.config_hash()``, and the metric report of every cell of the
+    config's grid, and the cohort summary when read, must be present and
+    match its digest there.  Otherwise DataError is raised and nothing is
+    written.
     """
     out_dir = Path(config.out_dir)
     manifest_path = out_dir / MANIFEST_FILENAME
@@ -386,7 +373,6 @@ def regenerate(config: ExperimentConfig, command: str) -> list:
         (tag, kind): read_json(metrics_filename(tag, kind))
         for tag in config.run_groups
         for kind in config.run_models
-        if (out_dir / metrics_filename(tag, kind)).exists()
     }
     if command == "tables":
         files = table_files(payloads, config.run_groups, config.run_models)

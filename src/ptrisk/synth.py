@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import math
+import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -191,17 +192,7 @@ def generate_cohort(config: SynthConfig) -> CohortData:
     )
     sidecar = {
         "format_version": 1,
-        "config": {
-            "n": config.n,
-            "prevalence": config.prevalence,
-            "biomarker_signal": config.biomarker_signal,
-            "reported_signal": config.reported_signal,
-            "missing_rate": config.missing_rate,
-            "semiquant_rate": config.semiquant_rate,
-            "seed": config.seed,
-            "signal_biomarkers": list(config.signal_biomarkers),
-            "signal_reported": list(config.signal_reported),
-        },
+        "config": dataclasses.asdict(config),
         "n_positive": int(n_pos),
         "implied_auc": implied,
     }

@@ -172,13 +172,13 @@ def test_evaluate_oof_produces_full_report():
     X = rng.normal(size=(40, 3))
     y = (X[:, 0] > 0).astype(int)
     folds = stratified_kfold(y, k=5, seed=42)
-    oof = run_oof(X, y, ModelSpec("DT"), folds, RngKey(42), group_tag="F1")
-    report = evaluate_oof(oof, B=100, alpha=0.05, seed=42)
+    p_hat = run_oof(X, y, ModelSpec("DT"), folds, RngKey(42), group_tag="F1")
+    report = evaluate_oof(y, p_hat, "DT", "F1", B=100, alpha=0.05, seed=42)
     assert report.n == 40
     assert set(report.points) == {"auc", "sensitivity", "specificity", "precision", "f1"}
     for metric, low in report.ci_low.items():
         if low is not None:
             assert low <= report.ci_high[metric]
     # determinism of the full report path
-    again = evaluate_oof(oof, B=100, alpha=0.05, seed=42)
+    again = evaluate_oof(y, p_hat, "DT", "F1", B=100, alpha=0.05, seed=42)
     assert again == report

@@ -217,7 +217,7 @@ def test_tables_on_incomplete_bundle_exit_2(tmp_path, capsys):
     main(["run", "--config", str(ini)])
     (tmp_path / "metrics_F2_RF.json").unlink()
     assert main(["tables", "--config", str(ini)]) == 2
-    assert "F2/RF" in capsys.readouterr().err
+    assert "metrics_F2_RF.json" in capsys.readouterr().err
 
 
 def test_fmt_rendering():
@@ -249,7 +249,7 @@ def test_load_config_parses_sections(tmp_path):
                 "[curation]",
                 "max_missing_fraction = 0.2",
                 "blocklist = lab_result_code",
-                "proxy_rules = irritation:genital_irritation+dysuria",
+                "proxy_rules = irritation:genital_irritation+dysuria;either:irritation+prior_std",
                 "[schema]",
                 "record_id = SampleID",
             ]
@@ -260,7 +260,10 @@ def test_load_config_parses_sections(tmp_path):
     assert config.run_models == ("LR", "KNN")
     assert config.curation.max_missing_fraction == 0.2
     assert config.curation.blocklist == ("lab_result_code",)
-    assert config.curation.proxy_rules == (("irritation", ("genital_irritation", "dysuria")),)
+    assert config.curation.proxy_rules == (
+        ("irritation", ("genital_irritation", "dysuria")),
+        ("either", ("irritation", "prior_std")),
+    )
     assert config.schema.record_id == "SampleID"
 
 
@@ -308,15 +311,16 @@ def test_proxy_target_takes_the_place_of_its_sources(tmp_path, monkeypatch, caps
     assert datasets[0].feature_names["F1"] == tuple(f1)
     assert datasets[0].feature_names["F2"] == DEFAULT_F2_FEATURES
 
-    # sources split between F1 and F2 leave the proxy no group
+    # sources split between F1 and F2 leave the proxy no group; the groups
+    # alone decide that, so it is a config error
     split = write_ini(tmp_path / "split.ini", tmp_path, curation={"proxy_rules": "mixed:dysuria+ph"})
-    assert main(["run", "--config", str(split)]) == 2
+    assert main(["run", "--config", str(split)]) == 1
     assert "mixed:dysuria+ph" in capsys.readouterr().err
 
     # the encoded table holds only the group features, so no color_* column exists
     rule = {"proxy_rules": "dark_or_avg:color_dark+color_average"}
     unknown = write_ini(tmp_path / "unknown.ini", tmp_path, curation=rule)
-    assert main(["run", "--config", str(unknown)]) == 2
+    assert main(["run", "--config", str(unknown)]) == 1
     assert "color_dark" in capsys.readouterr().err
 
 
@@ -348,7 +352,19 @@ def test_partial_column_map_keeps_the_other_features(tmp_path, monkeypatch, sect
 
 @pytest.mark.parametrize(
     "curation,named",
-    [({"age_bin_width": "0"}, "age_bin_width"), ({"valid_flags": ""}, "valid_flags")],
+    [
+        ({"age_bin_width": "0"}, "age_bin_width"),
+        ({"valid_flags": ""}, "valid_flags"),
+        # proxy rules the feature groups alone make impossible
+        ({"proxy_rules": "mixed:dysuria+ph"}, "takes sources from both F1 and F2"),
+        ({"proxy_rules": "dark_or_avg:color_dark+color_average"}, "not found: color_dark"),
+        ({"proxy_rules": "ph:dysuria+prior_std"}, "targets a column that is not its source"),
+        # a later rule sees the columns an earlier one left: dysuria is gone
+        (
+            {"proxy_rules": "irritation:genital_irritation+dysuria;again:dysuria+prior_std"},
+            "not found: dysuria",
+        ),
+    ],
 )
 def test_curation_settings_are_checked_at_load(tmp_path, capsys, curation, named):
     from ptrisk.errors import ConfigError
@@ -409,7 +425,7 @@ age = AgeYears
 [schema.biomarkers]
 ph = pH
 [groups]
-f1 = gender|age|prior_std
+f1 = gender|age|prior_std|genital_irritation|dysuria
 f2 = leukocytes|ph
 run = F3
 [curation]

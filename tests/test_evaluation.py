@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from ptrisk.errors import ContractError, TrainingError
 from ptrisk.evaluation import (
     FoldAssignment,
-    OofPredictions,
     evaluate_oof,
     metric_point,
     run_oof,
@@ -109,11 +108,15 @@ def _fixture_dataset(n=15, seed=0):
 def test_oof_complete_and_fold_consistent():
     X, y = _fixture_dataset(15)
     folds = stratified_kfold(y, k=5, seed=42)
-    oof = run_oof(X, y, ModelSpec("LR"), folds, RngKey(42), group_tag="F1")
-    assert len(oof) == 15
-    assert np.array_equal(oof.fold, folds.fold_of)
-    assert np.array_equal(oof.y, y)
-    assert len(set(oof.record_ids)) == 15
+    p_hat = run_oof(X, y, ModelSpec("LR"), folds, RngKey(42), group_tag="F1")
+    assert p_hat.shape == (15,) and p_hat.dtype == float
+    # each row is predicted by the pipeline fitted with its own fold held out
+    for f in range(folds.k):
+        test = folds.fold_of == f
+        pipeline = fit_pipeline(
+            ModelSpec("LR"), X[~test], y[~test], RngKey(42).child("model", "LR", "group", "F1", "fold", f)
+        )
+        assert p_hat[test].tobytes() == pipeline.predict_proba(X[test]).tobytes()
 
 
 def test_oof_leakage_guard():
@@ -133,7 +136,7 @@ def test_oof_leakage_guard():
             RngKey(42).child("model", kind, "group", "", "fold", 0),
         )
         expected = alone.predict_proba(perturbed[test_rows])
-        assert shifted.p_hat[test_rows].tobytes() == expected.tobytes()
+        assert shifted[test_rows].tobytes() == expected.tobytes()
 
 
 def test_oof_unpredicted_rows_raise_contract_error():
@@ -162,23 +165,14 @@ def test_oof_recovers_planted_signal():
     X = rng.normal(size=(n, 6))
     X[:, :3] += shift * y[:, None]
     folds = stratified_kfold(y, k=5, seed=42)
-    oof = run_oof(X, y, ModelSpec("RF"), folds, RngKey(42), group_tag="F2")
-    assert metric_point("auc", oof.y, oof.p_hat) >= 0.85
+    p_hat = run_oof(X, y, ModelSpec("RF"), folds, RngKey(42), group_tag="F2")
+    assert metric_point("auc", y, p_hat) >= 0.85
 
 
 # --- threshold metrics -------------------------------------------------------------------
 
 def report_of(y, p_hat, threshold=0.5):
-    y = np.asarray(y)
-    oof = OofPredictions(
-        record_ids=[str(i) for i in range(y.size)],
-        y=y,
-        p_hat=np.asarray(p_hat, dtype=float),
-        fold=np.zeros(y.size, dtype=np.intp),
-        model_kind="LR",
-        group_tag="F1",
-    )
-    return evaluate_oof(oof, B=20, seed=1, threshold=threshold)
+    return evaluate_oof(y, p_hat, "LR", "F1", B=20, seed=1, threshold=threshold)
 
 
 def test_threshold_boundary_inclusive():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ptrisk.cli import main
-from ptrisk.models import compute_class_weights, fit_logistic, objective
+from ptrisk.models import balanced_weights, fit_logistic, objective
 from test_cli import write_ini
 
 
@@ -35,7 +35,7 @@ def test_gradient_matches_finite_differences():
 def test_separable_1d_ranks_perfectly():
     X = np.array([[-1.0]] * 10 + [[1.0]] * 10)
     y = np.array([0.0] * 10 + [1.0] * 10)
-    weights = compute_class_weights(y).per_sample(y)
+    weights = balanced_weights(y)
     model = fit_logistic(X, y, weights, C=1.0)
     assert model.converged
     assert model.weights[0] > 0
@@ -47,7 +47,7 @@ def test_convergence_tolerance_met():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(60, 4))
     y = (X[:, 0] + rng.normal(scale=0.8, size=60) > 0).astype(float)
-    weights = compute_class_weights(y).per_sample(y)
+    weights = balanced_weights(y)
     model = fit_logistic(X, y, weights)
     theta = np.append(model.weights, model.intercept)
     sw = weights / weights.mean()
@@ -59,7 +59,7 @@ def test_class_weight_scaling_leaves_fit_unchanged():
     rng = np.random.default_rng(11)
     X = rng.normal(size=(50, 3))
     y = (X[:, 1] > 0.2).astype(float)
-    base = compute_class_weights(y).per_sample(y)
+    base = balanced_weights(y)
     model_a = fit_logistic(X, y, base)
     model_b = fit_logistic(X, y, base * 37.5)
     assert np.allclose(model_a.weights, model_b.weights, atol=1e-9)

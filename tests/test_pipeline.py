@@ -28,6 +28,8 @@ def test_predict_proba_rejects_column_mismatch(kind):
     pipeline = fit_pipeline(ModelSpec(kind), X, y, RngKey(0).child(kind))
     with pytest.raises(ContractError):
         pipeline.predict_proba(X[:, :2])
+    with pytest.raises(ContractError):
+        pipeline.predict_proba(X[0])
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)
@@ -40,9 +42,10 @@ def test_single_class_training_errors(kind):
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_non_finite_features_error(kind):
     X, y = _dataset()
-    X[0, 0] = np.nan
-    with pytest.raises(TrainingError):
-        fit_pipeline(ModelSpec(kind), X, y, RngKey(0).child(kind))
+    for value in (np.nan, np.inf):
+        X[0, 0] = value
+        with pytest.raises(TrainingError):
+            fit_pipeline(ModelSpec(kind), X, y, RngKey(0).child(kind))
 
 
 @given(st.integers(0, 2**31 - 1), st.integers(12, 30), st.integers(1, 4))

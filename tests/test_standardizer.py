@@ -3,12 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ptrisk.errors import ContractError, TrainingError
-from ptrisk.models import (
-    apply_standardizer,
-    compute_class_weights,
-    fit_standardizer,
-)
+from ptrisk.errors import ContractError
+from ptrisk.models import apply_standardizer, balanced_weights, fit_standardizer
 
 
 def test_zscore_population_sd():
@@ -54,15 +50,12 @@ def test_apply_rejects_column_mismatch():
 
 
 def test_class_weights_formula():
-    weights = compute_class_weights(np.array([1] * 8 + [0] * 2))
-    assert weights.w_pos == pytest.approx(0.625)
-    assert weights.w_neg == pytest.approx(2.5)
+    y = np.array([1] * 8 + [0] * 2)
+    weights = balanced_weights(y)
+    assert weights.tolist() == pytest.approx([0.625] * 8 + [2.5] * 2)
     # weighted class masses are equal
-    assert weights.w_pos * 8 == pytest.approx(weights.w_neg * 2)
+    assert weights[y == 1].sum() == pytest.approx(weights[y == 0].sum())
 
 
-def test_class_weights_symmetry_and_error():
-    weights = compute_class_weights(np.array([0, 1, 0, 1]))
-    assert (weights.w_pos, weights.w_neg) == (1.0, 1.0)
-    with pytest.raises(TrainingError, match="degenerate fold"):
-        compute_class_weights(np.ones(5))
+def test_class_weights_symmetry():
+    assert balanced_weights(np.array([0, 1, 0, 1])).tolist() == [1.0] * 4

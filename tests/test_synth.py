@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -103,6 +105,15 @@ def test_sidecar_records_implied_aucs():
         assert sidecar["implied_auc"][name] == pytest.approx(0.80, abs=1e-3)
     for name in config.signal_reported:
         assert sidecar["implied_auc"][name] == implied_auc_binary(0.7)
+
+
+def test_sidecar_config_is_every_synth_setting(tmp_path):
+    config = SynthConfig(n=50, prevalence=0.5, missing_rate=0.1, signal_reported=("prior_std",))
+    _, sidecar_path = write_cohort(config, tmp_path)
+    recorded = json.loads(sidecar_path.read_text())["config"]
+    assert set(recorded) == {field.name for field in dataclasses.fields(SynthConfig)}
+    as_tuples = {key: tuple(v) if isinstance(v, list) else v for key, v in recorded.items()}
+    assert SynthConfig(**as_tuples) == config
 
 
 def test_visual_rendering_roundtrips(tmp_path):

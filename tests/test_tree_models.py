@@ -6,8 +6,8 @@ import pytest
 from ptrisk.models import (
     ForestModel,
     FrozenTree,
+    balanced_weights,
     build_classification_tree,
-    compute_class_weights,
     fit_boosted,
     fit_forest,
 )
@@ -21,7 +21,7 @@ from ptrisk.rng import RngKey
 def test_tree_pure_split_on_feature_zero():
     X = np.array([[-2.0, 1.0], [-1.0, 2.0], [1.0, 1.5], [2.0, 0.5]] * 3)
     y = np.array([0, 0, 1, 1] * 3)
-    weights = compute_class_weights(y).per_sample(y)
+    weights = balanced_weights(y)
     tree = build_classification_tree(X, y, weights, max_depth=4, min_samples_leaf=5)
     assert tree.feature[0] == 0
     assert -1.0 < tree.threshold[0] < 1.0
@@ -35,7 +35,7 @@ def test_tree_respects_depth_and_leaf_size():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(100, 3))
     y = rng.integers(0, 2, size=100)
-    weights = compute_class_weights(y).per_sample(y)
+    weights = balanced_weights(y)
     tree = build_classification_tree(X, y, weights, max_depth=2, min_samples_leaf=10)
 
     def depth_of(node, depth=0):
@@ -62,7 +62,7 @@ def test_tree_deterministic_tie_break():
     col = np.array([-1.0, -1.0, 1.0, 1.0, -1.0, 1.0] * 2)
     X = np.column_stack([col, col])
     y = (col > 0).astype(int)
-    weights = compute_class_weights(y).per_sample(y)
+    weights = balanced_weights(y)
     tree = build_classification_tree(X, y, weights, max_depth=3, min_samples_leaf=1)
     assert tree.feature[0] == 0
 
@@ -79,7 +79,7 @@ def test_forest_deterministic_under_rng_key():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(60, 4))
     y = (X[:, 0] + 0.5 * rng.normal(size=60) > 0).astype(int)
-    weights = compute_class_weights(y).per_sample(y)
+    weights = balanced_weights(y)
     f1 = fit_forest(X, y, weights, RngKey(42).child("t"), n_trees=10)
     f2 = fit_forest(X, y, weights, RngKey(42).child("t"), n_trees=10)
     probs1 = f1.predict_proba(X)
@@ -93,7 +93,7 @@ def test_forest_recovers_planted_split():
     rng = np.random.default_rng(9)
     X = rng.normal(size=(200, 3))
     y = (X[:, 1] > 0).astype(int)
-    weights = compute_class_weights(y).per_sample(y)
+    weights = balanced_weights(y)
     forest = fit_forest(X, y, weights, RngKey(1).child("rf"), n_trees=50)
     probs = forest.predict_proba(X)
     assert ((probs >= 0.5).astype(int) == y).mean() > 0.9
@@ -320,7 +320,7 @@ def tree_bytes(fitted):
 
 
 def fit_all(X, y):
-    weights = compute_class_weights(y).per_sample(y)
+    weights = balanced_weights(y)
     dt = build_classification_tree(X, y, weights, max_depth=4, min_samples_leaf=5)
     deep = build_classification_tree(X, y, weights, max_depth=8, min_samples_leaf=1)
     rf = fit_forest(X, y, weights, RngKey(3).child("rf"), n_trees=12, min_samples_leaf=1)
