@@ -46,7 +46,7 @@ class FoldAssignment:
     warnings: tuple = ()
 
 
-def stratified_kfold(labels: np.ndarray, k: int = 5, seed: int = 42) -> FoldAssignment:
+def stratified_kfold(labels: np.ndarray, k: int, seed: int) -> FoldAssignment:
     """Assign each row to one of k folds, stratified per class.
 
     Within each class the indices are shuffled with the seeded substream
@@ -175,7 +175,7 @@ def _metric_codes(metric: str, y: np.ndarray, p_hat: np.ndarray, threshold: floa
     return codes, 4, functools.partial(_threshold_from_counts, metric)
 
 
-def metric_point(metric: str, y: np.ndarray, p_hat: np.ndarray, threshold: float = 0.5) -> "float | None":
+def metric_point(metric: str, y: np.ndarray, p_hat: np.ndarray, threshold: float) -> "float | None":
     """The metric on the whole sample, every row counted once; None where
     undefined (AUC on single-class input, say)."""
     codes, width, reducer = _metric_codes(metric, np.asarray(y), np.asarray(p_hat, dtype=float), threshold)
@@ -205,7 +205,7 @@ def percentile_linear(sorted_values: np.ndarray, q: float) -> float:
 
 
 def bootstrap_distribution(
-    y: np.ndarray, p_hat: np.ndarray, metric: str, B: int, rng: np.random.Generator, threshold: float = 0.5
+    y: np.ndarray, p_hat: np.ndarray, metric: str, B: int, rng: np.random.Generator, threshold: float
 ):
     """Metric values over B resamples; undefined resamples are discarded
     and counted.  Indices are drawn as one (B, n) block from ``rng``.
@@ -240,10 +240,10 @@ def bootstrap_ci(
     y: np.ndarray,
     p_hat: np.ndarray,
     metric: str,
-    B: int = 1000,
-    alpha: float = 0.05,
+    B: int,
+    alpha: float,
+    threshold: float,
     rng=None,
-    threshold: float = 0.5,
 ):
     """Percentile CI (low, high, discarded) for a metric over OOF pairs,
     resampled with the numpy Generator ``rng``."""
@@ -276,10 +276,10 @@ def evaluate_oof(
     p_hat: np.ndarray,
     model_kind: str,
     group_tag: str,
-    B: int = 1000,
-    alpha: float = 0.05,
-    seed: int = 42,
-    threshold: float = 0.5,
+    B: int,
+    alpha: float,
+    seed: int,
+    threshold: float,
 ) -> MetricReport:
     """Point estimates plus B-resample percentile CIs at level 1 - alpha
     for all five metrics of the out-of-fold pairs (y, p_hat) of one cell.

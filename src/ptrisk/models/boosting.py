@@ -7,7 +7,11 @@ The tree is grown by ``tree.grow_tree`` from the per-row statistics
 (g, h), so it shares the CART tree's split search and tie-break (lowest
 feature, then lowest threshold).  Split gain is the usual second-order
 improvement; a split is accepted only when both children carry at least
-``_MIN_CHILD_HESSIAN`` hessian mass and the gain is positive.
+``_MIN_CHILD_HESSIAN`` hessian mass and the gain is positive.  So a node
+whose hessian sum H is below 2 * ``_MIN_CHILD_HESSIAN`` is a leaf
+without a search: if HL >= c and fl(H - HL) >= c then H >= 2c (for
+HL >= H/2 the subtraction is exact, otherwise H > 2 HL), so the rule
+only skips searches that find no split.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import numpy as np
 
 from ..rng import RngKey
 from .logistic import sigmoid
-from .tree import grow_tree, rank_codes
+from .tree import grow_tree, rank_codes, tree_values
 
 _LAMBDA = 1.0
 _MIN_CHILD_HESSIAN = 1.0
@@ -28,23 +32,36 @@ def _newton_gain(GL, HL, G, H, n_left, n):
     GR = G - GL
     HR = H - HL
     valid = (HL >= _MIN_CHILD_HESSIAN) & (HR >= _MIN_CHILD_HESSIAN)
-    gain = 0.5 * (GL * GL / (HL + _LAMBDA) + GR * GR / (HR + _LAMBDA) - G * G / (H + _LAMBDA))
+    # 0.5 * (GL*GL / (HL + lambda) + GR*GR / (HR + lambda) - G*G / (H + lambda)),
+    # in place, one operation at a time in that order
+    gain = GL * GL
+    gain /= HL + _LAMBDA
+    GR *= GR
+    HR += _LAMBDA
+    GR /= HR
+    gain += GR
+    gain -= G * G / (H + _LAMBDA)
+    gain *= 0.5
     return np.where(valid, gain, -np.inf)
 
 
-def _build_regression_tree(X, g, h, max_depth, learning_rate, codes=None):
+def _build_regression_tree(X, codes, g, h, rows, max_depth, learning_rate):
     """Leaf values are the already-shrunken contributions -lr*G/(H+lambda).
 
-    ``codes`` as for ``grow_tree``."""
-    return grow_tree(
+    The tree grows on the rows ``rows`` of X, whose rank codes are
+    ``codes``; ``g`` and ``h`` are per row of X."""
+    (tree,) = grow_tree(
         X,
+        codes,
         g,
         h,
+        rows[None, :],
         leaf_value=lambda G, H: -learning_rate * G / (H + _LAMBDA),
         split_gain=_newton_gain,
         max_depth=max_depth,
-        codes=codes,
+        is_leaf=lambda G, H, n: H < 2 * _MIN_CHILD_HESSIAN,
     )
+    return tree
 
 
 @dataclass(frozen=True)
@@ -54,10 +71,9 @@ class BoostedModel:
     train_losses: tuple  # mean logistic train loss after each round
 
     def raw_scores(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        raw = np.zeros(X.shape[0])
-        for tree, cols in zip(self.trees, self.columns):
-            raw += tree.predict_value(X[:, list(cols)])
+        raw = np.zeros(np.asarray(X).shape[0])
+        for values in tree_values(self.trees, X, self.columns):
+            raw += values
         return raw
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
@@ -87,19 +103,19 @@ def fit_boosted(
         gen = rng.child("round", t).generator()
         rows = np.sort(gen.choice(n, size=n_rows, replace=False))
         cols = np.sort(gen.choice(p, size=n_cols, replace=False))
-        prob = sigmoid(raw[rows])
-        g = prob - y[rows]
-        h = prob * (1.0 - prob)
+        prob = sigmoid(raw)
+        Xc = X[:, cols]
         tree = _build_regression_tree(
-            X[np.ix_(rows, cols)],
-            g,
-            h,
+            Xc,
+            codes[cols],
+            prob - y,
+            prob * (1.0 - prob),
+            rows,
             max_depth=max_depth,
             learning_rate=learning_rate,
-            codes=codes[cols].take(rows, axis=1),
         )
         trees.append(tree)
         columns.append(tuple(int(c) for c in cols))
-        raw += tree.predict_value(X[:, cols])
+        raw += tree.predict_value(Xc)
         losses.append(float(np.mean(np.logaddexp(0.0, raw) - y * raw)))
     return BoostedModel(trees=tuple(trees), columns=tuple(columns), train_losses=tuple(losses))

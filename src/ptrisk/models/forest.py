@@ -2,8 +2,18 @@
 
 Each tree is grown on a bootstrap resample (n draws with replacement)
 and considers floor(sqrt(p)) candidate features per split.  Tree t of
-the ensemble draws from its own pre-assigned RNG substream, so the
-fitted forest is identical no matter how fitting is scheduled.
+the ensemble draws its resample and its feature draws from its own
+pre-assigned RNG substream, so the fitted forest is identical no matter
+how fitting is scheduled.
+
+All trees are grown in lockstep by one ``build_classification_trees``
+call (see ``tree.py``): each step advances every tree by one node and
+searches the step's nodes in a few block calls.  The resample of every
+tree is drawn first; tree t's feature draws then come from its own
+generator at its own searched nodes, in its own depth-first order, which
+is the stream tree t would draw if grown alone.  The resamples are held
+as one (trees x n) array of the smallest unsigned integer type that
+indexes the rows, which the grower partitions in place.
 """
 
 from __future__ import annotations
@@ -13,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..rng import RngKey
-from .tree import build_classification_tree, rank_codes
+from .tree import build_classification_trees, tree_values
 
 
 @dataclass(frozen=True)
@@ -22,8 +32,8 @@ class ForestModel:
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         votes = np.zeros(np.asarray(X).shape[0])
-        for tree in self.trees:
-            votes += tree.predict_value(X)
+        for values in tree_values(self.trees, X):
+            votes += values
         return votes / len(self.trees)
 
 
@@ -38,24 +48,23 @@ def fit_forest(
 ) -> ForestModel:
     n, p = X.shape
     n_candidates = max(1, int(np.floor(np.sqrt(p))))
-    codes = rank_codes(X.T)
-    trees = []
+    samples = np.empty((n_trees, n), dtype=np.min_scalar_type(n))
+    pickers = []
     for t in range(n_trees):
         gen = rng.child("tree", t).generator()
-        idx = gen.integers(0, n, size=n)
+        samples[t] = gen.integers(0, n, size=n)
 
         def picker(n_features, gen=gen):
             return np.sort(gen.choice(n_features, size=n_candidates, replace=False))
 
-        trees.append(
-            build_classification_tree(
-                X[idx],
-                y[idx],
-                sample_weight[idx],
-                max_depth=max_depth,
-                min_samples_leaf=min_samples_leaf,
-                feature_picker=picker,
-                codes=codes.take(idx, axis=1),
-            )
-        )
-    return ForestModel(trees=tuple(trees))
+        pickers.append(picker)
+    trees = build_classification_trees(
+        X,
+        y,
+        sample_weight,
+        max_depth=max_depth,
+        min_samples_leaf=min_samples_leaf,
+        samples=samples,
+        feature_pickers=pickers,
+    )
+    return ForestModel(trees=trees)

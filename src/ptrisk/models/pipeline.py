@@ -25,7 +25,7 @@ from .forest import fit_forest
 from .knn import fit_knn
 from .logistic import fit_logistic
 from .standardizer import StandardizerParams, apply_standardizer, fit_standardizer
-from .tree import FrozenTree, build_classification_tree
+from .tree import FrozenTree, build_classification_trees
 
 MODEL_KINDS = ("LR", "DT", "RF", "GBT", "KNN")
 
@@ -59,9 +59,10 @@ def fit_model(spec: ModelSpec, X: np.ndarray, y: np.ndarray, rng: RngKey):
     if spec.kind == "LR":
         return fit_logistic(X, y, balanced_weights(y))
     if spec.kind == "DT":
-        return DecisionTreeModel(
-            build_classification_tree(X, y, balanced_weights(y), max_depth=4, min_samples_leaf=5)
+        (tree,) = build_classification_trees(
+            X, y, balanced_weights(y), max_depth=4, min_samples_leaf=5
         )
+        return DecisionTreeModel(tree)
     if spec.kind == "RF":
         return fit_forest(X, y, balanced_weights(y), rng)
     if spec.kind == "GBT":

@@ -1,14 +1,14 @@
 """Tree growing shared by the CART tree, the forest and the boosted trees.
 
-``grow_tree`` is the one grower and ``_best_split`` the one split search.
+``grow_tree`` is the one grower and ``_split_block`` the one split search.
 A tree kind supplies two additive per-row statistics, a leaf-value rule
 and a gain rule: (w, w*[y=1]) with the weighted Gini gain for CART, and
 the logistic (gradient, hessian) with the Newton gain for boosting (see
 ``boosting.py``).  Split candidates are midpoints of consecutive distinct
 sorted feature values.  Ties between equally good splits resolve to the
 lowest feature index, then the lowest threshold, giving a fully
-deterministic tree.  The tree is stored as flat arrays (feature < 0 marks
-a leaf).
+deterministic tree.  A tree is stored as flat arrays (feature < 0 marks
+a leaf), its nodes numbered in depth-first preorder, left before right.
 
 The split search never sorts floats.  ``rank_codes`` gives each feature
 column dense integer ranks once per fit (uint8 up to 256 rows, uint16 up
@@ -20,6 +20,42 @@ chosen threshold, the midpoint of the two values at the chosen position,
 and to partition the node's rows by ``value <= threshold``: a midpoint
 of two adjacent floats can round onto the upper value, so the partition
 cannot be taken from the codes.
+
+Lockstep.  ``grow_tree`` grows a batch of trees together: the bootstrap
+samples of a forest, or one tree for DT and for each boosting round.
+Each tree keeps one row permutation, stably partitioned in place at each
+split, so every node is a slice of it in ascending sample order.  Each
+step takes, from every tree that has some, its next depth-first node if
+the tree draws features per split, or else all its pending nodes.  Over
+the step's nodes it computes:
+
+1. the node totals A, B: one sum per node over its slice, in that order,
+   the sum a tree grown alone takes (numpy's pairwise sum depends on the
+   length and the order, so it is never taken over a padded row);
+2. the leaf values and the stop rules, elementwise;
+3. the feature draws, tree by tree.  A tree calls its own picker at its
+   own searched nodes in its own depth-first order, which is why such a
+   tree gives one node per step: a forest draws the same RNG stream as
+   its trees grown one at a time;
+4. the split search, in a few ``_split_block`` calls over (nodes x
+   features x rows) blocks of codes.  The nodes are sorted by row count
+   and cut into calls whose largest node has under four times the rows
+   of the smallest, and whose block holds at most ``_BLOCK_CELLS``
+   cells.  A shorter node is padded with the largest code of the dtype;
+   the pads sit after every real row, so the stable argsort leaves them
+   last even where a real row has that code, and the running sums
+   (``cumsum`` from the first sorted row) are those of the node alone.
+   Past a node's last real position the sums are replaced by its one-row
+   sums before the gain rule runs, so no rule divides by an empty child,
+   and the gain there is -inf.  A call whose nodes all have the same row
+   count pads nothing.  One flat argmax per node keeps the tie-break;
+5. the midpoint thresholds and the ``<=`` partitions, elementwise, which
+   is exact.
+
+A tree that took several nodes in a step is renumbered into depth-first
+preorder when frozen, so every tree is stored as if grown alone.
+``tree_values`` walks all trees of an ensemble together over one (trees
+x rows) block of node indices.
 """
 
 from __future__ import annotations
@@ -29,6 +65,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _MIN_GAIN = 1e-12
+_BLOCK_CELLS = 2**13  # (nodes x features x rows) cells held by one search call
 
 
 @dataclass
@@ -48,6 +85,23 @@ class TreeArrays:
         return len(self.feature) - 1
 
     def finalize(self) -> "FrozenTree":
+        """Freeze the tree with its nodes numbered in depth-first preorder,
+        left subtree before right."""
+        order = []
+        stack = [0]
+        while stack:
+            node = stack.pop()
+            order.append(node)
+            if self.feature[node] >= 0:
+                stack += (self.right[node], self.left[node])
+        if order != list(range(len(order))):
+            number = {node: i for i, node in enumerate(order)}
+            number[-1] = -1
+            self.feature = [self.feature[node] for node in order]
+            self.threshold = [self.threshold[node] for node in order]
+            self.left = [number[self.left[node]] for node in order]
+            self.right = [number[self.right[node]] for node in order]
+            self.value = [self.value[node] for node in order]
         return FrozenTree(
             feature=np.asarray(self.feature, dtype=np.intp),
             threshold=np.asarray(self.threshold, dtype=float),
@@ -67,17 +121,52 @@ class FrozenTree:
 
     def predict_value(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
-        idx = np.zeros(X.shape[0], dtype=np.intp)
-        while True:
-            feat = self.feature[idx]
-            internal = feat >= 0
-            if not internal.any():
-                break
-            rows = np.nonzero(internal)[0]
-            node = idx[rows]
-            go_left = X[rows, self.feature[node]] <= self.threshold[node]
-            idx[rows] = np.where(go_left, self.left[node], self.right[node])
-        return self.value[idx]
+        start = np.zeros(X.shape[0], dtype=np.intp)
+        return self.value[descend(self.feature, self.threshold, self.left, self.right, X, start)]
+
+
+def descend(feature, threshold, left, right, X, idx):
+    """The leaf reached from each node of ``idx`` by the rows of X.
+
+    ``idx`` holds node indices of the flat tree arrays; its last axis
+    runs over the rows of X.  It is updated in place and returned.
+    """
+    while True:
+        internal = feature[idx] >= 0
+        if not internal.any():
+            return idx
+        where = np.nonzero(internal)
+        node = idx[where]
+        go_left = X[where[-1], feature[node]] <= threshold[node]
+        idx[where] = np.where(go_left, left[node], right[node])
+
+
+def tree_values(trees, X: np.ndarray, columns=None) -> np.ndarray:
+    """(trees x rows) block of each tree's value at each row of X.
+
+    All trees are walked together over one (trees x rows) block of node
+    indices.  ``columns[t]``, if given, maps tree t's features to columns
+    of X.
+    """
+    X = np.asarray(X, dtype=float)
+    sizes = [tree.feature.size for tree in trees]
+    offset = np.cumsum([0] + sizes[:-1])
+    shift = np.repeat(offset, sizes)
+    if columns is None:
+        feature = np.concatenate([tree.feature for tree in trees])
+    else:
+        feature = np.concatenate(
+            [np.array(cols + (-1,))[tree.feature] for tree, cols in zip(trees, columns)]
+        )
+    idx = descend(
+        feature,
+        np.concatenate([tree.threshold for tree in trees]),
+        np.concatenate([tree.left for tree in trees]) + shift,
+        np.concatenate([tree.right for tree in trees]) + shift,
+        X,
+        np.repeat(offset[:, None], X.shape[0], axis=1),
+    )
+    return np.concatenate([tree.value for tree in trees])[idx]
 
 
 def rank_codes(XT: np.ndarray) -> np.ndarray:
@@ -96,116 +185,207 @@ def rank_codes(XT: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _best_split(Cn, a, b, A, B, split_gain):
-    """Best split of one node's (features x rows) block of rank codes, or None.
+def _split_block(X, codes, a, b, perm, start, n, features, A, B, split_gain, L, padded):
+    """Best split of each node of one search call, and its partition.
 
-    One stable sort per block row, running sums of the node's row
-    statistics ``a``, ``b`` (totals ``A``, ``B``) in that order, the gain
-    between every two distinct codes, and one flat argmax.  Returns the
-    block row and the node-local rows holding the values on either side
-    of the split.
+    Node i holds the rows ``perm[start[i]:start[i] + n[i]]`` and searches
+    the feature row ``features[i]``; L is the largest row count, and
+    ``padded`` says whether any node has fewer.  Returns the split mask,
+    the chosen feature and threshold, and the left row count; the rows of
+    every split node are stably partitioned in place, left before right.
     """
-    n = Cn.shape[1]
-    if n < 2:
-        return None
-    order = np.argsort(Cn, axis=1, kind="stable")
-    S = np.sort(Cn, axis=1)
-    AL = np.cumsum(a[order], axis=1)[:, :-1]
-    BL = np.cumsum(b[order], axis=1)[:, :-1]
-    gain = np.where(S[:, :-1] < S[:, 1:], split_gain(AL, BL, A, B, np.arange(1, n), n), -np.inf)
-    f, j = divmod(int(np.argmax(gain)), n - 1)
-    if not gain[f, j] > _MIN_GAIN:
-        return None
-    return f, order[f, j], order[f, j + 1]
+    nodes, k = features.shape
+    # rows and block: pads (past a node's n rows) hold other nodes' rows
+    span = start[:, None] + np.arange(L)
+    rows = perm.take(span, mode="clip")
+    block = codes.take(features[:, :, None] * codes.shape[1] + rows[:, None, :])
+    if padded:
+        real = span < (start + n)[:, None]
+        np.copyto(block, np.iinfo(block.dtype).max, where=~real[:, None, :])
+    order = np.argsort(block, axis=2, kind="stable")
+    block.sort(axis=2)
+    cand = block[:, :, :-1] < block[:, :, 1:]
+    if nodes > 1:
+        order += (np.arange(nodes) * L)[:, None, None]  # into rows, flattened
+    AL = np.cumsum(a.take(rows).take(order)[:, :, :-1], axis=2)
+    BL = np.cumsum(b.take(rows).take(order)[:, :, :-1], axis=2)
+    if padded:
+        # past a node's last real position the sums are replaced by its
+        # one-row sums, so the gain rule sees no empty child
+        tail = int(n.min()) - 1
+        beyond = ~real[:, None, tail + 1 :]
+        cand[:, :, tail:] &= ~beyond
+        np.copyto(AL[:, :, tail:], AL[:, :, :1], where=beyond)
+        np.copyto(BL[:, :, tail:], BL[:, :, :1], where=beyond)
+    gain = split_gain(AL, BL, A[:, None, None], B[:, None, None], np.arange(1, L), n[:, None, None])
+    gain = np.where(cand, gain, -np.inf).reshape(nodes, k * (L - 1))
+    best = gain.argmax(axis=1)
+    best += np.arange(0, nodes * k * (L - 1), k * (L - 1))  # into gain, flattened
+    ok = gain.take(best) > _MIN_GAIN
+    row = best // (L - 1)
+    feature = features.take(row)
+    best += row  # into order, flattened
+    lo = rows.take(order.take(best))
+    hi = rows.take(order.take(best + 1))
+    threshold = 0.5 * (X[lo, feature] + X[hi, feature])
+    go_left = X[rows, feature[:, None]] <= threshold[:, None]
+    if padded:
+        go_left &= real
+    # the threshold is never below the lower value, so only the right
+    # child can be empty: when a midpoint of adjacent floats rounds up
+    n_left = go_left.sum(axis=1)
+    ok &= n_left < n
+    parted = np.argsort(~go_left, axis=1, kind="stable")
+    parted += start[:, None]
+    parted = perm.take(parted, mode="clip")
+    if padded:
+        perm[span[real]] = parted[real]
+    else:
+        perm[span] = parted
+    return ok, feature, threshold, n_left
+
+
+def _split_nodes(X, codes, a, b, perm, start, n, features, A, B, split_gain):
+    """``_split_block`` over the searched nodes of a step: the nodes with at
+    least two rows, sorted by row count, in calls whose largest node has
+    under four times the rows of the smallest and whose block holds at
+    most ``_BLOCK_CELLS`` cells (a larger node alone)."""
+    sizes = n.tolist()
+    order = sorted((i for i, size in enumerate(sizes) if size >= 2), key=sizes.__getitem__)
+    k = features.shape[1]
+    calls = []
+    lo = 0
+    for hi in range(1, len(order) + 1):
+        if hi < len(order):
+            size = sizes[order[hi]]
+            if size < 4 * sizes[order[lo]] and (hi - lo + 1) * k * size <= _BLOCK_CELLS:
+                continue
+        calls.append((order[lo:hi], sizes[order[hi - 1]], sizes[order[lo]] < sizes[order[hi - 1]]))
+        lo = hi
+    if len(calls) == 1 and len(order) == len(sizes):
+        return _split_block(X, codes, a, b, perm, start, n, features, A, B, split_gain, *calls[0][1:])
+    ok = np.zeros(len(sizes), dtype=bool)
+    feature = np.zeros(len(sizes), dtype=np.intp)
+    threshold = np.zeros(len(sizes))
+    n_left = np.zeros(len(sizes), dtype=np.intp)
+    for i, L, padded in calls:
+        i = np.array(i)
+        ok[i], feature[i], threshold[i], n_left[i] = _split_block(
+            X, codes, a, b, perm, start[i], n[i], features[i], A[i], B[i], split_gain, L, padded
+        )
+    return ok, feature, threshold, n_left
 
 
 def grow_tree(
     X: np.ndarray,
+    codes: np.ndarray,
     a: np.ndarray,
     b: np.ndarray,
+    samples: np.ndarray,
     leaf_value,
     split_gain,
     max_depth: int,
     is_leaf=None,
-    feature_picker=None,
-    codes=None,
-) -> FrozenTree:
-    """Grow one tree depth-first, left subtree before right, from row statistics.
+    feature_pickers=None,
+) -> tuple:
+    """Grow one tree per row of ``samples``, all in lockstep.
 
-    The rules see only sums of the per-row statistics ``a``, ``b`` over a
-    node's rows, taken in ascending row order: ``leaf_value(A, B)`` gives
-    the node value, ``is_leaf(A, B, n)`` stops a node before its split
-    search, and ``split_gain(AL, BL, A, B, n_left, n)`` scores the
-    left-child sums (one row per candidate feature, one column per left
-    row count ``n_left``), -inf where the split is not allowed.
-    ``feature_picker(n_features) -> ascending candidate indices`` is
-    called once per searched node, in growth order; None means all.
-    ``codes`` is ``rank_codes(X.T)``, or the (features x rows) block of a
-    larger matrix's rank codes that X was taken from; None computes it.
+    Tree t grows on the rows ``samples[t]`` of X (rows x features,
+    C-contiguous), in that order, repeats allowed; the rows of ``samples``
+    are reordered in place.  ``codes`` is ``rank_codes(X.T)``, or X's
+    block of a larger matrix's rank codes.  The rules see only sums of the
+    per-row statistics ``a``, ``b`` over a node's rows, taken in sample
+    order, and apply elementwise to arrays of nodes: ``leaf_value(A, B)``
+    gives the node value, ``is_leaf(A, B, n)`` stops a node before its
+    split search, and ``split_gain(AL, BL, A, B, n_left, n)`` scores
+    left-child sums, -inf where the split is not allowed.
+    ``feature_pickers[t](n_features) -> ascending candidate indices`` is
+    called once per searched node of tree t, in depth-first order; None
+    means all features.
     """
-    XT = np.ascontiguousarray(X.T)
-    CT = rank_codes(XT) if codes is None else codes
-    n_features = XT.shape[0]
-    all_features = np.arange(n_features)
-    arrays = TreeArrays()
-    # (rows, depth, parent's child list, parent); right is pushed before left
-    pending = [(np.arange(XT.shape[1]), 0, None, -1)]
-    while pending:
-        rows, depth, link, parent = pending.pop()
-        node = arrays.add_node()
-        if link is not None:
-            link[parent] = node
-        a_rows = a[rows]
-        b_rows = b[rows]
-        A = a_rows.sum()
-        B = b_rows.sum()
-        arrays.value[node] = float(leaf_value(A, B))
-        if depth >= max_depth or (is_leaf is not None and is_leaf(A, B, rows.size)):
-            continue
-        feature_ids = all_features if feature_picker is None else feature_picker(n_features)
-        best = _best_split(CT[feature_ids].take(rows, axis=1), a_rows, b_rows, A, B, split_gain)
-        if best is None:
-            continue
-        row, lo, hi = best
-        f = int(feature_ids[row])
-        threshold = 0.5 * (XT[f, rows[lo]] + XT[f, rows[hi]])
-        go_left = XT[f, rows] <= threshold
-        if not go_left.any() or go_left.all():
-            continue
-        arrays.feature[node] = f
-        arrays.threshold[node] = threshold
-        pending.append((rows[~go_left], depth + 1, arrays.right, node))
-        pending.append((rows[go_left], depth + 1, arrays.left, node))
-    return arrays.finalize()
+    n_trees, m = samples.shape
+    n_features = X.shape[1]
+    perm = samples.reshape(-1)
+    every_feature = np.arange(n_features)[None, :]
+    arrays = [TreeArrays() for _ in range(n_trees)]
+    # per tree: (start in perm, rows, depth, parent's child list, parent);
+    # right is pushed before left
+    pending = [[(t * m, m, 0, None, -1)] for t in range(n_trees)]
+    active = list(range(n_trees))
+    while active:
+        nodes = []
+        A = []
+        B = []
+        for t in active:
+            # a tree that draws features grows in its own depth-first order
+            stack = pending[t]
+            wave = stack[::-1] if feature_pickers is None else stack[-1:]
+            del stack[-len(wave) :]
+            for s, c, depth, link, parent in wave:
+                node = arrays[t].add_node()
+                if link is not None:
+                    link[parent] = node
+                rows = perm[s : s + c]
+                A.append(np.add.reduce(a.take(rows)))
+                B.append(np.add.reduce(b.take(rows)))
+                nodes.append((t, node, s, c, depth))
+        A = np.array(A)
+        B = np.array(B)
+        n = np.array([node[3] for node in nodes])
+        stop = [False] * len(nodes) if is_leaf is None else is_leaf(A, B, n).tolist()
+        for (t, node, *_), v in zip(nodes, leaf_value(A, B).tolist()):
+            arrays[t].value[node] = v
+        i = [k for k, node in enumerate(nodes) if node[4] < max_depth and not stop[k]]
+        if i:
+            if feature_pickers is None:
+                features = every_feature.repeat(len(i), axis=0)
+            else:
+                features = np.array([feature_pickers[nodes[k][0]](n_features) for k in i])
+            start = np.array([nodes[k][2] for k in i])
+            if len(i) < len(nodes):
+                n, A, B = n[i], A[i], B[i]
+            ok, f, thr, n_left = _split_nodes(X, codes, a, b, perm, start, n, features, A, B, split_gain)
+            for k, ok, f, thr, nl in zip(i, ok.tolist(), f.tolist(), thr.tolist(), n_left.tolist()):
+                if ok:
+                    t, node, s, c, depth = nodes[k]
+                    tree = arrays[t]
+                    tree.feature[node] = f
+                    tree.threshold[node] = thr
+                    pending[t].append((s + nl, c - nl, depth + 1, tree.right, node))
+                    pending[t].append((s, nl, depth + 1, tree.left, node))
+        active = [t for t in active if pending[t]]
+    return tuple(tree.finalize() for tree in arrays)
 
 
 def _gini(frac):
     return 1.0 - frac * frac - (1.0 - frac) * (1.0 - frac)
 
 
-def build_classification_tree(
+def build_classification_trees(
     X: np.ndarray,
     y: np.ndarray,
     sample_weight: np.ndarray,
     max_depth: int,
     min_samples_leaf: int,
-    feature_picker=None,
-    codes=None,
-) -> FrozenTree:
-    """Grow a CART tree; leaf value is the weighted positive fraction.
+    samples=None,
+    feature_pickers=None,
+) -> tuple:
+    """Grow CART trees; leaf value is the weighted positive fraction.
 
     The row statistics are the weight w and the positive weight w*[y=1].
-    A split needs at least ``min_samples_leaf`` rows on each side.
-    ``feature_picker(n_features) -> candidate indices`` injects the
-    per-split feature subsampling used by the forest; None means all
-    features are candidates at every split.  ``codes`` as for
-    ``grow_tree``.
+    A split needs at least ``min_samples_leaf`` rows on each side.  One
+    tree is grown per row of ``samples`` (row indices of X, repeats
+    allowed; None: one tree on all rows), with the per-split feature
+    subsampling of ``feature_pickers`` as for ``grow_tree``.
     """
+    X = np.ascontiguousarray(X, dtype=float)
+    if samples is None:
+        samples = np.arange(X.shape[0])[None, :]
     w = np.asarray(sample_weight, dtype=float)
     wpos = np.where(y == 1, w, 0.0)
 
     def is_leaf(W, Wp, n):
-        return n < 2 * min_samples_leaf or Wp == 0.0 or Wp == W
+        return (n < 2 * min_samples_leaf) | (Wp == 0.0) | (Wp == W)
 
     def gini_gain(WL, WpL, W, Wp, n_left, n):
         WR = W - WL
@@ -215,12 +395,13 @@ def build_classification_tree(
 
     return grow_tree(
         X,
+        rank_codes(X.T),
         w,
         wpos,
+        samples,
         leaf_value=lambda W, Wp: Wp / W,
         split_gain=gini_gain,
         max_depth=max_depth,
         is_leaf=is_leaf,
-        feature_picker=feature_picker,
-        codes=codes,
+        feature_pickers=feature_pickers,
     )

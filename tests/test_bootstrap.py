@@ -47,7 +47,7 @@ def naive_quantile(values, q):
 def test_constant_metric_zero_width_ci():
     y = np.array([1, 0, 1, 0, 1, 1])
     p = y.astype(float)  # perfect predictions: F1 constant at 1.0
-    low, high, discarded = bootstrap_ci(y, p, "f1", B=200, rng=substream(7, "bootstrap"))
+    low, high, discarded = bootstrap_ci(y, p, "f1", B=200, alpha=0.05, threshold=0.5, rng=substream(7, "bootstrap"))
     assert (low, high) == (1.0, 1.0)
     assert discarded > 0  # some resamples are single-class and undefined
 
@@ -56,10 +56,10 @@ def test_bootstrap_deterministic():
     rng = np.random.default_rng(3)
     y = rng.integers(0, 2, size=40)
     p = rng.random(40)
-    a = bootstrap_ci(y, p, "auc", B=300, rng=substream(99, "bootstrap"))
-    b = bootstrap_ci(y, p, "auc", B=300, rng=substream(99, "bootstrap"))
+    a = bootstrap_ci(y, p, "auc", B=300, alpha=0.05, threshold=0.5, rng=substream(99, "bootstrap"))
+    b = bootstrap_ci(y, p, "auc", B=300, alpha=0.05, threshold=0.5, rng=substream(99, "bootstrap"))
     assert a == b
-    c = bootstrap_ci(y, p, "auc", B=300, rng=substream(100, "bootstrap"))
+    c = bootstrap_ci(y, p, "auc", B=300, alpha=0.05, threshold=0.5, rng=substream(100, "bootstrap"))
     assert a != c
 
 
@@ -100,7 +100,9 @@ def test_bootstrap_matches_naive_oracle(metric, case):
     y, p = oracle_inputs(case)
     n, B, seed = y.size, 200, 4242
 
-    low, high, discarded = bootstrap_ci(y, p, metric, B=B, alpha=0.05, rng=substream(seed, "bootstrap"))
+    low, high, discarded = bootstrap_ci(
+        y, p, metric, B=B, alpha=0.05, threshold=0.5, rng=substream(seed, "bootstrap")
+    )
 
     # independent replay: same substream, naive metric + naive quantile
     gen = substream(seed, "bootstrap")
@@ -134,7 +136,7 @@ def test_interval_nesting_in_alpha():
     rng = np.random.default_rng(8)
     y = rng.integers(0, 2, size=50)
     p = rng.random(50)
-    values, _ = bootstrap_distribution(y, p, "auc", B=400, rng=substream(5, "bootstrap"))
+    values, _ = bootstrap_distribution(y, p, "auc", B=400, rng=substream(5, "bootstrap"), threshold=0.5)
     values.sort()
     wide = (percentile_linear(values, 0.025), percentile_linear(values, 0.975))
     narrow = (percentile_linear(values, 0.05), percentile_linear(values, 0.95))
@@ -146,14 +148,14 @@ def test_all_resamples_discarded():
     # sensitivity bootstrap on an all-negative cohort cannot
     y = np.zeros(5, dtype=int)
     p = np.linspace(0, 1, 5)
-    low, high, discarded = bootstrap_ci(y, p, "auc", B=50, rng=substream(1, "bootstrap"))
+    low, high, discarded = bootstrap_ci(y, p, "auc", B=50, alpha=0.05, threshold=0.5, rng=substream(1, "bootstrap"))
     assert (low, high) == (None, None)
     assert discarded == 50
 
 
 def test_bootstrap_rejects_missing_rng():
     with pytest.raises(ContractError):
-        bootstrap_ci(np.array([0, 1]), np.array([0.2, 0.8]), "auc", B=10)
+        bootstrap_ci(np.array([0, 1]), np.array([0.2, 0.8]), "auc", B=10, alpha=0.05, threshold=0.5)
 
 
 def test_low_never_exceeds_high():
@@ -162,7 +164,9 @@ def test_low_never_exceeds_high():
         n = int(rng.integers(8, 60))
         y = rng.integers(0, 2, size=n)
         p = rng.random(n)
-        low, high, _ = bootstrap_ci(y, p, "auc", B=100, rng=substream(trial, "bootstrap"))
+        low, high, _ = bootstrap_ci(
+            y, p, "auc", B=100, alpha=0.05, threshold=0.5, rng=substream(trial, "bootstrap")
+        )
         if low is not None:
             assert low <= high
 
@@ -173,12 +177,12 @@ def test_evaluate_oof_produces_full_report():
     y = (X[:, 0] > 0).astype(int)
     folds = stratified_kfold(y, k=5, seed=42)
     p_hat = run_oof(X, y, ModelSpec("DT"), folds, RngKey(42), group_tag="F1")
-    report = evaluate_oof(y, p_hat, "DT", "F1", B=100, alpha=0.05, seed=42)
+    report = evaluate_oof(y, p_hat, "DT", "F1", B=100, alpha=0.05, seed=42, threshold=0.5)
     assert report.n == 40
     assert set(report.points) == {"auc", "sensitivity", "specificity", "precision", "f1"}
     for metric, low in report.ci_low.items():
         if low is not None:
             assert low <= report.ci_high[metric]
     # determinism of the full report path
-    again = evaluate_oof(y, p_hat, "DT", "F1", B=100, alpha=0.05, seed=42)
+    again = evaluate_oof(y, p_hat, "DT", "F1", B=100, alpha=0.05, seed=42, threshold=0.5)
     assert again == report

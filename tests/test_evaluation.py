@@ -74,7 +74,7 @@ def test_folds_small_class_flagged():
 
 def test_folds_k_exceeding_n_errors():
     with pytest.raises(ContractError):
-        stratified_kfold(np.array([0, 1, 1]), k=5)
+        stratified_kfold(np.array([0, 1, 1]), k=5, seed=42)
 
 
 @given(
@@ -166,21 +166,21 @@ def test_oof_recovers_planted_signal():
     X[:, :3] += shift * y[:, None]
     folds = stratified_kfold(y, k=5, seed=42)
     p_hat = run_oof(X, y, ModelSpec("RF"), folds, RngKey(42), group_tag="F2")
-    assert metric_point("auc", y, p_hat) >= 0.85
+    assert metric_point("auc", y, p_hat, threshold=0.5) >= 0.85
 
 
 # --- threshold metrics -------------------------------------------------------------------
 
 def report_of(y, p_hat, threshold=0.5):
-    return evaluate_oof(y, p_hat, "LR", "F1", B=20, seed=1, threshold=threshold)
+    return evaluate_oof(y, p_hat, "LR", "F1", B=20, alpha=0.05, seed=1, threshold=threshold)
 
 
 def test_threshold_boundary_inclusive():
     # a score equal to the threshold is predicted positive
     y = np.array([1, 1, 0, 0])
     p = np.array([0.5, 0.2, 0.5, 0.1])
-    assert metric_point("sensitivity", y, p) == 0.5
-    assert metric_point("specificity", y, p) == 0.5
+    assert metric_point("sensitivity", y, p, threshold=0.5) == 0.5
+    assert metric_point("specificity", y, p, threshold=0.5) == 0.5
     assert metric_point("sensitivity", y, p, threshold=0.2) == 1.0
     assert metric_point("specificity", y, p, threshold=0.6) == 1.0
 
@@ -217,17 +217,18 @@ def test_metrics_undefined_when_class_absent():
 # --- AUC ---------------------------------------------------------------------------------
 
 def test_auc_worked_example():
-    assert metric_point("auc", np.array([0, 0, 1, 1]), np.array([0.1, 0.4, 0.35, 0.8])) == 0.75
+    y, p = np.array([0, 0, 1, 1]), np.array([0.1, 0.4, 0.35, 0.8])
+    assert metric_point("auc", y, p, threshold=0.5) == 0.75
 
 
 def test_auc_all_ties_and_perfect():
     y = np.array([0, 1, 0, 1])
-    assert metric_point("auc", y, np.full(4, 0.3)) == 0.5
-    assert metric_point("auc", y, np.array([0.1, 0.9, 0.2, 0.8])) == 1.0
+    assert metric_point("auc", y, np.full(4, 0.3), threshold=0.5) == 0.5
+    assert metric_point("auc", y, np.array([0.1, 0.9, 0.2, 0.8]), threshold=0.5) == 1.0
 
 
 def test_auc_single_class_undefined():
-    assert metric_point("auc", np.ones(4), np.linspace(0, 1, 4)) is None
+    assert metric_point("auc", np.ones(4), np.linspace(0, 1, 4), threshold=0.5) is None
 
 
 @given(st.integers(2, 200), st.integers(0, 2**31 - 1), st.booleans())
@@ -240,7 +241,7 @@ def test_auc_equals_pairwise_oracle(n, seed, heavy_ties):
     else:
         p = rng.random(n)
     expected = pairwise_auc(y, p)
-    got = metric_point("auc", y, p)
+    got = metric_point("auc", y, p, threshold=0.5)
     if expected is None:
         assert got is None
     else:
@@ -255,6 +256,6 @@ def test_auc_invariant_under_monotone_transform(n, seed):
     if y.min() == y.max():
         y[0] = 1 - y[0]
     p = rng.random(n)
-    value = metric_point("auc", y, p)
-    assert value == metric_point("auc", y, 0.1 + 0.5 * p)  # strictly increasing affine map
-    assert value == pytest.approx(metric_point("auc", y, np.exp(p)), abs=1e-12)
+    value = metric_point("auc", y, p, threshold=0.5)
+    assert value == metric_point("auc", y, 0.1 + 0.5 * p, threshold=0.5)  # strictly increasing affine map
+    assert value == pytest.approx(metric_point("auc", y, np.exp(p), threshold=0.5), abs=1e-12)

@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,15 +8,29 @@ from ptrisk.models import (
     ForestModel,
     FrozenTree,
     balanced_weights,
-    build_classification_tree,
+    build_classification_trees,
     fit_boosted,
     fit_forest,
 )
 from ptrisk.models import boosting, tree
 from ptrisk.models.boosting import _build_regression_tree
 from ptrisk.models.logistic import sigmoid
-from ptrisk.models.tree import TreeArrays, rank_codes
+from ptrisk.models.tree import rank_codes
 from ptrisk.rng import RngKey
+
+
+def build_classification_tree(X, y, sample_weight, **kwargs):
+    """One CART tree on all rows: a batch of one."""
+    (fitted,) = build_classification_trees(X, y, sample_weight, **kwargs)
+    return fitted
+
+
+def regression_tree(X, g, h, max_depth, learning_rate):
+    """One boosting-round tree on all rows and columns of X."""
+    X = np.ascontiguousarray(X, dtype=float)
+    return _build_regression_tree(
+        X, rank_codes(X.T), g, h, np.arange(len(g)), max_depth=max_depth, learning_rate=learning_rate
+    )
 
 
 def test_tree_pure_split_on_feature_zero():
@@ -142,7 +157,7 @@ def cart_stump(X, y):
 
 def newton_stump(X, y):
     g = np.where(y == 1, -1.0, 1.0)
-    return _build_regression_tree(X, g, np.ones(len(y)), max_depth=1, learning_rate=0.1)
+    return regression_tree(X, g, np.ones(len(y)), max_depth=1, learning_rate=0.1)
 
 
 STUMPS = pytest.mark.parametrize("stump", [cart_stump, newton_stump], ids=["cart", "newton"])
@@ -190,7 +205,7 @@ def test_feature_picker_subset_maps_to_global_indices():
         return np.array([2, 3])
 
     tree = build_classification_tree(
-        X, y, np.ones(40), max_depth=3, min_samples_leaf=1, feature_picker=picker
+        X, y, np.ones(40), max_depth=3, min_samples_leaf=1, feature_pickers=[picker]
     )
     assert tree.feature[0] == 3
     assert 3 + 10 * col[y == 0].max() < tree.threshold[0] < 3 + 10 * col[y == 1].min()
@@ -256,41 +271,108 @@ def float_sort_best_split(Xn, a, b, A, B, split_gain):
     return f, 0.5 * (V[f, j] + V[f, j + 1])
 
 
-def float_sort_grow_tree(
-    X, a, b, leaf_value, split_gain, max_depth, is_leaf=None, feature_picker=None, codes=None
-):
-    """Reference grower on ``float_sort_best_split``; ``codes`` is ignored."""
+def float_sort_grow_tree(X, a, b, leaf_value, split_gain, max_depth, is_leaf=None, feature_picker=None):
+    """Reference grower: one tree, depth-first, on ``float_sort_best_split``."""
     XT = np.ascontiguousarray(X.T)
     n_features = XT.shape[0]
     all_features = np.arange(n_features)
-    arrays = TreeArrays()
+    feature, threshold, left, right, value = [], [], [], [], []
     pending = [(np.arange(XT.shape[1]), 0, None, -1)]
     while pending:
         rows, depth, link, parent = pending.pop()
-        node = arrays.add_node()
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
         if link is not None:
             link[parent] = node
         a_rows = a[rows]
         b_rows = b[rows]
         A = a_rows.sum()
         B = b_rows.sum()
-        arrays.value[node] = float(leaf_value(A, B))
+        value.append(float(leaf_value(A, B)))
         if depth >= max_depth or (is_leaf is not None and is_leaf(A, B, rows.size)):
             continue
         feature_ids = all_features if feature_picker is None else feature_picker(n_features)
         best = float_sort_best_split(XT[feature_ids][:, rows], a_rows, b_rows, A, B, split_gain)
         if best is None:
             continue
-        row, threshold = best
+        row, cut = best
         f = int(feature_ids[row])
-        go_left = XT[f, rows] <= threshold
+        go_left = XT[f, rows] <= cut
         if not go_left.any() or go_left.all():
             continue
-        arrays.feature[node] = f
-        arrays.threshold[node] = threshold
-        pending.append((rows[~go_left], depth + 1, arrays.right, node))
-        pending.append((rows[go_left], depth + 1, arrays.left, node))
-    return arrays.finalize()
+        feature[node] = f
+        threshold[node] = cut
+        pending.append((rows[~go_left], depth + 1, right, node))
+        pending.append((rows[go_left], depth + 1, left, node))
+    return FrozenTree(
+        feature=np.asarray(feature, dtype=np.intp),
+        threshold=np.asarray(threshold, dtype=float),
+        left=np.asarray(left, dtype=np.intp),
+        right=np.asarray(right, dtype=np.intp),
+        value=np.asarray(value, dtype=float),
+    )
+
+
+def float_sort_grow_batch(
+    X, codes, a, b, samples, leaf_value, split_gain, max_depth, is_leaf=None, feature_pickers=None
+):
+    """``grow_tree``'s interface on the reference grower, one tree at a
+    time; ``codes`` is ignored."""
+    return tuple(
+        float_sort_grow_tree(
+            X[rows],
+            a[rows],
+            b[rows],
+            leaf_value,
+            split_gain,
+            max_depth,
+            is_leaf,
+            None if feature_pickers is None else feature_pickers[t],
+        )
+        for t, rows in enumerate(samples)
+    )
+
+
+def per_tree_forest(X, y, sample_weight, rng, n_trees, max_depth, min_samples_leaf):
+    """Reference forest: each tree's resample, feature draws and growth in
+    turn, one tree at a time."""
+    n, p = X.shape
+    n_candidates = max(1, int(np.floor(np.sqrt(p))))
+    trees = []
+    for t in range(n_trees):
+        gen = rng.child("tree", t).generator()
+        idx = gen.integers(0, n, size=n)
+
+        def picker(n_features, gen=gen):
+            return np.sort(gen.choice(n_features, size=n_candidates, replace=False))
+
+        trees.append(
+            build_classification_tree(
+                X[idx],
+                y[idx],
+                sample_weight[idx],
+                max_depth=max_depth,
+                min_samples_leaf=min_samples_leaf,
+                feature_pickers=[picker],
+            )
+        )
+    return tuple(trees)
+
+
+def lockstep_forest(X, y, sample_weight, rng, n_trees, max_depth, min_samples_leaf):
+    forest = fit_forest(
+        X,
+        y,
+        sample_weight,
+        rng,
+        n_trees=n_trees,
+        max_depth=max_depth,
+        min_samples_leaf=min_samples_leaf,
+    )
+    return forest.trees
 
 
 def tricky_matrix(rng, n):
@@ -319,29 +401,40 @@ def tree_bytes(fitted):
     ]
 
 
-def fit_all(X, y):
+# (trees, max_depth, min_samples_leaf): trees that stop at different depths,
+# and a tree count (37, prime) that no block size divides
+FORESTS = ((12, 4, 1), (37, 8, 1), (37, 8, 5))
+
+
+def fit_all(X, y, forest):
     weights = balanced_weights(y)
     dt = build_classification_tree(X, y, weights, max_depth=4, min_samples_leaf=5)
     deep = build_classification_tree(X, y, weights, max_depth=8, min_samples_leaf=1)
-    rf = fit_forest(X, y, weights, RngKey(3).child("rf"), n_trees=12, min_samples_leaf=1)
+    rf = [
+        fitted
+        for n_trees, depth, leaf in FORESTS
+        for fitted in forest(X, y, weights, RngKey(3).child("rf", depth, leaf), n_trees, depth, leaf)
+    ]
     gbt = fit_boosted(X, y.astype(float), RngKey(3).child("gbt"), n_rounds=12, max_depth=4)
-    trees = [dt, deep, *rf.trees, *gbt.trees]
+    trees = [dt, deep, *rf, *gbt.trees]
     return [tree_bytes(t) for t in trees], gbt.columns, np.array(gbt.train_losses).tobytes()
 
 
 @pytest.mark.parametrize("n", [30, 256, 257, 420])
 def test_rank_code_search_matches_float_sort_oracle(n, monkeypatch):
+    # n=256 gives uint8 codes up to 255, the dtype's largest code, which is
+    # also the pad code of a padded search block
     rng = np.random.default_rng(n)
     for _ in range(3):
         X = tricky_matrix(rng, n)
         X = X[:, rng.permutation(X.shape[1])]
         signal = X[:, 0] + (X[:, 5] > 1.0) + 0.5 * X[:, 1] + rng.normal(size=n)
         y = (signal > np.median(signal)).astype(int)
-        got = fit_all(X, y)
+        got = fit_all(X, y, lockstep_forest)
         with monkeypatch.context() as patch:
-            patch.setattr(tree, "grow_tree", float_sort_grow_tree)
-            patch.setattr(boosting, "grow_tree", float_sort_grow_tree)
-            expected = fit_all(X, y)
+            patch.setattr(tree, "grow_tree", float_sort_grow_batch)
+            patch.setattr(boosting, "grow_tree", float_sort_grow_batch)
+            expected = fit_all(X, y, per_tree_forest)
         assert got == expected
 
 
@@ -366,5 +459,42 @@ def test_tied_rows_are_summed_in_row_order():
         g = np.where(is_left, -1.0, 1.0) - rng.uniform(0, 1e-3, size=60)
         X = np.column_stack([np.where(is_left, 0.0, 1.0), np.full(60, 1000.0)])
         X[left, 1] = np.arange(40.0)
-        fitted = _build_regression_tree(X, g, np.ones(60), max_depth=1, learning_rate=0.1)
+        fitted = regression_tree(X, g, np.ones(60), max_depth=1, learning_rate=0.1)
         assert fitted.feature[0] == 0
+
+
+# --- all-tree prediction and the forest's working set ---------------------------
+
+
+def test_all_tree_prediction_adds_trees_in_order():
+    rng = np.random.default_rng(6)
+    X = np.column_stack([rng.normal(size=120), rng.integers(0, 3, size=120), rng.normal(size=120)])
+    y = (X[:, 0] + X[:, 1] + rng.normal(size=120) > 1.0).astype(int)
+    forest = fit_forest(X, y, balanced_weights(y), RngKey(8).child("rf"), n_trees=30)
+    votes = np.zeros(40)
+    for fitted in forest.trees:
+        votes += fitted.predict_value(X[:40])
+    assert forest.predict_proba(X[:40]).tobytes() == (votes / 30).tobytes()
+    model = fit_boosted(X, y.astype(float), RngKey(8).child("gbt"), n_rounds=30, col_subsample=0.7)
+    raw = np.zeros(40)
+    for fitted, cols in zip(model.trees, model.columns):
+        raw += fitted.predict_value(X[:40, list(cols)])
+    assert model.raw_scores(X[:40]).tobytes() == raw.tobytes()
+
+
+def test_forest_fit_working_set_stays_small():
+    # one row permutation per tree and a cell cap per search block; holding
+    # every tree's gathered rows at once peaked near 9.4 MiB here
+    rng = np.random.default_rng(12)
+    X = np.column_stack(
+        [rng.integers(0, 2, size=(800, 12)), rng.integers(18, 50, size=800), rng.normal(size=(800, 9))]
+    ).astype(float)
+    y = (X[:, 13] + X[:, 0] + rng.normal(size=800) > 0.5).astype(int)
+    weights = balanced_weights(y)
+    tracemalloc.start()
+    try:
+        fit_forest(X, y, weights, RngKey(4).child("rf"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
