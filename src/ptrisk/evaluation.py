@@ -17,8 +17,8 @@ resamples alike: a metric depends only on how many rows of each code
 ``_metric_codes`` gives every row its code and one reducer per metric
 (``_threshold_from_counts`` or ``_auc_from_counts``) evaluates any number
 of count vectors.  The point is the whole sample with each row counted
-once; the resamples are reduced to count arrays in chunks small enough
-to keep memory flat.
+once; the resamples are drawn and reduced to count arrays a chunk of
+index cells at a time, so a bootstrap never holds all B·n indices.
 """
 
 from __future__ import annotations
@@ -185,8 +185,9 @@ def metric_point(metric: str, y: np.ndarray, p_hat: np.ndarray, threshold: float
 
 # --- bootstrap -----------------------------------------------------------------------
 
-# Index cells (resamples × rows) handled per chunk of the bootstrap: keeps
-# the working arrays to a few hundred kB whatever n and B are.
+# Index cells (resamples × rows) drawn and reduced per chunk of the
+# bootstrap: keeps its working arrays to a few hundred kB whatever B is,
+# and whatever n is up to this many rows (past it a chunk is one resample).
 _CHUNK_CELLS = 1 << 14
 
 
@@ -208,27 +209,29 @@ def bootstrap_distribution(
     y: np.ndarray, p_hat: np.ndarray, metric: str, B: int, rng: np.random.Generator, threshold: float
 ):
     """Metric values over B resamples; undefined resamples are discarded
-    and counted.  Indices are drawn as one (B, n) block from ``rng``.
+    and counted.
 
-    Each resample is reduced to its count of each code of
-    ``_metric_codes`` and evaluated by the same reducer as the point, so
-    a resample's value equals the metric of that resample evaluated on
-    its own, bit for bit.  The (B, n) block is reduced in chunks of
-    max(1, _CHUNK_CELLS // n) resamples, one flat ``bincount`` per chunk,
-    so the working arrays stay small whatever n and B are; the codes are
-    found once per call.
+    The resamples are taken in chunks of max(1, _CHUNK_CELLS // n): each
+    chunk draws its own (rows, n) indices from ``rng`` and is reduced by
+    one flat ``bincount``, so no (B, n) block is ever held.  The draws
+    join into the one (B, n) block ``rng.integers(0, n, size=(B, n))``
+    would give, bit for bit: PCG64 keeps the unused 32-bit half of its
+    last 64-bit output in its state for the next call.  Each resample is reduced to
+    its count of each code of ``_metric_codes`` and evaluated by the same
+    reducer as the point, so a resample's value equals the metric of that
+    resample evaluated on its own, bit for bit.  The codes are found once
+    per call.
     """
     y = np.asarray(y)
     n = y.size
     if n == 0 or B < 1:
         raise ContractError("bootstrap needs a non-empty sample and B >= 1")
     codes, width, reducer = _metric_codes(metric, y, np.asarray(p_hat, dtype=float), threshold)
-    indices = rng.integers(0, n, size=(B, n))
     values = np.empty(B)
     chunk = max(1, _CHUNK_CELLS // n)
     for start in range(0, B, chunk):
-        block = codes[indices[start : start + chunk]]
-        rows = block.shape[0]
+        rows = min(chunk, B - start)
+        block = codes[rng.integers(0, n, size=(rows, n))]
         block += width * np.arange(rows)[:, None]
         counts = np.bincount(block.reshape(-1), minlength=rows * width).reshape(rows, width)
         values[start : start + rows] = reducer(counts)

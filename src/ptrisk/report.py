@@ -132,6 +132,10 @@ def _oof_text(row_ids, fold_of, labels, p_hat) -> str:
 def run_experiment(config: ExperimentConfig) -> ReportBundle:
     """Execute ingest -> curation -> grid evaluation -> report emission.
 
+    Ingest and curation hand the grid only the curated dataset, its
+    summary and the config hash, so the parsed records and the encoded
+    table are freed before any model is fitted.
+
     The bundle is written into a staging directory inside ``out_dir`` and
     moved into place only once it is complete: the old manifest is removed
     first and the new one moved last, so no manifest ever lists a file
@@ -148,15 +152,12 @@ def run_experiment(config: ExperimentConfig) -> ReportBundle:
         shutil.rmtree(staging, ignore_errors=True)
 
 
-def _run_stages(config: ExperimentConfig, staging: Path, out_dir: Path) -> dict:
-    """Write every file of the bundle into ``staging``, then move them into
-    ``out_dir``, manifest last; returns the metrics payloads by cell."""
-    written = []
-
-    def emit(name: str, content: str) -> None:
-        (staging / name).write_text(content, encoding="utf-8")
-        written.append(name)
-
+def _curate(config: ExperimentConfig, emit) -> tuple:
+    """Ingest and curate the cohort, emit ``curation_report.json`` and
+    ``cohort_summary.json``, and return (dataset, summary, config_hash);
+    the parsed records and the encoded table go out of scope here.  A
+    failure is raised as a StageFailure of stage "ingest" or "curation".
+    """
     stage = "ingest"
     try:
         config_hash = config.config_hash()
@@ -186,8 +187,23 @@ def _run_stages(config: ExperimentConfig, staging: Path, out_dir: Path) -> dict:
         }
         emit("curation_report.json", _json_text(curation_report))
         emit("cohort_summary.json", _json_text(summary))
+    except Exception as exc:
+        raise StageFailure(stage, exc) from exc
+    return dataset, summary, config_hash
 
-        stage = "evaluation"
+
+def _run_stages(config: ExperimentConfig, staging: Path, out_dir: Path) -> dict:
+    """Write every file of the bundle into ``staging``, then move them into
+    ``out_dir``, manifest last; returns the metrics payloads by cell."""
+    written = []
+
+    def emit(name: str, content: str) -> None:
+        (staging / name).write_text(content, encoding="utf-8")
+        written.append(name)
+
+    dataset, summary, config_hash = _curate(config, emit)
+    stage = "evaluation"
+    try:
         payloads = {}
         folds = stratified_kfold(dataset.labels, k=config.k, seed=config.seed)
         rng = RngKey(config.seed)

@@ -79,13 +79,16 @@ def oracle_inputs(case):
         y = np.zeros(n, dtype=np.int64)
         y[[4, 17]] = 1
         p = rng.random(n)
-    else:  # n large enough that the resamples are reduced in several chunks
-        y = rng.integers(0, 2, size=1000)
-        p = np.round(rng.random(1000), 2)
+    else:  # n large enough that the resamples are drawn in several chunks
+        # at 1489 rows a chunk of 11 resamples draws 16379 32-bit indices,
+        # an odd number, so the next chunk starts on a carried half-word
+        n = 1000 if case == "chunked" else 1489
+        y = rng.integers(0, 2, size=n)
+        p = np.round(rng.random(n), 2)
     return y, p
 
 
-ORACLE_CASES = ("uniform", "knn_ties", "at_threshold", "low_prevalence", "chunked")
+ORACLE_CASES = ("uniform", "knn_ties", "at_threshold", "low_prevalence", "chunked", "odd_chunks")
 
 
 @pytest.mark.parametrize(

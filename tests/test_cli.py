@@ -324,6 +324,33 @@ def test_proxy_target_takes_the_place_of_its_sources(tmp_path, monkeypatch, caps
     assert "color_dark" in capsys.readouterr().err
 
 
+def test_parsed_records_are_freed_before_the_grid(tmp_path, monkeypatch):
+    # ingest and curation hand the grid only the curated dataset, so no
+    # parsed record outlives them; holding them kept 93 alive here
+    import gc
+
+    from ptrisk import report
+    from ptrisk.parsers import RawRecord
+
+    def live_records() -> int:
+        gc.collect()
+        return sum(isinstance(obj, RawRecord) for obj in gc.get_objects())
+
+    held = []
+
+    def probing_evaluate_oof(*args, **kwargs):
+        held.append(live_records())
+        return evaluate_oof(*args, **kwargs)
+
+    evaluate_oof = report.evaluate_oof
+    monkeypatch.setattr(report, "evaluate_oof", probing_evaluate_oof)
+    ini = write_ini(tmp_path / "cfg.ini", tmp_path, synth={"n": "93"}, models={"run": "DT"})
+    assert main(["synth", "--config", str(ini)]) == 0
+    before = live_records()
+    assert main(["run", "--config", str(ini)]) == 0
+    assert held == [before]
+
+
 @pytest.mark.parametrize(
     "section,key", [("schema.questionnaire", "age"), ("schema.biomarkers", "leukocytes")]
 )

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ptrisk.evaluation import bootstrap_distribution
 from ptrisk.models import (
     ForestModel,
     FrozenTree,
@@ -16,7 +17,7 @@ from ptrisk.models import boosting, tree
 from ptrisk.models.boosting import _build_regression_tree
 from ptrisk.models.logistic import sigmoid
 from ptrisk.models.tree import rank_codes
-from ptrisk.rng import RngKey
+from ptrisk.rng import RngKey, substream
 
 
 def build_classification_tree(X, y, sample_weight, **kwargs):
@@ -498,3 +499,19 @@ def test_forest_fit_working_set_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+@pytest.mark.parametrize("metric", ["sensitivity", "auc"])
+def test_bootstrap_working_set_stays_small(metric):
+    # indices are drawn a chunk at a time; the (B, n) int64 index block
+    # drawn at once was 40 MB here
+    rng = np.random.default_rng(5)
+    y = rng.integers(0, 2, size=5000)
+    p = np.round(rng.random(5000), 3)
+    tracemalloc.start()
+    try:
+        bootstrap_distribution(y, p, metric, B=1000, rng=substream(1, "bootstrap"), threshold=0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
