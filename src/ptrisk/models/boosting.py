@@ -12,6 +12,10 @@ whose hessian sum H is below 2 * ``_MIN_CHILD_HESSIAN`` is a leaf
 without a search: if HL >= c and fl(H - HL) >= c then H >= 2c (for
 HL >= H/2 the subtraction is exact, otherwise H > 2 HL), so the rule
 only skips searches that find no split.
+
+The raw score of a row is the sum of every round's leaf value, added in
+round order from 0.0 by ``tree_sums`` over bounded blocks of rows, each
+tree reading its own column subset through ``columns``.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ import numpy as np
 
 from ..rng import RngKey
 from .logistic import sigmoid
-from .tree import grow_tree, rank_codes, tree_values
+from .tree import grow_tree, rank_codes, tree_sums
 
 _LAMBDA = 1.0
 _MIN_CHILD_HESSIAN = 1.0
@@ -71,10 +75,7 @@ class BoostedModel:
     train_losses: tuple  # mean logistic train loss after each round
 
     def raw_scores(self, X: np.ndarray) -> np.ndarray:
-        raw = np.zeros(np.asarray(X).shape[0])
-        for values in tree_values(self.trees, X, self.columns):
-            raw += values
-        return raw
+        return tree_sums(self.trees, X, self.columns)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return sigmoid(self.raw_scores(X))

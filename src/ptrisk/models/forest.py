@@ -14,6 +14,10 @@ generator at its own searched nodes, in its own depth-first order, which
 is the stream tree t would draw if grown alone.  The resamples are held
 as one (trees x n) array of the smallest unsigned integer type that
 indexes the rows, which the grower partitions in place.
+
+A prediction is the mean of the trees' leaf probabilities: ``tree_sums``
+adds them in tree order over bounded blocks of rows, and the sum is
+divided by the number of trees.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..rng import RngKey
-from .tree import build_classification_trees, tree_values
+from .tree import build_classification_trees, tree_sums
 
 
 @dataclass(frozen=True)
@@ -31,10 +35,7 @@ class ForestModel:
     trees: tuple
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        votes = np.zeros(np.asarray(X).shape[0])
-        for values in tree_values(self.trees, X):
-            votes += values
-        return votes / len(self.trees)
+        return tree_sums(self.trees, X) / len(self.trees)
 
 
 def fit_forest(

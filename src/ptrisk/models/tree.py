@@ -54,8 +54,9 @@ the step's nodes it computes:
 
 A tree that took several nodes in a step is renumbered into depth-first
 preorder when frozen, so every tree is stored as if grown alone.
-``tree_values`` walks all trees of an ensemble together over one (trees
-x rows) block of node indices.
+``tree_sums`` walks all trees of an ensemble together over row blocks of
+at most ``_BLOCK_CELLS`` (trees x rows) node indices, so an ensemble's
+prediction holds a bounded block whatever the number of rows.
 """
 
 from __future__ import annotations
@@ -65,7 +66,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _MIN_GAIN = 1e-12
-_BLOCK_CELLS = 2**13  # (nodes x features x rows) cells held by one search call
+# cells held by one search call (nodes x features x rows) and by one
+# prediction block (trees x rows)
+_BLOCK_CELLS = 2**13
 
 
 @dataclass
@@ -141,12 +144,14 @@ def descend(feature, threshold, left, right, X, idx):
         idx[where] = np.where(go_left, left[node], right[node])
 
 
-def tree_values(trees, X: np.ndarray, columns=None) -> np.ndarray:
-    """(trees x rows) block of each tree's value at each row of X.
+def tree_sums(trees, X: np.ndarray, columns=None) -> np.ndarray:
+    """Sum over the trees of each tree's value at each row of X.
 
-    All trees are walked together over one (trees x rows) block of node
-    indices.  ``columns[t]``, if given, maps tree t's features to columns
-    of X.
+    The trees' node arrays are joined once, and all trees are walked
+    together over blocks of at most ``_BLOCK_CELLS`` (trees x rows) node
+    indices.  Each row's total starts from 0.0 and adds the trees' values
+    in tree order.  ``columns[t]``, if given, maps tree t's features to
+    columns of X.
     """
     X = np.asarray(X, dtype=float)
     sizes = [tree.feature.size for tree in trees]
@@ -158,15 +163,19 @@ def tree_values(trees, X: np.ndarray, columns=None) -> np.ndarray:
         feature = np.concatenate(
             [np.array(cols + (-1,))[tree.feature] for tree, cols in zip(trees, columns)]
         )
-    idx = descend(
-        feature,
-        np.concatenate([tree.threshold for tree in trees]),
-        np.concatenate([tree.left for tree in trees]) + shift,
-        np.concatenate([tree.right for tree in trees]) + shift,
-        X,
-        np.repeat(offset[:, None], X.shape[0], axis=1),
-    )
-    return np.concatenate([tree.value for tree in trees])[idx]
+    threshold = np.concatenate([tree.threshold for tree in trees])
+    left = np.concatenate([tree.left for tree in trees]) + shift
+    right = np.concatenate([tree.right for tree in trees]) + shift
+    value = np.concatenate([tree.value for tree in trees])
+    totals = np.zeros(X.shape[0])
+    step = max(1, _BLOCK_CELLS // len(trees))
+    for lo in range(0, X.shape[0], step):
+        block = X[lo : lo + step]
+        idx = np.repeat(offset[:, None], block.shape[0], axis=1)
+        total = totals[lo : lo + step]
+        for values in value[descend(feature, threshold, left, right, block, idx)]:
+            total += values
+    return totals
 
 
 def rank_codes(XT: np.ndarray) -> np.ndarray:

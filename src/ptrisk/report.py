@@ -35,7 +35,7 @@ from .curation import (
     exclude_features,
     labels_from_records,
 )
-from .errors import DataError, PtriskError
+from .errors import CurationError, DataError, PtriskError
 from .evaluation import ALL_METRICS, MetricReport, evaluate_oof, run_oof, stratified_kfold
 from .models import ModelSpec
 from .parsers import load_raw, qc_filter
@@ -156,7 +156,9 @@ def _curate(config: ExperimentConfig, emit) -> tuple:
     """Ingest and curate the cohort, emit ``curation_report.json`` and
     ``cohort_summary.json``, and return (dataset, summary, config_hash);
     the parsed records and the encoded table go out of scope here.  A
-    failure is raised as a StageFailure of stage "ingest" or "curation".
+    failure is raised as a StageFailure of stage "ingest" or "curation";
+    curation fails before any fit when no row passes QC, a run group has
+    no feature left, or fewer rows than folds remain.
     """
     stage = "ingest"
     try:
@@ -165,8 +167,11 @@ def _curate(config: ExperimentConfig, emit) -> tuple:
         kept = qc_filter(records, config.valid_flags)
 
         stage = "curation"
+        if not kept:
+            raise CurationError(f"no row passed QC ({len(records)} rows read)")
         table = encode_features(kept, config.groups, config.curation)
         table = aggregate_proxies(table, config.curation.proxy_rules)
+        group_of = dict(zip(table.columns, table.tags))
         table, dropped = exclude_features(
             table,
             max_missing_fraction=config.curation.max_missing_fraction,
@@ -174,6 +179,13 @@ def _curate(config: ExperimentConfig, emit) -> tuple:
             blocklist=config.curation.blocklist,
         )
         dataset = assemble(table, labels_from_records(kept))
+        for tag in config.run_groups:
+            if not dataset.feature_names[tag]:
+                gone = [f"{name} ({reason})" for name, reason in dropped if group_of[name] == tag]
+                excluded = f"; excluded: {', '.join(gone)}" if gone else ""
+                raise CurationError(f"run group {tag} has no features left{excluded}")
+        if dataset.n < config.k:
+            raise CurationError(f"{dataset.n} curated rows are fewer than the k={config.k} folds")
         summary = cohort_summary(dataset, config.curation)
         kept_ids = {k.record_id for k in kept}
         curation_report = {

@@ -109,12 +109,63 @@ def test_failed_rerun_keeps_previous_bundle(tmp_path):
     assert main(["run", "--config", str(ini)]) == 0
     before = {p.name: digest(p) for p in tmp_path.iterdir()}
 
-    assert main(["run", "--config", str(bad)]) == 3  # k exceeds the 60 rows
+    assert main(["run", "--config", str(bad)]) == 2  # k exceeds the 60 rows
     after = {p.name: digest(p) for p in tmp_path.iterdir()}
     assert after == before
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert manifest["complete"] is True
     assert {name: after[name] for name in manifest["files"]} == manifest["files"]
+
+
+def test_run_group_emptied_by_exclusions_fails_at_curation(tmp_path, monkeypatch, capsys):
+    # a run group with no feature left is refused before any fit; it used
+    # to fit every F1 cell and then fail evaluation on an empty argmax
+    from ptrisk import report
+    from ptrisk.curation import DEFAULT_F2_FEATURES
+
+    fits = []
+    monkeypatch.setattr(report, "run_oof", lambda *args, **kwargs: fits.append(args))
+    ini = write_ini(
+        tmp_path / "cfg.ini",
+        tmp_path,
+        curation={"blocklist": " | ".join(DEFAULT_F2_FEATURES)},
+        models={"run": "DT"},
+        groups={"run": "F1|F2|F3"},
+    )
+    assert main(["synth", "--config", str(ini)]) == 0
+    assert main(["run", "--config", str(ini)]) == 2
+    err = capsys.readouterr().err
+    assert "curation" in err and "run group F2 has no features left" in err
+    assert all(f"{name} (blocklisted)" in err for name in DEFAULT_F2_FEATURES)
+    assert fits == []
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_fewer_rows_than_folds_fails_at_curation(tmp_path, capsys):
+    synth = {"n": "4", "prevalence": "0.5"}
+    ini = write_ini(tmp_path / "cfg.ini", tmp_path, synth=synth, models={"run": "DT"})
+    assert main(["synth", "--config", str(ini)]) == 0
+    assert main(["run", "--config", str(ini)]) == 2
+    err = capsys.readouterr().err
+    assert "curation" in err and "4 curated rows are fewer than the k=5 folds" in err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("cohort", ["all_rows_fail_qc", "header_only"])
+def test_no_row_passing_qc_fails_at_curation(tmp_path, capsys, cohort):
+    ini = write_ini(tmp_path / "cfg.ini", tmp_path, models={"run": "DT"})
+    assert main(["synth", "--config", str(ini)]) == 0
+    path = tmp_path / "cohort.csv"
+    header, *rows = path.read_text().splitlines()
+    if cohort == "header_only":
+        rows = []
+    else:
+        rows = [row.replace(",OK,", ",FAIL,", 1) for row in rows]
+    path.write_text("\n".join([header, *rows]) + "\n")
+    assert main(["run", "--config", str(ini)]) == 2
+    err = capsys.readouterr().err
+    assert "curation" in err and f"no row passed QC ({len(rows)} rows read)" in err
+    assert not (tmp_path / "manifest.json").exists()
 
 
 def test_oof_file_shape(tmp_path):

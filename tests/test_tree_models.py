@@ -467,30 +467,52 @@ def test_tied_rows_are_summed_in_row_order():
 # --- all-tree prediction and the forest's working set ---------------------------
 
 
-def test_all_tree_prediction_adds_trees_in_order():
+PREDICT_STEP = tree._BLOCK_CELLS // 30  # rows per prediction block of a 30-tree ensemble
+
+
+@pytest.fixture(scope="module")
+def small_ensembles():
     rng = np.random.default_rng(6)
     X = np.column_stack([rng.normal(size=120), rng.integers(0, 3, size=120), rng.normal(size=120)])
     y = (X[:, 0] + X[:, 1] + rng.normal(size=120) > 1.0).astype(int)
     forest = fit_forest(X, y, balanced_weights(y), RngKey(8).child("rf"), n_trees=30)
-    votes = np.zeros(40)
-    for fitted in forest.trees:
-        votes += fitted.predict_value(X[:40])
-    assert forest.predict_proba(X[:40]).tobytes() == (votes / 30).tobytes()
     model = fit_boosted(X, y.astype(float), RngKey(8).child("gbt"), n_rounds=30, col_subsample=0.7)
-    raw = np.zeros(40)
+    return forest, model
+
+
+@pytest.mark.parametrize(
+    "rows", [1, PREDICT_STEP - 1, PREDICT_STEP, PREDICT_STEP + 1, 3 * PREDICT_STEP + 7]
+)
+def test_all_tree_prediction_adds_trees_in_order(small_ensembles, rows):
+    # whole blocks, a partial last block and one row: each row's total is
+    # the per-tree loop's, byte for byte
+    forest, model = small_ensembles
+    rng = np.random.default_rng(rows)
+    X = np.column_stack([rng.normal(size=rows), rng.integers(0, 3, size=rows), rng.normal(size=rows)])
+    votes = np.zeros(rows)
+    for fitted in forest.trees:
+        votes += fitted.predict_value(X)
+    assert forest.predict_proba(X).tobytes() == (votes / 30).tobytes()
+    raw = np.zeros(rows)
     for fitted, cols in zip(model.trees, model.columns):
-        raw += fitted.predict_value(X[:40, list(cols)])
-    assert model.raw_scores(X[:40]).tobytes() == raw.tobytes()
+        raw += fitted.predict_value(X[:, list(cols)])
+    assert model.raw_scores(X).tobytes() == raw.tobytes()
+
+
+def cohort_like(rows, seed):
+    """Rows like a workload cohort: 12 binary, one age and 9 normal features."""
+    rng = np.random.default_rng(seed)
+    X = np.column_stack(
+        [rng.integers(0, 2, size=(rows, 12)), rng.integers(18, 50, size=rows), rng.normal(size=(rows, 9))]
+    ).astype(float)
+    y = (X[:, 13] + X[:, 0] + rng.normal(size=rows) > 0.5).astype(int)
+    return X, y
 
 
 def test_forest_fit_working_set_stays_small():
     # one row permutation per tree and a cell cap per search block; holding
     # every tree's gathered rows at once peaked near 9.4 MiB here
-    rng = np.random.default_rng(12)
-    X = np.column_stack(
-        [rng.integers(0, 2, size=(800, 12)), rng.integers(18, 50, size=800), rng.normal(size=(800, 9))]
-    ).astype(float)
-    y = (X[:, 13] + X[:, 0] + rng.normal(size=800) > 0.5).astype(int)
+    X, y = cohort_like(800, 12)
     weights = balanced_weights(y)
     tracemalloc.start()
     try:
@@ -499,6 +521,25 @@ def test_forest_fit_working_set_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 2 * 2**20
+
+
+def test_ensemble_predict_working_set_stays_small():
+    # node indices are walked a bounded (trees x rows) block at a time;
+    # one block over all 2,000 rows peaked at 22.6 MiB here
+    X, y = cohort_like(800, 12)
+    forest = fit_forest(X, y, balanced_weights(y), RngKey(4).child("rf"))
+    model = fit_boosted(X, y.astype(float), RngKey(4).child("gbt"))
+    X_new, _ = cohort_like(2000, 13)
+    peaks = []
+    tracemalloc.start()
+    try:
+        for predict in (forest.predict_proba, model.predict_proba):
+            tracemalloc.reset_peak()
+            predict(X_new)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < 2 * 2**20
 
 
 @pytest.mark.parametrize("metric", ["sensitivity", "auc"])
