@@ -4,7 +4,8 @@ Raw scores start at 0.  Each round subsamples rows and columns, fits a
 depth-limited regression tree to the gradient/hessian statistics of the
 logistic loss, and adds the shrunken leaf values -lr * G/(H + lambda).
 The tree is grown by ``tree.grow_tree`` from the per-row statistics
-(g, h), so it shares the CART tree's split search and tie-break (lowest
+(g, h) on the full matrix, searching the round's column draw at every
+node, so it shares the CART tree's split search and tie-break (lowest
 feature, then lowest threshold).  Split gain is the usual second-order
 improvement; a split is accepted only when both children carry at least
 ``_MIN_CHILD_HESSIAN`` hessian mass and the gain is positive.  So a node
@@ -14,8 +15,7 @@ HL >= H/2 the subtraction is exact, otherwise H > 2 HL), so the rule
 only skips searches that find no split.
 
 The raw score of a row is the sum of every round's leaf value, added in
-round order from 0.0 by ``tree_sums`` over bounded blocks of rows, each
-tree reading its own column subset through ``columns``.
+round order from 0.0 by ``tree_sums`` over bounded blocks of rows.
 """
 
 from __future__ import annotations
@@ -49,33 +49,13 @@ def _newton_gain(GL, HL, G, H, n_left, n):
     return np.where(valid, gain, -np.inf)
 
 
-def _build_regression_tree(X, codes, g, h, rows, max_depth, learning_rate):
-    """Leaf values are the already-shrunken contributions -lr*G/(H+lambda).
-
-    The tree grows on the rows ``rows`` of X, whose rank codes are
-    ``codes``; ``g`` and ``h`` are per row of X."""
-    (tree,) = grow_tree(
-        X,
-        codes,
-        g,
-        h,
-        rows[None, :],
-        leaf_value=lambda G, H: -learning_rate * G / (H + _LAMBDA),
-        split_gain=_newton_gain,
-        max_depth=max_depth,
-        is_leaf=lambda G, H, n: H < 2 * _MIN_CHILD_HESSIAN,
-    )
-    return tree
-
-
 @dataclass(frozen=True)
 class BoostedModel:
-    trees: tuple  # FrozenTree over the subsampled column set
-    columns: tuple  # per tree: indices into the full feature set
+    trees: tuple  # one FrozenTree per round
     train_losses: tuple  # mean logistic train loss after each round
 
     def raw_scores(self, X: np.ndarray) -> np.ndarray:
-        return tree_sums(self.trees, X, self.columns)
+        return tree_sums(self.trees, X)
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         return sigmoid(self.raw_scores(X))
@@ -98,25 +78,25 @@ def fit_boosted(
     codes = rank_codes(X.T)
     raw = np.zeros(n)
     trees = []
-    columns = []
     losses = []
     for t in range(n_rounds):
         gen = rng.child("round", t).generator()
         rows = np.sort(gen.choice(n, size=n_rows, replace=False))
         cols = np.sort(gen.choice(p, size=n_cols, replace=False))
         prob = sigmoid(raw)
-        Xc = X[:, cols]
-        tree = _build_regression_tree(
-            Xc,
-            codes[cols],
+        (tree,) = grow_tree(
+            X,
+            codes,
             prob - y,
             prob * (1.0 - prob),
-            rows,
+            rows[None, :],
+            leaf_value=lambda G, H: -learning_rate * G / (H + _LAMBDA),
+            split_gain=_newton_gain,
             max_depth=max_depth,
-            learning_rate=learning_rate,
+            is_leaf=lambda G, H, n: H < 2 * _MIN_CHILD_HESSIAN,
+            features=cols[None, :],
         )
         trees.append(tree)
-        columns.append(tuple(int(c) for c in cols))
-        raw += tree.predict_value(Xc)
+        raw += tree.predict_value(X)
         losses.append(float(np.mean(np.logaddexp(0.0, raw) - y * raw)))
-    return BoostedModel(trees=tuple(trees), columns=tuple(columns), train_losses=tuple(losses))
+    return BoostedModel(trees=tuple(trees), train_losses=tuple(losses))

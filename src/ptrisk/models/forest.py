@@ -17,7 +17,8 @@ indexes the rows, which the grower partitions in place.
 
 A prediction is the mean of the trees' leaf probabilities: ``tree_sums``
 adds them in tree order over bounded blocks of rows, and the sum is
-divided by the number of trees.
+divided by the number of trees.  A DT is a one-tree ``ForestModel``: its
+mean, (0.0 + v) / 1, is its leaf value v.
 """
 
 from __future__ import annotations
@@ -63,9 +64,9 @@ def fit_forest(
         X,
         y,
         sample_weight,
+        samples,
         max_depth=max_depth,
         min_samples_leaf=min_samples_leaf,
-        samples=samples,
         feature_pickers=pickers,
     )
     return ForestModel(trees=trees)

@@ -7,9 +7,10 @@ feature value or on single-class labels, before the standardizer sees
 the rows, and neither ``fit_model`` nor the fit functions it calls
 check again.  Each hyperparameter is written once, as a default of its
 fit function (``fit_logistic``, ``fit_forest``, ``fit_boosted``,
-``fit_knn``); DT has no fit function of its own, so its depth and leaf
-size are written in ``fit_model``.  None is configurable and there is
-no tuning path.
+``fit_knn``); a DT, one CART tree on all rows and features held as a
+one-tree ``ForestModel``, has no fit function of its own, so its depth
+and leaf size are written in ``fit_model``.  None is configurable and
+there is no tuning path.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ import numpy as np
 from ..errors import ContractError, TrainingError
 from ..rng import RngKey
 from .boosting import fit_boosted
-from .forest import fit_forest
+from .forest import ForestModel, fit_forest
 from .knn import fit_knn
 from .logistic import fit_logistic
 from .standardizer import StandardizerParams, apply_standardizer, fit_standardizer
-from .tree import FrozenTree, build_classification_trees
+from .tree import build_classification_trees
 
 MODEL_KINDS = ("LR", "DT", "RF", "GBT", "KNN")
 
@@ -46,23 +47,16 @@ class ModelSpec:
             raise ContractError(f"unknown model kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class DecisionTreeModel:
-    tree: FrozenTree
-
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return self.tree.predict_value(X)
-
-
 def fit_model(spec: ModelSpec, X: np.ndarray, y: np.ndarray, rng: RngKey):
     """Fit the model part on already standardized features."""
     if spec.kind == "LR":
         return fit_logistic(X, y, balanced_weights(y))
     if spec.kind == "DT":
-        (tree,) = build_classification_trees(
-            X, y, balanced_weights(y), max_depth=4, min_samples_leaf=5
+        rows, cols = (np.arange(size)[None, :] for size in X.shape)
+        trees = build_classification_trees(
+            X, y, balanced_weights(y), rows, max_depth=4, min_samples_leaf=5, features=cols
         )
-        return DecisionTreeModel(tree)
+        return ForestModel(trees)
     if spec.kind == "RF":
         return fit_forest(X, y, balanced_weights(y), rng)
     if spec.kind == "GBT":

@@ -12,43 +12,46 @@ a leaf), its nodes numbered in depth-first preorder, left before right.
 
 The split search never sorts floats.  ``rank_codes`` gives each feature
 column dense integer ranks once per fit (uint8 up to 256 rows, uint16 up
-to 65,536), and each node sorts its block of codes, for which numpy's
-stable argsort is a radix sort.  Codes keep the order and the ties of
-the values, so the row order, the running sums and the gains are those
-of a stable sort of the floats.  The floats are read only to form the
-chosen threshold, the midpoint of the two values at the chosen position,
-and to partition the node's rows by ``value <= threshold``: a midpoint
-of two adjacent floats can round onto the upper value, so the partition
-cannot be taken from the codes.
+to 65,536), and each node sorts its block of codes, each packed with its
+slot into one unique unsigned key, so one plain sort gives the stable
+order.  Codes keep the order and the ties of the values, so the row
+order, the running sums and the gains are those of a stable sort of the
+floats.  The floats are read only to form the chosen threshold, the
+midpoint of the two values at the chosen position, and to partition the
+node's rows by ``value <= threshold``: a midpoint of two adjacent floats
+can round onto the upper value, so the partition cannot be taken from
+the codes.
 
-Lockstep.  ``grow_tree`` grows a batch of trees together: the bootstrap
-samples of a forest, or one tree for DT and for each boosting round.
-Each tree keeps one row permutation, stably partitioned in place at each
-split, so every node is a slice of it in ascending sample order.  Each
-step takes, from every tree that has some, its next depth-first node if
-the tree draws features per split, or else all its pending nodes.  Over
-the step's nodes it computes:
+Lockstep.  ``grow_tree`` grows a batch of trees together on one matrix
+X: the bootstrap samples of a forest, or one tree for DT and for each
+boosting round, which searches a fixed row of X's columns at every node
+(DT: all, a round: its draw).  Each tree keeps one row permutation,
+stably partitioned in place at each split, so every node is a slice of
+it in ascending sample order.  Each step takes, from every tree that has
+some, its next depth-first node if the tree draws features per split, or
+else all its pending nodes.  Over the step's nodes it computes:
 
 1. the node totals A, B: one sum per node over its slice, in that order,
    the sum a tree grown alone takes (numpy's pairwise sum depends on the
    length and the order, so it is never taken over a padded row);
 2. the leaf values and the stop rules, elementwise;
-3. the feature draws, tree by tree.  A tree calls its own picker at its
-   own searched nodes in its own depth-first order, which is why such a
-   tree gives one node per step: a forest draws the same RNG stream as
-   its trees grown one at a time;
+3. the candidate features, tree by tree.  A tree calls its own picker
+   at its own searched nodes in its own depth-first order, which is why
+   such a tree gives one node per step: a forest draws the same RNG
+   stream as its trees grown one at a time;
 4. the split search, in a few ``_split_block`` calls over (nodes x
    features x rows) blocks of codes.  The nodes are sorted by row count
    and cut into calls whose largest node has under four times the rows
    of the smallest, and whose block holds at most ``_BLOCK_CELLS``
    cells.  A shorter node is padded with the largest code of the dtype;
-   the pads sit after every real row, so the stable argsort leaves them
-   last even where a real row has that code, and the running sums
-   (``cumsum`` from the first sorted row) are those of the node alone.
-   Past a node's last real position the sums are replaced by its one-row
-   sums before the gain rule runs, so no rule divides by an empty child,
-   and the gain there is -inf.  A call whose nodes all have the same row
-   count pads nothing.  One flat argmax per node keeps the tie-break;
+   the pads sit after every real row and a key's low bits hold its slot,
+   so the sort leaves them last even where a real row has that code, and
+   the running sums (``cumsum`` from the first sorted row) are those of
+   the node alone.  Past a node's last real position the sums are
+   replaced by its one-row sums before the gain rule runs, so no rule
+   divides by an empty child, and the gain there is -inf.  A call whose
+   nodes all have the same row count pads nothing.  One flat argmax per
+   node keeps the tie-break;
 5. the midpoint thresholds and the ``<=`` partitions, elementwise, which
    is exact.
 
@@ -123,7 +126,6 @@ class FrozenTree:
     value: np.ndarray
 
     def predict_value(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
         start = np.zeros(X.shape[0], dtype=np.intp)
         return self.value[descend(self.feature, self.threshold, self.left, self.right, X, start)]
 
@@ -144,25 +146,19 @@ def descend(feature, threshold, left, right, X, idx):
         idx[where] = np.where(go_left, left[node], right[node])
 
 
-def tree_sums(trees, X: np.ndarray, columns=None) -> np.ndarray:
+def tree_sums(trees, X: np.ndarray) -> np.ndarray:
     """Sum over the trees of each tree's value at each row of X.
 
     The trees' node arrays are joined once, and all trees are walked
     together over blocks of at most ``_BLOCK_CELLS`` (trees x rows) node
     indices.  Each row's total starts from 0.0 and adds the trees' values
-    in tree order.  ``columns[t]``, if given, maps tree t's features to
-    columns of X.
+    in tree order.
     """
     X = np.asarray(X, dtype=float)
     sizes = [tree.feature.size for tree in trees]
     offset = np.cumsum([0] + sizes[:-1])
     shift = np.repeat(offset, sizes)
-    if columns is None:
-        feature = np.concatenate([tree.feature for tree in trees])
-    else:
-        feature = np.concatenate(
-            [np.array(cols + (-1,))[tree.feature] for tree, cols in zip(trees, columns)]
-        )
+    feature = np.concatenate([tree.feature for tree in trees])
     threshold = np.concatenate([tree.threshold for tree in trees])
     left = np.concatenate([tree.left for tree in trees]) + shift
     right = np.concatenate([tree.right for tree in trees]) + shift
@@ -211,9 +207,15 @@ def _split_block(X, codes, a, b, perm, start, n, features, A, B, split_gain, L, 
     if padded:
         real = span < (start + n)[:, None]
         np.copyto(block, np.iinfo(block.dtype).max, where=~real[:, None, :])
-    order = np.argsort(block, axis=2, kind="stable")
-    block.sort(axis=2)
-    cand = block[:, :, :-1] < block[:, :, 1:]
+    # keys are unique, code above slot, so one sort gives the stable order
+    shift = (L - 1).bit_length()
+    key = block.astype(np.min_scalar_type((1 << (8 * block.itemsize + shift)) - 1))
+    key <<= shift
+    key |= np.arange(L, dtype=key.dtype)
+    key.sort(axis=2)
+    order = (key & ((1 << shift) - 1)).astype(np.intp)
+    key >>= shift
+    cand = key[:, :, :-1] < key[:, :, 1:]
     if nodes > 1:
         order += (np.arange(nodes) * L)[:, None, None]  # into rows, flattened
     AL = np.cumsum(a.take(rows).take(order)[:, :, :-1], axis=2)
@@ -294,28 +296,27 @@ def grow_tree(
     leaf_value,
     split_gain,
     max_depth: int,
-    is_leaf=None,
+    is_leaf,
+    features=None,
     feature_pickers=None,
 ) -> tuple:
     """Grow one tree per row of ``samples``, all in lockstep.
 
     Tree t grows on the rows ``samples[t]`` of X (rows x features,
     C-contiguous), in that order, repeats allowed; the rows of ``samples``
-    are reordered in place.  ``codes`` is ``rank_codes(X.T)``, or X's
-    block of a larger matrix's rank codes.  The rules see only sums of the
-    per-row statistics ``a``, ``b`` over a node's rows, taken in sample
-    order, and apply elementwise to arrays of nodes: ``leaf_value(A, B)``
-    gives the node value, ``is_leaf(A, B, n)`` stops a node before its
-    split search, and ``split_gain(AL, BL, A, B, n_left, n)`` scores
-    left-child sums, -inf where the split is not allowed.
-    ``feature_pickers[t](n_features) -> ascending candidate indices`` is
-    called once per searched node of tree t, in depth-first order; None
-    means all features.
+    are reordered in place.  ``codes`` is ``rank_codes(X.T)``.  The rules
+    see only sums of the per-row statistics ``a``, ``b`` over a node's
+    rows, taken in sample order, and apply elementwise to arrays of nodes:
+    ``leaf_value(A, B)`` gives the node value, ``is_leaf(A, B, n)`` stops
+    a node before its split search, and ``split_gain(AL, BL, A, B,
+    n_left, n)`` scores left-child sums, -inf where the split is not
+    allowed.  Exactly one of two inputs gives the candidate features, as
+    ascending columns of X: ``features[t]``, tree t's row searched at
+    every node, or ``feature_pickers[t](X.shape[1])``, called once per
+    searched node of tree t, in depth-first order.
     """
     n_trees, m = samples.shape
-    n_features = X.shape[1]
     perm = samples.reshape(-1)
-    every_feature = np.arange(n_features)[None, :]
     arrays = [TreeArrays() for _ in range(n_trees)]
     # per tree: (start in perm, rows, depth, parent's child list, parent);
     # right is pushed before left
@@ -341,19 +342,19 @@ def grow_tree(
         A = np.array(A)
         B = np.array(B)
         n = np.array([node[3] for node in nodes])
-        stop = [False] * len(nodes) if is_leaf is None else is_leaf(A, B, n).tolist()
+        stop = is_leaf(A, B, n).tolist()
         for (t, node, *_), v in zip(nodes, leaf_value(A, B).tolist()):
             arrays[t].value[node] = v
         i = [k for k, node in enumerate(nodes) if node[4] < max_depth and not stop[k]]
         if i:
             if feature_pickers is None:
-                features = every_feature.repeat(len(i), axis=0)
+                searched = features[[nodes[k][0] for k in i]]
             else:
-                features = np.array([feature_pickers[nodes[k][0]](n_features) for k in i])
+                searched = np.array([feature_pickers[nodes[k][0]](X.shape[1]) for k in i])
             start = np.array([nodes[k][2] for k in i])
             if len(i) < len(nodes):
                 n, A, B = n[i], A[i], B[i]
-            ok, f, thr, n_left = _split_nodes(X, codes, a, b, perm, start, n, features, A, B, split_gain)
+            ok, f, thr, n_left = _split_nodes(X, codes, a, b, perm, start, n, searched, A, B, split_gain)
             for k, ok, f, thr, nl in zip(i, ok.tolist(), f.tolist(), thr.tolist(), n_left.tolist()):
                 if ok:
                     t, node, s, c, depth = nodes[k]
@@ -374,9 +375,10 @@ def build_classification_trees(
     X: np.ndarray,
     y: np.ndarray,
     sample_weight: np.ndarray,
+    samples: np.ndarray,
     max_depth: int,
     min_samples_leaf: int,
-    samples=None,
+    features=None,
     feature_pickers=None,
 ) -> tuple:
     """Grow CART trees; leaf value is the weighted positive fraction.
@@ -384,12 +386,10 @@ def build_classification_trees(
     The row statistics are the weight w and the positive weight w*[y=1].
     A split needs at least ``min_samples_leaf`` rows on each side.  One
     tree is grown per row of ``samples`` (row indices of X, repeats
-    allowed; None: one tree on all rows), with the per-split feature
-    subsampling of ``feature_pickers`` as for ``grow_tree``.
+    allowed), on the candidate features of ``features`` or
+    ``feature_pickers`` as for ``grow_tree``.
     """
     X = np.ascontiguousarray(X, dtype=float)
-    if samples is None:
-        samples = np.arange(X.shape[0])[None, :]
     w = np.asarray(sample_weight, dtype=float)
     wpos = np.where(y == 1, w, 0.0)
 
@@ -412,5 +412,6 @@ def build_classification_trees(
         split_gain=gini_gain,
         max_depth=max_depth,
         is_leaf=is_leaf,
+        features=features,
         feature_pickers=feature_pickers,
     )

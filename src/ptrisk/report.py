@@ -158,7 +158,9 @@ def _curate(config: ExperimentConfig, emit) -> tuple:
     the parsed records and the encoded table go out of scope here.  A
     failure is raised as a StageFailure of stage "ingest" or "curation";
     curation fails before any fit when no row passes QC, a run group has
-    no feature left, or fewer rows than folds remain.
+    no feature left, fewer rows than folds remain, or a class has fewer
+    than two rows: two or more are dealt to different folds, so every
+    training split keeps the class.
     """
     stage = "ingest"
     try:
@@ -186,6 +188,12 @@ def _curate(config: ExperimentConfig, emit) -> tuple:
                 raise CurationError(f"run group {tag} has no features left{excluded}")
         if dataset.n < config.k:
             raise CurationError(f"{dataset.n} curated rows are fewer than the k={config.k} folds")
+        positives = int(dataset.labels.sum())
+        for label, count in ((0, dataset.n - positives), (1, positives)):
+            if count < 2:
+                raise CurationError(
+                    f"class {label} has {count} curated row(s); at least 2 keep it in every training split"
+                )
         summary = cohort_summary(dataset, config.curation)
         kept_ids = {k.record_id for k in kept}
         curation_report = {

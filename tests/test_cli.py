@@ -151,6 +151,18 @@ def test_fewer_rows_than_folds_fails_at_curation(tmp_path, capsys):
     assert not (tmp_path / "manifest.json").exists()
 
 
+def test_single_member_class_fails_at_curation(tmp_path, capsys):
+    # one positive among ten rows: its fold's training split is single-class
+    # whatever the fold assignment; this used to exit from stage evaluation
+    synth = {"n": "10", "prevalence": "0.1"}
+    ini = write_ini(tmp_path / "cfg.ini", tmp_path, synth=synth, models={"run": "DT|LR"})
+    assert main(["synth", "--config", str(ini)]) == 0
+    assert main(["run", "--config", str(ini)]) == 2
+    err = capsys.readouterr().err
+    assert "curation" in err and "class 1 has 1 curated row(s)" in err
+    assert not (tmp_path / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("cohort", ["all_rows_fail_qc", "header_only"])
 def test_no_row_passing_qc_fails_at_curation(tmp_path, capsys, cohort):
     ini = write_ini(tmp_path / "cfg.ini", tmp_path, models={"run": "DT"})

@@ -72,11 +72,10 @@ def _fitted_state(pipeline) -> list:
         return state + [model.weights, model.intercept, model.converged, model.n_iter]
     if pipeline.kind == "KNN":
         return state + [model.X, model.y, model.k]
-    trees = [model.tree] if pipeline.kind == "DT" else list(model.trees)
-    for tree in trees:
+    for tree in model.trees:
         state += [tree.feature, tree.threshold, tree.left, tree.right, tree.value]
     if pipeline.kind == "GBT":
-        state += [model.columns, model.train_losses]
+        state += [model.train_losses]
     return state
 
 

@@ -14,24 +14,45 @@ from ptrisk.models import (
     fit_forest,
 )
 from ptrisk.models import boosting, tree
-from ptrisk.models.boosting import _build_regression_tree
 from ptrisk.models.logistic import sigmoid
 from ptrisk.models.tree import rank_codes
 from ptrisk.rng import RngKey, substream
 
 
-def build_classification_tree(X, y, sample_weight, **kwargs):
-    """One CART tree on all rows: a batch of one."""
-    (fitted,) = build_classification_trees(X, y, sample_weight, **kwargs)
+def all_of(X):
+    """One tree's row of every row index, and its row of every column."""
+    return np.arange(X.shape[0])[None, :], np.arange(X.shape[1])[None, :]
+
+
+def build_classification_tree(X, y, sample_weight, feature_pickers=None, **kwargs):
+    """One CART tree on all rows, a batch of one, searching every feature
+    unless ``feature_pickers`` draws them."""
+    rows, cols = all_of(X)
+    if feature_pickers is not None:
+        cols = None
+    (fitted,) = build_classification_trees(
+        X, y, sample_weight, rows, features=cols, feature_pickers=feature_pickers, **kwargs
+    )
     return fitted
 
 
 def regression_tree(X, g, h, max_depth, learning_rate):
     """One boosting-round tree on all rows and columns of X."""
     X = np.ascontiguousarray(X, dtype=float)
-    return _build_regression_tree(
-        X, rank_codes(X.T), g, h, np.arange(len(g)), max_depth=max_depth, learning_rate=learning_rate
+    rows, cols = all_of(X)
+    (fitted,) = tree.grow_tree(
+        X,
+        rank_codes(X.T),
+        g,
+        h,
+        rows,
+        leaf_value=lambda G, H: -learning_rate * G / (H + boosting._LAMBDA),
+        split_gain=boosting._newton_gain,
+        max_depth=max_depth,
+        is_leaf=lambda G, H, n: H < 2 * boosting._MIN_CHILD_HESSIAN,
+        features=cols,
     )
+    return fitted
 
 
 def test_tree_pure_split_on_feature_zero():
@@ -147,6 +168,22 @@ def test_gbt_deterministic():
     m1 = fit_boosted(X, y, RngKey(11).child("g"), n_rounds=15)
     m2 = fit_boosted(X, y, RngKey(11).child("g"), n_rounds=15)
     assert np.array_equal(m1.predict_proba(X), m2.predict_proba(X))
+
+
+def test_gbt_trees_split_only_on_their_rounds_columns():
+    # each round's tree searches the round's column draw of the full matrix,
+    # and its feature array holds the full matrix's column indices
+    rng = np.random.default_rng(12)
+    X = rng.normal(size=(60, 10))
+    y = (X @ rng.normal(size=10) + rng.normal(size=60) > 0).astype(float)
+    key = RngKey(3).child("gbt")
+    model = fit_boosted(X, y, key, n_rounds=20, col_subsample=0.3)
+    for t, fitted in enumerate(model.trees):
+        gen = key.child("round", t).generator()
+        gen.choice(60, size=48, replace=False)  # the round's rows
+        cols = gen.choice(10, size=3, replace=False)
+        used = fitted.feature[fitted.feature >= 0]
+        assert used.size and np.isin(used, cols).all()
 
 
 # --- the shared split search: tie-breaks and edge cases ------------------------
@@ -272,11 +309,11 @@ def float_sort_best_split(Xn, a, b, A, B, split_gain):
     return f, 0.5 * (V[f, j] + V[f, j + 1])
 
 
-def float_sort_grow_tree(X, a, b, leaf_value, split_gain, max_depth, is_leaf=None, feature_picker=None):
-    """Reference grower: one tree, depth-first, on ``float_sort_best_split``."""
+def float_sort_grow_tree(X, a, b, leaf_value, split_gain, max_depth, is_leaf, features, feature_picker):
+    """Reference grower: one tree, depth-first, on ``float_sort_best_split``;
+    it searches ``features`` at every node, or ``feature_picker``'s draws."""
     XT = np.ascontiguousarray(X.T)
     n_features = XT.shape[0]
-    all_features = np.arange(n_features)
     feature, threshold, left, right, value = [], [], [], [], []
     pending = [(np.arange(XT.shape[1]), 0, None, -1)]
     while pending:
@@ -293,9 +330,9 @@ def float_sort_grow_tree(X, a, b, leaf_value, split_gain, max_depth, is_leaf=Non
         A = a_rows.sum()
         B = b_rows.sum()
         value.append(float(leaf_value(A, B)))
-        if depth >= max_depth or (is_leaf is not None and is_leaf(A, B, rows.size)):
+        if depth >= max_depth or is_leaf(A, B, rows.size):
             continue
-        feature_ids = all_features if feature_picker is None else feature_picker(n_features)
+        feature_ids = features if feature_picker is None else feature_picker(n_features)
         best = float_sort_best_split(XT[feature_ids][:, rows], a_rows, b_rows, A, B, split_gain)
         if best is None:
             continue
@@ -318,7 +355,7 @@ def float_sort_grow_tree(X, a, b, leaf_value, split_gain, max_depth, is_leaf=Non
 
 
 def float_sort_grow_batch(
-    X, codes, a, b, samples, leaf_value, split_gain, max_depth, is_leaf=None, feature_pickers=None
+    X, codes, a, b, samples, leaf_value, split_gain, max_depth, is_leaf, features=None, feature_pickers=None
 ):
     """``grow_tree``'s interface on the reference grower, one tree at a
     time; ``codes`` is ignored."""
@@ -331,6 +368,7 @@ def float_sort_grow_batch(
             split_gain,
             max_depth,
             is_leaf,
+            None if features is None else features[t],
             None if feature_pickers is None else feature_pickers[t],
         )
         for t, rows in enumerate(samples)
@@ -418,7 +456,7 @@ def fit_all(X, y, forest):
     ]
     gbt = fit_boosted(X, y.astype(float), RngKey(3).child("gbt"), n_rounds=12, max_depth=4)
     trees = [dt, deep, *rf, *gbt.trees]
-    return [tree_bytes(t) for t in trees], gbt.columns, np.array(gbt.train_losses).tobytes()
+    return [tree_bytes(t) for t in trees], np.array(gbt.train_losses).tobytes()
 
 
 @pytest.mark.parametrize("n", [30, 256, 257, 420])
@@ -494,8 +532,8 @@ def test_all_tree_prediction_adds_trees_in_order(small_ensembles, rows):
         votes += fitted.predict_value(X)
     assert forest.predict_proba(X).tobytes() == (votes / 30).tobytes()
     raw = np.zeros(rows)
-    for fitted, cols in zip(model.trees, model.columns):
-        raw += fitted.predict_value(X[:, list(cols)])
+    for fitted in model.trees:
+        raw += fitted.predict_value(X)
     assert model.raw_scores(X).tobytes() == raw.tobytes()
 
 
