@@ -250,7 +250,8 @@ def exclude_features(
         if missing > max_missing_fraction:
             dropped.append((name, f"missingness {missing:.2f} > {max_missing_fraction:.2f}"))
             continue
-        if drop_zero_variance and np.unique(col[~np.isnan(col)]).size <= 1:
+        present = col[~np.isnan(col)]
+        if drop_zero_variance and (present == present[:1]).all():  # one value, or none
             dropped.append((name, "zero variance"))
             continue
         keep.append(j)

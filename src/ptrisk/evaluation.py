@@ -63,7 +63,9 @@ def stratified_kfold(labels: np.ndarray, k: int, seed: int) -> FoldAssignment:
     gen = substream(seed, "folds")
     fold_of = np.empty(n, dtype=np.intp)
     warnings = []
-    for cls in np.unique(labels):  # ascending class order
+    ordered = np.sort(labels)
+    first = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    for cls in ordered[first]:  # ascending class order
         idx = np.nonzero(labels == cls)[0]
         if idx.size < k:
             warnings.append(f"class {cls} has {idx.size} members for {k} folds")
@@ -95,7 +97,7 @@ def run_oof(
         test = folds.fold_of == f
         train = ~test
         y_train = labels[train]
-        if np.unique(y_train).size < 2:
+        if (y_train == y_train[:1]).all():
             raise TrainingError(f"degenerate fold {f}: training split has one class")
         pipeline = fit_pipeline(
             spec, X[train], y_train, rng.child("model", spec.kind, "group", group_tag, "fold", f)

@@ -125,6 +125,18 @@ def load_raw(path, schema: Schema) -> list:
     ambiguous, and so is a name the two schema maps send to different
     columns.  A row with a non-empty cell past the last header is a
     DataError naming the record: its cells are likely shifted.
+
+    The cohort is held once: rows are parsed one at a time from an
+    in-memory copy of the file's text, and equal cells share one string
+    across all records.  The whole file is still read, on purpose.
+    glibc malloc raises its mmap threshold, and its heap trim threshold
+    to twice that, to the size of the largest mmapped block freed so far.
+    The ``io.StringIO`` copy takes four bytes per character, so freeing
+    it after a 1000-row cohort (about 0.5 MiB) lifts both thresholds
+    above the size of the model fits' temporaries.  Without that copy, a
+    1000-row RF and GBT run took 50k to 180k minor page faults instead of
+    about 2k, whether rows came from the string directly or from the file
+    handle.
     """
     try:
         with open(path, "r", encoding="utf-8-sig", newline="") as fh:
@@ -134,10 +146,11 @@ def load_raw(path, schema: Schema) -> list:
     if not content.strip():
         raise DataError(f"cohort file {path} is empty")
 
-    delimiter = _sniff_delimiter(content.splitlines()[0])
-    reader = csv.reader(io.StringIO(content), delimiter=delimiter)
-    rows = list(reader)
-    header = [h.strip() for h in rows[0]]
+    text = io.StringIO(content)
+    delimiter = _sniff_delimiter(text.readline().splitlines()[0])
+    text.seek(0)
+    rows = csv.reader(text, delimiter=delimiter)
+    header = [h.strip() for h in next(rows)]
     repeated = sorted({name for name in header if name and header.count(name) > 1})
     if repeated:
         raise SchemaError(f"repeated column headers: {', '.join(repeated)}")
@@ -167,9 +180,11 @@ def load_raw(path, schema: Schema) -> list:
 
     records = []
     seen_ids = set()
-    for row in rows[1:]:
+    texts = {}  # each distinct cell text, stored once
+    for row in rows:
         if not any(c.strip() for c in row):
             continue
+        row = [texts.setdefault(c, c) for c in row]
         record_id = cell(row, schema.record_id).strip()
         if not record_id:
             raise DataError("row with empty record_id")

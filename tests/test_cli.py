@@ -1,6 +1,9 @@
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -412,6 +415,30 @@ def test_parsed_records_are_freed_before_the_grid(tmp_path, monkeypatch):
     before = live_records()
     assert main(["run", "--config", str(ini)]) == 0
     assert held == [before]
+
+
+def test_run_does_not_import_numpy_ma(tmp_path):
+    # a bare np.unique calls np.ma.is_masked, which imports numpy.ma (about
+    # 1 MB of RSS); only a fresh process shows what a run imports
+    ini = write_ini(
+        tmp_path / "cfg.ini",
+        tmp_path,
+        synth={"n": "40", "missing_rate": "0.05"},
+        models={"run": "LR|DT|RF|GBT|KNN"},
+        groups={"run": "F1|F2|F3"},
+        protocol={"bootstrap_samples": "20"},
+    )
+    assert main(["synth", "--config", str(ini)]) == 0
+    code = "import sys; from ptrisk.cli import main; code = main(sys.argv[1:]); print(code, 'numpy.ma' in sys.modules)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "run", "--config", str(ini)],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.stdout.splitlines()[-1] == "0 False", proc.stdout + proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -165,6 +165,17 @@ def test_exclude_zero_variance():
     assert dropped == [("const", "zero variance")]
 
 
+def test_exclude_zero_variance_ignores_sign_of_zero_and_missing_cells():
+    # -0.0 equals 0.0, missing cells are not values, and a column with no
+    # value left has no variance
+    nan = np.nan
+    rows = [[-0.0, nan, 1.0], [0.0, nan, 2.0], [nan, nan, 3.0], [-0.0, nan, 4.0]]
+    table = _table(["signed_zero", "all_missing", "varies"], rows)
+    reduced, dropped = exclude_features(table, max_missing_fraction=1.0)
+    assert reduced.columns == ["varies"]
+    assert dropped == [("signed_zero", "zero variance"), ("all_missing", "zero variance")]
+
+
 def test_exclude_missingness_threshold():
     nan = np.nan
     rows = [[1.0, 1.0], [2.0, nan], [3.0, nan], [4.0, 2.0], [5.0, 3.0]]

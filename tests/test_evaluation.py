@@ -72,6 +72,18 @@ def test_folds_small_class_flagged():
     assert any("class 0" in w for w in assignment.warnings)
 
 
+def test_folds_deal_classes_in_ascending_order():
+    # each class draws its shuffle from the one substream in ascending
+    # class order, so that order fixes the assignment and the warnings
+    labels = np.array([2, 1, 0, 2, 1, 1, 1, 2, 1, 0])
+    assignment = stratified_kfold(labels, k=4, seed=3)
+    assert assignment.fold_of.tolist() == [0, 0, 0, 1, 3, 1, 2, 2, 0, 1]
+    assert assignment.warnings == (
+        "class 0 has 2 members for 4 folds",
+        "class 2 has 3 members for 4 folds",
+    )
+
+
 def test_folds_k_exceeding_n_errors():
     with pytest.raises(ContractError):
         stratified_kfold(np.array([0, 1, 1]), k=5, seed=42)
@@ -154,6 +166,18 @@ def test_oof_degenerate_training_split_names_fold():
     folds = stratified_kfold(y, k=3, seed=1)
     with pytest.raises(TrainingError, match="fold"):
         run_oof(X, y, ModelSpec("LR"), folds, RngKey(0))
+
+
+def test_oof_single_class_messages():
+    # a training split of one class, or of no row, names its fold
+    X = np.arange(12, dtype=float).reshape(6, 2)
+    y = np.array([1, 1, 1, 1, 0, 0])
+    one_class = FoldAssignment(fold_of=np.array([0, 0, 1, 1, 1, 1]), k=2)
+    with pytest.raises(TrainingError, match=r"^degenerate fold 1: training split has one class$"):
+        run_oof(X, y, ModelSpec("DT"), one_class, RngKey(0))
+    no_rows = FoldAssignment(fold_of=np.zeros(6, dtype=np.intp), k=2)
+    with pytest.raises(TrainingError, match=r"^degenerate fold 0: training split has one class$"):
+        run_oof(X, y, ModelSpec("DT"), no_rows, RngKey(0))
 
 
 def test_oof_recovers_planted_signal():

@@ -35,8 +35,11 @@ def test_predict_proba_rejects_column_mismatch(kind):
 @pytest.mark.parametrize("kind", MODEL_KINDS)
 def test_single_class_training_errors(kind):
     X, _ = _dataset()
-    with pytest.raises(TrainingError):
+    message = r"^degenerate fold: single-class labels$"
+    with pytest.raises(TrainingError, match=message):
         fit_pipeline(ModelSpec(kind), X, np.ones(len(X), dtype=int), RngKey(0).child(kind))
+    with pytest.raises(TrainingError, match=message):
+        fit_pipeline(ModelSpec(kind), X[:0], np.ones(0, dtype=int), RngKey(0).child(kind))
 
 
 @pytest.mark.parametrize("kind", MODEL_KINDS)

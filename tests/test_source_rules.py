@@ -4,7 +4,8 @@
 relies on it; an import must be used (``__init__.py`` re-exports
 excepted); and every top-level function and class of the package is
 referenced somewhere in the package, so code with no caller outside the
-tests goes.
+tests goes.  Every ``np.unique`` asks for a ``return_*`` array: without
+one, numpy checks for a masked array and so imports ``numpy.ma``.
 """
 
 import ast
@@ -62,5 +63,23 @@ def test_every_top_level_definition_is_referenced_in_package():
         if path.name != "__init__.py"
         for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name not in used
+    ]
+    assert hits == []
+
+
+def test_every_np_unique_passes_a_return_keyword():
+    hits = [
+        f"{path}:{node.lineno}"
+        for path, tree in parsed(PACKAGE).items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "unique"
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id in ("np", "numpy")
+        and not any(
+            (k.arg or "").startswith("return_") and isinstance(k.value, ast.Constant) and k.value.value is True
+            for k in node.keywords
+        )
     ]
     assert hits == []
