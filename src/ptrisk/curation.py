@@ -159,13 +159,9 @@ def encode_features(
 
 
 def labels_from_records(records: list) -> np.ndarray:
-    """0/1 label vector (1 = PCR positive); records must be QC-filtered."""
-    labels = []
-    for record in records:
-        if record.pcr_result is PcrResult.invalid:
-            raise CurationError(f"record {record.record_id} has invalid PCR label")
-        labels.append(1 if record.pcr_result is PcrResult.positive else 0)
-    return np.asarray(labels, dtype=np.int64)
+    """0/1 label vector (1 = PCR positive); records must be QC-filtered,
+    which drops every invalid PCR label."""
+    return np.asarray([record.pcr_result is PcrResult.positive for record in records], dtype=np.int64)
 
 
 def plan_proxies(columns, tags, rules) -> tuple:
@@ -233,10 +229,9 @@ def exclude_features(
     """Drop blocklisted, zero-variance, and overly missing columns.
 
     Returns (reduced table, [(name, reason), ...]); reasons are recorded
-    verbatim in the curation report.
+    verbatim in the curation report.  The config holds
+    ``max_missing_fraction`` within [0, 1].
     """
-    if not 0.0 <= max_missing_fraction <= 1.0:
-        raise CurationError("max_missing_fraction must be within [0, 1]")
     blocked = set(blocklist)
     dropped = []
     keep = []
@@ -267,14 +262,13 @@ def exclude_features(
 def assemble(table: FeatureTable, labels: np.ndarray) -> CuratedDataset:
     """Drop rows with missing values in the combined feature set and cut
     the three row-aligned matrices: F1 and F2 are the columns tagged so,
-    in table order, and F3 is F1 then F2."""
+    in table order, and F3 is F1 then F2.  A group may be left without
+    columns; the run refuses a run group that is (``report._curate``)."""
     if len(labels) != len(table.row_ids):
         raise CurationError("labels length does not match table rows")
 
     idx = {tag: [j for j, t in enumerate(table.tags) if t == tag] for tag in ("F1", "F2")}
     idx["F3"] = idx["F1"] + idx["F2"]
-    if not idx["F3"]:
-        raise CurationError("no group features left after exclusions")
     names = {tag: tuple(table.columns[j] for j in idx[tag]) for tag in GROUP_TAGS}
 
     f3_block = table.data[:, idx["F3"]]
@@ -332,9 +326,8 @@ def cohort_summary(ds: CuratedDataset, settings: CurationSettings = CurationSett
 def age_histogram(ages: np.ndarray, bin_width: int = 5) -> list:
     """Contiguous [lo, hi) bins aligned to multiples of the bin width, over
     the ages inside AGE_RANGE only, so one mistyped age cannot stretch the
-    histogram over hundreds of thousands of empty bins."""
-    if bin_width <= 0:
-        raise CurationError("bin width must be positive")
+    histogram over hundreds of thousands of empty bins.  The config holds
+    ``bin_width`` positive."""
     ages = np.asarray(ages, dtype=float)
     ages = ages[(ages >= AGE_RANGE[0]) & (ages < AGE_RANGE[1])]
     if ages.size == 0:

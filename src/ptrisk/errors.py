@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
 Exit-code mapping used by the CLI: ConfigError -> 1, data-shaped errors
-(SchemaError, DataError, CurationError, TrainingError) -> 2, anything
+(SchemaError, DataError, CurationError) -> 2, anything
 else -> 3.
 """
 
@@ -24,10 +24,6 @@ class SchemaError(DataError):
 
 class CurationError(DataError):
     """Feature-engineering rule violated (non-binary proxy source, empty output, ...)."""
-
-
-class TrainingError(DataError):
-    """Model fitting impossible on the given split (degenerate fold, non-finite input)."""
 
 
 class ContractError(PtriskError):

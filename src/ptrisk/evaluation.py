@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, TrainingError
+from .errors import ContractError
 from .models import ModelSpec, fit_pipeline
 from .rng import RngKey, substream
 
@@ -52,14 +52,12 @@ def stratified_kfold(labels: np.ndarray, k: int, seed: int) -> FoldAssignment:
     Within each class the indices are shuffled with the seeded substream
     and dealt round-robin, so per-fold class counts stay within one of
     exact proportionality.  Classes with fewer than k members leave some
-    folds without that class; this is flagged, not fatal.
+    folds without that class; this is flagged, not fatal.  The config
+    holds k >= 2, and curation k <= n and at least two rows per class,
+    which are therefore dealt to different folds.
     """
     labels = np.asarray(labels)
     n = labels.size
-    if k < 2:
-        raise ContractError("k must be at least 2")
-    if k > n:
-        raise ContractError(f"k={k} exceeds the number of rows ({n})")
     gen = substream(seed, "folds")
     fold_of = np.empty(n, dtype=np.intp)
     warnings = []
@@ -85,7 +83,11 @@ def run_oof(
     group_tag: str = "",
 ) -> np.ndarray:
     """Cross-fitted probabilities p_hat, one per row: each row predicted
-    by the pipeline trained with that row's fold held out."""
+    by the pipeline trained with that row's fold held out.
+
+    ``folds`` deals every row to a fold in 0..k-1, so every row is
+    predicted once, and, since curation keeps at least two rows of each
+    class, every training split holds both classes."""
     X = np.asarray(X, dtype=float)
     labels = np.asarray(labels)
     n = labels.size
@@ -96,20 +98,11 @@ def run_oof(
     for f in range(folds.k):
         test = folds.fold_of == f
         train = ~test
-        y_train = labels[train]
-        if (y_train == y_train[:1]).all():
-            raise TrainingError(f"degenerate fold {f}: training split has one class")
         pipeline = fit_pipeline(
-            spec, X[train], y_train, rng.child("model", spec.kind, "group", group_tag, "fold", f)
+            spec, X[train], labels[train], rng.child("model", spec.kind, "group", group_tag, "fold", f)
         )
         if test.any():
             p_hat[test] = pipeline.predict_proba(X[test])
-
-    unpredicted = int(np.isnan(p_hat).sum())
-    if unpredicted:
-        raise ContractError(
-            f"{unpredicted} rows have no out-of-fold prediction; folds must lie in 0..{folds.k - 1}"
-        )
     return p_hat
 
 
@@ -196,11 +189,9 @@ _CHUNK_CELLS = 1 << 14
 def percentile_linear(sorted_values: np.ndarray, q: float) -> float:
     """Empirical quantile with linear interpolation between order
     statistics: position h = q*(m-1), interpolating v[floor(h)] and
-    v[ceil(h)].  This exact formula is part of the reproducibility
-    contract."""
+    v[ceil(h)], over m >= 1 values.  This exact formula is part of the
+    reproducibility contract."""
     m = len(sorted_values)
-    if m == 0:
-        raise ContractError("quantile of empty list")
     h = q * (m - 1)
     lo = math.floor(h)
     hi = math.ceil(h)
@@ -222,12 +213,10 @@ def bootstrap_distribution(
     its count of each code of ``_metric_codes`` and evaluated by the same
     reducer as the point, so a resample's value equals the metric of that
     resample evaluated on its own, bit for bit.  The codes are found once
-    per call.
+    per call.  The config holds B >= 1 and curation n >= k >= 2.
     """
     y = np.asarray(y)
     n = y.size
-    if n == 0 or B < 1:
-        raise ContractError("bootstrap needs a non-empty sample and B >= 1")
     codes, width, reducer = _metric_codes(metric, y, np.asarray(p_hat, dtype=float), threshold)
     values = np.empty(B)
     chunk = max(1, _CHUNK_CELLS // n)
@@ -248,12 +237,10 @@ def bootstrap_ci(
     B: int,
     alpha: float,
     threshold: float,
-    rng=None,
+    rng: np.random.Generator,
 ):
     """Percentile CI (low, high, discarded) for a metric over OOF pairs,
     resampled with the numpy Generator ``rng``."""
-    if not isinstance(rng, np.random.Generator):
-        raise ContractError("bootstrap_ci needs a numpy Generator")
     values, discarded = bootstrap_distribution(y, p_hat, metric, B, rng, threshold)
     if values.size == 0:
         return None, None, discarded

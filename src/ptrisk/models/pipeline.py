@@ -1,16 +1,18 @@
 """The five fixed-hyperparameter classifiers behind one contract.
 
 A FittedPipeline couples a fold-fitted standardizer with the fitted
-model; ``predict_proba`` applies both.  ``fit_pipeline`` holds the one
-fit contract: for every kind it raises TrainingError on a non-finite
-feature value or on single-class labels, before the standardizer sees
-the rows, and neither ``fit_model`` nor the fit functions it calls
-check again.  Each hyperparameter is written once, as a default of its
-fit function (``fit_logistic``, ``fit_forest``, ``fit_boosted``,
-``fit_knn``); a DT, one CART tree on all rows and features held as a
-one-tree ``ForestModel``, has no fit function of its own, so its depth
-and leaf size are written in ``fit_model``.  None is configurable and
-there is no tuning path.
+model; ``predict_proba`` applies both.  No fit function checks its
+rows, though every kind needs finite features and both classes; the run
+holds both before any fit.  The parsers give each value as a finite
+number or NaN and curation drops every row with a NaN; curation refuses
+a class with fewer than two rows (``report._curate``), and
+``evaluation.stratified_kfold`` deals those rows to different folds, so
+every training split keeps both classes.  Each hyperparameter is written
+once, as a default of its fit function (``fit_logistic``,
+``fit_forest``, ``fit_boosted``, ``fit_knn``); a DT, one CART tree on all
+rows and features held as a one-tree ``ForestModel``, has no fit
+function of its own, so its depth and leaf size are written in
+``fit_model``.  None is configurable and there is no tuning path.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ContractError, TrainingError
+from ..errors import ContractError
 from ..rng import RngKey
 from .boosting import fit_boosted
 from .forest import ForestModel, fit_forest
@@ -78,10 +80,6 @@ def fit_pipeline(spec: ModelSpec, X: np.ndarray, y: np.ndarray, rng: RngKey) -> 
     """Fit standardizer and model on the same (training) rows."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
-    if not np.isfinite(X).all():
-        raise TrainingError("non-finite feature value")
-    if (y == y[:1]).all():
-        raise TrainingError("degenerate fold: single-class labels")
     params = fit_standardizer(X)
     model = fit_model(spec, apply_standardizer(params, X), y, rng)
     return FittedPipeline(kind=spec.kind, standardizer=params, model=model)

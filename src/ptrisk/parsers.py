@@ -114,6 +114,16 @@ def _sniff_delimiter(header_line: str) -> str:
     return ";" if header_line.count(";") > header_line.count(",") else ","
 
 
+def _csv_rows(text, delimiter: str, path):
+    """The csv rows of ``text``; a malformed line is a DataError naming
+    the file and the line."""
+    reader = csv.reader(text, delimiter=delimiter)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"cohort file {path} line {reader.line_num}: {exc}") from exc
+
+
 def load_raw(path, schema: Schema) -> list:
     """Read a delimited cohort file into RawRecords, preserving row order.
 
@@ -124,7 +134,9 @@ def load_raw(path, schema: Schema) -> list:
     appears twice is a SchemaError too, because its cells would be
     ambiguous, and so is a name the two schema maps send to different
     columns.  A row with a non-empty cell past the last header is a
-    DataError naming the record: its cells are likely shifted.
+    DataError naming the record: its cells are likely shifted.  A file
+    that is not UTF-8 text, or a line the csv module cannot split (a bare
+    carriage return outside quotes, say), is a DataError naming the file.
 
     The cohort is held once: rows are parsed one at a time from an
     in-memory copy of the file's text, and equal cells share one string
@@ -143,13 +155,15 @@ def load_raw(path, schema: Schema) -> list:
             content = fh.read()
     except OSError as exc:
         raise DataError(f"cannot read cohort file {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise DataError(f"cohort file {path} is not UTF-8 text: {exc}") from exc
     if not content.strip():
         raise DataError(f"cohort file {path} is empty")
 
     text = io.StringIO(content)
     delimiter = _sniff_delimiter(text.readline().splitlines()[0])
     text.seek(0)
-    rows = csv.reader(text, delimiter=delimiter)
+    rows = _csv_rows(text, delimiter, path)
     header = [h.strip() for h in next(rows)]
     repeated = sorted({name for name in header if name and header.count(name) > 1})
     if repeated:
@@ -210,8 +224,6 @@ def load_raw(path, schema: Schema) -> list:
 def qc_filter(records: list, valid_flags=DEFAULT_VALID_FLAGS) -> list:
     """Keep rows with an accepted QC flag, a usable PCR label, and a
     non-beta-assay source; relative order is preserved."""
-    if not valid_flags:
-        raise ValueError("valid_flags must be non-empty")
     return [
         r
         for r in records

@@ -37,11 +37,10 @@ from .curation import (
 )
 from .errors import CurationError, DataError, PtriskError
 from .evaluation import ALL_METRICS, MetricReport, evaluate_oof, run_oof, stratified_kfold
-from .models import ModelSpec
+from .models import MODEL_KINDS, ModelSpec
 from .parsers import load_raw, qc_filter
 from .rng import RngKey
 
-MODEL_ROW_ORDER = ("LR", "DT", "RF", "GBT", "KNN")
 DISPLAY_LABELS = {"GBT": "XGB"}  # table row label for the boosted-tree rows
 XGB_FOOTNOTE = (
     "# XGB rows come from this package's own gradient-boosted tree "
@@ -137,11 +136,10 @@ def run_experiment(config: ExperimentConfig) -> ReportBundle:
     table are freed before any model is fitted.
 
     The bundle is written into a staging directory inside ``out_dir`` and
-    moved into place only once it is complete: the old manifest is removed
-    first and the new one moved last, so no manifest ever lists a file
-    that is missing or from another run.  On any failure the staging
-    directory is removed, any earlier bundle in ``out_dir`` is left as it
-    was, and a StageFailure naming the stage is raised.
+    moved into place by ``_commit`` only once it is complete.  On any
+    failure the staging directory is removed, any earlier bundle in
+    ``out_dir`` is left as it was, and a StageFailure naming the stage is
+    raised.
     """
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -152,15 +150,35 @@ def run_experiment(config: ExperimentConfig) -> ReportBundle:
         shutil.rmtree(staging, ignore_errors=True)
 
 
+def _commit(staging: Path, out_dir: Path, names) -> None:
+    """Move the files ``names`` and then the manifest from ``staging`` into
+    ``out_dir``.  The old manifest is removed first and the new one moved
+    last, so no manifest in ``out_dir`` ever lists a file that is missing
+    or from another run."""
+    (out_dir / MANIFEST_FILENAME).unlink(missing_ok=True)
+    for name in [*names, MANIFEST_FILENAME]:
+        os.replace(staging / name, out_dir / name)
+
+
 def _curate(config: ExperimentConfig, emit) -> tuple:
     """Ingest and curate the cohort, emit ``curation_report.json`` and
     ``cohort_summary.json``, and return (dataset, summary, config_hash);
     the parsed records and the encoded table go out of scope here.  A
-    failure is raised as a StageFailure of stage "ingest" or "curation";
-    curation fails before any fit when no row passes QC, a run group has
-    no feature left, fewer rows than folds remain, or a class has fewer
-    than two rows: two or more are dealt to different folds, so every
-    training split keeps the class.
+    failure is raised as a StageFailure of stage "ingest" or "curation".
+
+    This is the one place that decides whether a cohort can run; the
+    code below it checks none of these again.  Curation refuses a cohort,
+    before any fit, when
+
+    - no row passes QC;
+    - a run group has no feature left (the message names the features
+      excluded from it);
+    - fewer curated rows remain than the k folds;
+    - a class has fewer than two curated rows.  Two or more are dealt to
+      different folds, so every training split keeps both classes.
+
+    Every curated value is finite: the parsers give a finite number or
+    NaN, and ``assemble`` drops each row with a NaN.
     """
     stage = "ingest"
     try:
@@ -183,7 +201,7 @@ def _curate(config: ExperimentConfig, emit) -> tuple:
         dataset = assemble(table, labels_from_records(kept))
         for tag in config.run_groups:
             if not dataset.feature_names[tag]:
-                gone = [f"{name} ({reason})" for name, reason in dropped if group_of[name] == tag]
+                gone = [f"{name} ({reason})" for name, reason in dropped if tag in ("F3", group_of[name])]
                 excluded = f"; excluded: {', '.join(gone)}" if gone else ""
                 raise CurationError(f"run group {tag} has no features left{excluded}")
         if dataset.n < config.k:
@@ -255,9 +273,7 @@ def _run_stages(config: ExperimentConfig, staging: Path, out_dir: Path) -> dict:
 
         stage = "manifest"
         write_manifest(staging, written, config_hash)
-        (out_dir / MANIFEST_FILENAME).unlink(missing_ok=True)
-        for name in written + [MANIFEST_FILENAME]:
-            os.replace(staging / name, out_dir / name)
+        _commit(staging, out_dir, written)
     except Exception as exc:
         raise StageFailure(stage, exc) from exc
     return payloads
@@ -290,7 +306,7 @@ def _cell(payload: dict, metric: str, decimals: int) -> str:
 
 
 def _ordered_kinds(run_models) -> list:
-    return [kind for kind in MODEL_ROW_ORDER if kind in run_models]
+    return [kind for kind in MODEL_KINDS if kind in run_models]
 
 
 def table_files(payloads: dict, run_groups, run_models) -> list:
@@ -380,7 +396,9 @@ def plotdata_files(payloads: dict, run_groups, run_models, summary: dict) -> lis
 def regenerate(config: ExperimentConfig, command: str) -> list:
     """Rewrite the tables (``command="tables"``) or the plot-data files
     (``"plotdata"``) of the bundle in ``config.out_dir`` and record their
-    new digests in its manifest.
+    new digests in its manifest.  The files and the manifest are staged
+    and moved into place by ``_commit``, as ``run`` does, so a failed
+    rewrite leaves no manifest that lists a stale file.
 
     Only a bundle this config wrote is trusted: its manifest must carry
     ``config.config_hash()``, and the metric report of every cell of the
@@ -415,8 +433,14 @@ def regenerate(config: ExperimentConfig, command: str) -> list:
     else:
         summary = read_json("cohort_summary.json")
         files = plotdata_files(payloads, config.run_groups, config.run_models, summary)
-    for name, content in files:
-        (out_dir / name).write_text(content, encoding="utf-8")
-        manifest["files"][name] = _sha256_file(out_dir / name)
-    manifest_path.write_text(_json_text(manifest), encoding="utf-8")
-    return [name for name, _ in files]
+    names = [name for name, _ in files]
+    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
+    try:
+        for name, content in files:
+            (staging / name).write_text(content, encoding="utf-8")
+            manifest["files"][name] = _sha256_file(staging / name)
+        (staging / MANIFEST_FILENAME).write_text(_json_text(manifest), encoding="utf-8")
+        _commit(staging, out_dir, names)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
+    return names

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from ptrisk.errors import ContractError
 from ptrisk.evaluation import (
     bootstrap_ci,
     bootstrap_distribution,
@@ -154,11 +153,6 @@ def test_all_resamples_discarded():
     low, high, discarded = bootstrap_ci(y, p, "auc", B=50, alpha=0.05, threshold=0.5, rng=substream(1, "bootstrap"))
     assert (low, high) == (None, None)
     assert discarded == 50
-
-
-def test_bootstrap_rejects_missing_rng():
-    with pytest.raises(ContractError):
-        bootstrap_ci(np.array([0, 1]), np.array([0.2, 0.8]), "auc", B=10, alpha=0.05, threshold=0.5)
 
 
 def test_low_never_exceeds_high():

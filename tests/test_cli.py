@@ -1,3 +1,4 @@
+import errno
 import hashlib
 import json
 import os
@@ -144,6 +145,25 @@ def test_run_group_emptied_by_exclusions_fails_at_curation(tmp_path, monkeypatch
     assert not (tmp_path / "manifest.json").exists()
 
 
+def test_every_feature_excluded_names_them_at_curation(tmp_path, capsys):
+    from ptrisk.curation import DEFAULT_F1_FEATURES, DEFAULT_F2_FEATURES
+
+    features = DEFAULT_F1_FEATURES + DEFAULT_F2_FEATURES
+    ini = write_ini(
+        tmp_path / "cfg.ini",
+        tmp_path,
+        curation={"blocklist": " | ".join(features)},
+        models={"run": "DT"},
+        groups={"run": "F3"},
+    )
+    assert main(["synth", "--config", str(ini)]) == 0
+    assert main(["run", "--config", str(ini)]) == 2
+    err = capsys.readouterr().err
+    assert "curation" in err and "run group F3 has no features left" in err
+    assert all(f"{name} (blocklisted)" in err for name in features)
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_fewer_rows_than_folds_fails_at_curation(tmp_path, capsys):
     synth = {"n": "4", "prevalence": "0.5"}
     ini = write_ini(tmp_path / "cfg.ini", tmp_path, synth=synth, models={"run": "DT"})
@@ -180,6 +200,22 @@ def test_no_row_passing_qc_fails_at_curation(tmp_path, capsys, cohort):
     assert main(["run", "--config", str(ini)]) == 2
     err = capsys.readouterr().err
     assert "curation" in err and f"no row passed QC ({len(rows)} rows read)" in err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("damage", ["bare_cr_line_ends", "latin_1"])
+def test_unreadable_cohort_text_fails_at_ingest(tmp_path, capsys, damage):
+    ini = write_ini(tmp_path / "cfg.ini", tmp_path, models={"run": "DT"})
+    assert main(["synth", "--config", str(ini)]) == 0
+    path = tmp_path / "cohort.csv"
+    text = path.read_text(encoding="utf-8")
+    if damage == "bare_cr_line_ends":
+        path.write_bytes(text.replace("\n", "\r").encode("utf-8"))
+    else:
+        path.write_bytes(text.replace(",OK,", ",ÖK,", 1).encode("latin-1"))
+    assert main(["run", "--config", str(ini)]) == 2
+    err = capsys.readouterr().err
+    assert "stage 'ingest'" in err and str(path) in err
     assert not (tmp_path / "manifest.json").exists()
 
 
@@ -277,6 +313,40 @@ def test_tables_and_plotdata_refuse_untrusted_bundle(tmp_path, capsys):
     assert "manifest.json" in capsys.readouterr().err
 
 
+def test_failed_tables_rewrite_leaves_no_stale_manifest(tmp_path, monkeypatch):
+    # the disk fills while the second table is written, which leaves the
+    # bundle as it was, or while the rewritten tables are moved into place
+    ini = write_ini(tmp_path / "cfg.ini", tmp_path)
+    main(["synth", "--config", str(ini)])
+    assert main(["run", "--config", str(ini)]) == 0
+    before = {p.name: digest(p) for p in tmp_path.iterdir()}
+    full = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    write_text, replace = Path.write_text, os.replace
+
+    def half_written(self, data, *args, **kwargs):
+        if self.name == "table_F2_extended.csv":
+            write_text(self, data[: len(data) // 2], *args, **kwargs)
+            raise full
+        return write_text(self, data, *args, **kwargs)
+
+    def moved_once(src, dst):
+        if Path(dst).name == "table_F2_extended.csv":
+            raise full
+        return replace(src, dst)
+
+    for target, attr, fault in ((Path, "write_text", half_written), (os, "replace", moved_once)):
+        with monkeypatch.context() as patch:
+            patch.setattr(target, attr, fault)
+            assert main(["tables", "--config", str(ini)]) == 3
+        manifest = tmp_path / "manifest.json"
+        if manifest.exists():
+            files = json.loads(manifest.read_text())["files"]
+            assert {name: digest(tmp_path / name) for name in files} == files
+        assert list(tmp_path.glob(".staging-*")) == []
+        if fault is half_written:
+            assert {p.name: digest(p) for p in tmp_path.iterdir()} == before
+
+
 def test_tables_on_incomplete_bundle_exit_2(tmp_path, capsys):
     ini = write_ini(tmp_path / "cfg.ini", tmp_path)
     main(["synth", "--config", str(ini)])
@@ -342,6 +412,12 @@ def test_load_config_rejects_bad_values(tmp_path):
         load_config(ini)
     ini.write_text("[models]\nrun = SVM\n")
     with pytest.raises(ConfigError):
+        load_config(ini)
+    ini.write_text("[protocol]\nk = 1\n")
+    with pytest.raises(ConfigError, match="k must be at least 2"):
+        load_config(ini)
+    ini.write_text("[protocol]\nbootstrap_samples = 0\n")
+    with pytest.raises(ConfigError, match="bootstrap_samples must be at least 1"):
         load_config(ini)
 
 
@@ -481,6 +557,8 @@ def test_partial_column_map_keeps_the_other_features(tmp_path, monkeypatch, sect
             {"proxy_rules": "irritation:genital_irritation+dysuria;again:dysuria+prior_std"},
             "not found: dysuria",
         ),
+        ({"max_missing_fraction": "1.5"}, "max_missing_fraction"),
+        ({"max_missing_fraction": "-0.1"}, "max_missing_fraction"),
     ],
 )
 def test_curation_settings_are_checked_at_load(tmp_path, capsys, curation, named):

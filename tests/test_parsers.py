@@ -286,6 +286,21 @@ def test_load_raw_unassigned_columns_go_to_fields(tmp_path):
     assert record.fields == {"extra_note": "hello"}
 
 
+@given(st.booleans(), st.binary(max_size=300))
+@settings(max_examples=300, deadline=None)
+def test_load_raw_on_any_bytes_returns_records_or_raises_data_error(with_header, data):
+    # with a valid header first, the rows themselves are exercised
+    header = b"record_id,qc_flag,pcr_result\n" if with_header else b""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cohort.csv"
+        path.write_bytes(header + data)
+        try:
+            records = load_raw(path, Schema())
+        except DataError:
+            return
+    assert all(isinstance(record, RawRecord) for record in records)
+
+
 # --- qc_filter ---------------------------------------------------------------------
 
 def _record(record_id, qc="OK", beta=False, pcr=PcrResult.positive):

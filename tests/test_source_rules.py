@@ -5,7 +5,9 @@ relies on it; an import must be used (``__init__.py`` re-exports
 excepted); and every top-level function and class of the package is
 referenced somewhere in the package, so code with no caller outside the
 tests goes.  Every ``np.unique`` asks for a ``return_*`` array: without
-one, numpy checks for a masked array and so imports ``numpy.ma``.
+one, numpy checks for a masked array and so imports ``numpy.ma``.  Every
+``raise`` re-raises or raises a ``PtriskError`` subclass, so no input
+error reaches the CLI as an internal error (exit 3).
 """
 
 import ast
@@ -82,4 +84,49 @@ def test_every_np_unique_passes_a_return_keyword():
             for k in node.keywords
         )
     ]
+    assert hits == []
+
+
+def _raises(node, function=None):
+    """(name of the enclosing function, Raise node) for every raise under ``node``."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Raise):
+            yield function, child
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
+        yield from _raises(child, inner)
+
+
+def test_every_raise_names_a_package_error():
+    # the one exception: the ValueError of config.py's INI value parsers,
+    # which ``_overrides`` turns into a ConfigError naming the key
+    trees = parsed(PACKAGE)
+    classes = [node for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    package_errors = {"PtriskError"}
+    while True:
+        found = {
+            node.name
+            for node in classes
+            if any(isinstance(base, ast.Name) and base.id in package_errors for base in node.bases)
+        }
+        if found <= package_errors:
+            break
+        package_errors |= found
+    config = Path("src", "ptrisk", "config.py")
+    value_parsers = {
+        node.args[3].id
+        for node in ast.walk(trees[config])
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_Setting"
+    }
+    hits = []
+    for path, tree in trees.items():
+        for function, node in _raises(tree):
+            if node.exc is None:
+                continue
+            raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = getattr(raised, "id", None) or getattr(raised, "attr", None)
+            if name in package_errors:
+                continue
+            if path == config and function in value_parsers and name == "ValueError":
+                continue
+            hits.append(f"{path}:{node.lineno} {name}")
     assert hits == []
