@@ -87,7 +87,9 @@ def run_oof(
 
     ``folds`` deals every row to a fold in 0..k-1, so every row is
     predicted once, and, since curation keeps at least two rows of each
-    class, every training split holds both classes."""
+    class, every training split holds both classes.  A fold that holds no
+    row (every class smaller than k leaves the top folds empty) is not
+    fitted."""
     X = np.asarray(X, dtype=float)
     labels = np.asarray(labels)
     n = labels.size
@@ -97,11 +99,11 @@ def run_oof(
     p_hat = np.full(n, np.nan)
     for f in range(folds.k):
         test = folds.fold_of == f
-        train = ~test
-        pipeline = fit_pipeline(
-            spec, X[train], labels[train], rng.child("model", spec.kind, "group", group_tag, "fold", f)
-        )
         if test.any():
+            train = ~test
+            pipeline = fit_pipeline(
+                spec, X[train], labels[train], rng.child("model", spec.kind, "group", group_tag, "fold", f)
+            )
             p_hat[test] = pipeline.predict_proba(X[test])
     return p_hat
 

@@ -3,6 +3,8 @@
 Raw scores start at 0.  Each round subsamples rows and columns, fits a
 depth-limited regression tree to the gradient/hessian statistics of the
 logistic loss, and adds the shrunken leaf values -lr * G/(H + lambda).
+Round t draws its subsamples from its own substream; a fit seeds all its
+rounds' substreams at once, with one ``RngKey.generators`` call.
 The tree is grown by ``tree.grow_tree`` from the per-row statistics
 (g, h) on the full matrix, searching the round's column draw at every
 node, so it shares the CART tree's split search and tie-break (lowest
@@ -79,8 +81,7 @@ def fit_boosted(
     raw = np.zeros(n)
     trees = []
     losses = []
-    for t in range(n_rounds):
-        gen = rng.child("round", t).generator()
+    for gen in rng.generators("round", n_rounds):
         rows = np.sort(gen.choice(n, size=n_rows, replace=False))
         cols = np.sort(gen.choice(p, size=n_cols, replace=False))
         prob = sigmoid(raw)

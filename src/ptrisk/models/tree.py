@@ -27,13 +27,17 @@ X: the bootstrap samples of a forest, or one tree for DT and for each
 boosting round, which searches a fixed row of X's columns at every node
 (DT: all, a round: its draw).  Each tree keeps one row permutation,
 stably partitioned in place at each split, so every node is a slice of
-it in ascending sample order.  Each step takes, from every tree that has
-some, its next depth-first node if the tree draws features per split, or
-else all its pending nodes.  Over the step's nodes it computes:
+it in ascending sample order.  The two statistics are held as one
+C-contiguous (2, rows) array, so a node gathers both with one ``take``.
+Each step takes, from every tree that has some, its next depth-first
+node if the tree draws features per split, or else all its pending
+nodes.  Over the step's nodes it computes:
 
 1. the node totals A, B: one sum per node over its slice, in that order,
    the sum a tree grown alone takes (numpy's pairwise sum depends on the
-   length and the order, so it is never taken over a padded row);
+   length and the order, so it is never taken over a padded row).  One
+   reduction along the rows of the gathered (2, n) block sums each
+   statistic pairwise as its 1-D slice would be;
 2. the leaf values and the stop rules, elementwise;
 3. the candidate features, tree by tree.  A tree calls its own picker
    at its own searched nodes in its own depth-first order, which is why
@@ -190,7 +194,7 @@ def rank_codes(XT: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _split_block(X, codes, a, b, perm, start, n, features, A, B, split_gain, L, padded):
+def _split_block(X, codes, ab, perm, start, n, features, A, B, split_gain, L, padded):
     """Best split of each node of one search call, and its partition.
 
     Node i holds the rows ``perm[start[i]:start[i] + n[i]]`` and searches
@@ -218,8 +222,7 @@ def _split_block(X, codes, a, b, perm, start, n, features, A, B, split_gain, L, 
     cand = key[:, :, :-1] < key[:, :, 1:]
     if nodes > 1:
         order += (np.arange(nodes) * L)[:, None, None]  # into rows, flattened
-    AL = np.cumsum(a.take(rows).take(order)[:, :, :-1], axis=2)
-    BL = np.cumsum(b.take(rows).take(order)[:, :, :-1], axis=2)
+    AL, BL = np.cumsum(ab.take(rows, axis=1).reshape(2, -1).take(order, axis=1)[..., :-1], axis=3)
     if padded:
         # past a node's last real position the sums are replaced by its
         # one-row sums, so the gain rule sees no empty child
@@ -256,7 +259,7 @@ def _split_block(X, codes, a, b, perm, start, n, features, A, B, split_gain, L, 
     return ok, feature, threshold, n_left
 
 
-def _split_nodes(X, codes, a, b, perm, start, n, features, A, B, split_gain):
+def _split_nodes(X, codes, ab, perm, start, n, features, A, B, split_gain):
     """``_split_block`` over the searched nodes of a step: the nodes with at
     least two rows, sorted by row count, in calls whose largest node has
     under four times the rows of the smallest and whose block holds at
@@ -274,7 +277,7 @@ def _split_nodes(X, codes, a, b, perm, start, n, features, A, B, split_gain):
         calls.append((order[lo:hi], sizes[order[hi - 1]], sizes[order[lo]] < sizes[order[hi - 1]]))
         lo = hi
     if len(calls) == 1 and len(order) == len(sizes):
-        return _split_block(X, codes, a, b, perm, start, n, features, A, B, split_gain, *calls[0][1:])
+        return _split_block(X, codes, ab, perm, start, n, features, A, B, split_gain, *calls[0][1:])
     ok = np.zeros(len(sizes), dtype=bool)
     feature = np.zeros(len(sizes), dtype=np.intp)
     threshold = np.zeros(len(sizes))
@@ -282,7 +285,7 @@ def _split_nodes(X, codes, a, b, perm, start, n, features, A, B, split_gain):
     for i, L, padded in calls:
         i = np.array(i)
         ok[i], feature[i], threshold[i], n_left[i] = _split_block(
-            X, codes, a, b, perm, start[i], n[i], features[i], A[i], B[i], split_gain, L, padded
+            X, codes, ab, perm, start[i], n[i], features[i], A[i], B[i], split_gain, L, padded
         )
     return ok, feature, threshold, n_left
 
@@ -317,6 +320,7 @@ def grow_tree(
     """
     n_trees, m = samples.shape
     perm = samples.reshape(-1)
+    ab = np.stack((a, b))
     arrays = [TreeArrays() for _ in range(n_trees)]
     # per tree: (start in perm, rows, depth, parent's child list, parent);
     # right is pushed before left
@@ -324,8 +328,7 @@ def grow_tree(
     active = list(range(n_trees))
     while active:
         nodes = []
-        A = []
-        B = []
+        totals = []
         for t in active:
             # a tree that draws features grows in its own depth-first order
             stack = pending[t]
@@ -335,12 +338,9 @@ def grow_tree(
                 node = arrays[t].add_node()
                 if link is not None:
                     link[parent] = node
-                rows = perm[s : s + c]
-                A.append(np.add.reduce(a.take(rows)))
-                B.append(np.add.reduce(b.take(rows)))
+                totals.append(np.add.reduce(ab.take(perm[s : s + c], axis=1), axis=1))
                 nodes.append((t, node, s, c, depth))
-        A = np.array(A)
-        B = np.array(B)
+        A, B = np.array(totals).T
         n = np.array([node[3] for node in nodes])
         stop = is_leaf(A, B, n).tolist()
         for (t, node, *_), v in zip(nodes, leaf_value(A, B).tolist()):
@@ -354,7 +354,7 @@ def grow_tree(
             start = np.array([nodes[k][2] for k in i])
             if len(i) < len(nodes):
                 n, A, B = n[i], A[i], B[i]
-            ok, f, thr, n_left = _split_nodes(X, codes, a, b, perm, start, n, searched, A, B, split_gain)
+            ok, f, thr, n_left = _split_nodes(X, codes, ab, perm, start, n, searched, A, B, split_gain)
             for k, ok, f, thr, nl in zip(i, ok.tolist(), f.tolist(), thr.tolist(), n_left.tolist()):
                 if ok:
                     t, node, s, c, depth = nodes[k]

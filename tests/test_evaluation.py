@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ptrisk import evaluation
 from ptrisk.evaluation import (
     evaluate_oof,
     metric_point,
@@ -120,6 +121,31 @@ def test_oof_complete_and_fold_consistent():
         test = folds.fold_of == f
         pipeline = fit_pipeline(
             ModelSpec("LR"), X[~test], y[~test], RngKey(42).child("model", "LR", "group", "F1", "fold", f)
+        )
+        assert p_hat[test].tobytes() == pipeline.predict_proba(X[test]).tobytes()
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_oof_fits_only_folds_that_hold_rows(kind, monkeypatch):
+    # three rows per class for five folds: folds 3 and 4 hold no row
+    X, _ = _fixture_dataset(6)
+    y = np.array([0, 0, 0, 1, 1, 1])
+    folds = stratified_kfold(y, 5, seed=42)
+    fitted = []
+
+    def counting_fit(spec, X, y, rng):
+        fitted.append(rng.path[-1])
+        return fit_pipeline(spec, X, y, rng)
+
+    monkeypatch.setattr(evaluation, "fit_pipeline", counting_fit)
+    p_hat = run_oof(X, y, ModelSpec(kind), folds, RngKey(42), group_tag="F1")
+    held = [f for f in range(folds.k) if (folds.fold_of == f).any()]
+    assert fitted == held == [0, 1, 2]
+    assert not np.isnan(p_hat).any()
+    for f in held:
+        test = folds.fold_of == f
+        pipeline = fit_pipeline(
+            ModelSpec(kind), X[~test], y[~test], RngKey(42).child("model", kind, "group", "F1", "fold", f)
         )
         assert p_hat[test].tobytes() == pipeline.predict_proba(X[test]).tobytes()
 

@@ -7,7 +7,8 @@ referenced somewhere in the package, so code with no caller outside the
 tests goes.  Every ``np.unique`` asks for a ``return_*`` array: without
 one, numpy checks for a masked array and so imports ``numpy.ma``.  Every
 ``raise`` re-raises or raises a ``PtriskError`` subclass, so no input
-error reaches the CLI as an internal error (exit 3).
+error reaches the CLI as an internal error (exit 3).  Only ``rng.py``
+builds numpy generators, so every draw comes from an addressed substream.
 """
 
 import ast
@@ -84,6 +85,36 @@ def test_every_np_unique_passes_a_return_keyword():
             for k in node.keywords
         )
     ]
+    assert hits == []
+
+
+RNG_CONSTRUCTORS = {"SeedSequence", "PCG64", "Generator", "default_rng", "RandomState", "seed"}
+
+
+def _dotted(node):
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+def test_only_rng_module_builds_numpy_generators():
+    # every draw comes from an addressed substream: no other module calls a
+    # numpy.random constructor or imports one (annotations are not calls)
+    hits = []
+    for path, tree in parsed(PACKAGE).items():
+        if path.name == "rng.py":
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                parts = _dotted(node.func).split(".")
+                if parts[0] in ("np", "numpy") and "random" in parts[1:-1] and parts[-1] in RNG_CONSTRUCTORS:
+                    hits.append(f"{path}:{node.lineno} {'.'.join(parts)}")
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.random"):
+                hits += [f"{path}:{node.lineno} {alias.name}" for alias in node.names if alias.name in RNG_CONSTRUCTORS]
     assert hits == []
 
 

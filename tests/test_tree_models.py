@@ -502,6 +502,22 @@ def test_tied_rows_are_summed_in_row_order():
         assert fitted.feature[0] == 0
 
 
+def test_node_totals_of_both_statistics_are_their_1d_sums():
+    # the grower sums a node's rows of the (2, n) statistics in one
+    # reduction along axis 1; each row must sum pairwise as its 1-D slice
+    rng = np.random.default_rng(11)
+    n = 60_000
+    a = rng.normal(size=n) * 10.0 ** rng.integers(-8, 9, size=n)
+    b = rng.random(n)
+    ab = np.stack((a, b))
+    for _ in range(2300):
+        m = int(np.exp(rng.uniform(0.0, np.log(n + 1))))
+        rows = rng.integers(0, n, size=m).astype(np.uint16)
+        together = np.add.reduce(ab.take(rows, axis=1), axis=1)
+        alone = np.array([np.add.reduce(a.take(rows)), np.add.reduce(b.take(rows))])
+        assert together.tobytes() == alone.tobytes(), m
+
+
 # --- all-tree prediction and the forest's working set ---------------------------
 
 
