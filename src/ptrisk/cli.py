@@ -72,6 +72,8 @@ def main(argv=None) -> int:
             return EXIT_OK
         if args.command == "run":
             bundle = run_experiment(config)
+            for warning in bundle.warnings:
+                print(f"warning: {warning}", file=sys.stderr)
             print(f"wrote bundle with {len(bundle.reports)} metric reports to {bundle.out_dir}")
             return EXIT_OK
         names = regenerate(config, args.command)

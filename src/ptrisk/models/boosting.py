@@ -6,7 +6,7 @@ logistic loss, and adds the shrunken leaf values -lr * G/(H + lambda).
 Round t draws its subsamples from its own substream; a fit seeds all its
 rounds' substreams at once, with one ``RngKey.generators`` call.
 The tree is grown by ``tree.grow_tree`` from the per-row statistics
-(g, h) on the full matrix, searching the round's column draw at every
+(g, h) on the full matrix, picking the round's column draw at every
 node, so it shares the CART tree's split search and tie-break (lowest
 feature, then lowest threshold).  Split gain is the usual second-order
 improvement; a split is accepted only when both children carry at least
@@ -95,7 +95,7 @@ def fit_boosted(
             split_gain=_newton_gain,
             max_depth=max_depth,
             is_leaf=lambda G, H, n: H < 2 * _MIN_CHILD_HESSIAN,
-            features=cols[None, :],
+            pickers=[lambda _: cols],
         )
         trees.append(tree)
         raw += tree.predict_value(X)

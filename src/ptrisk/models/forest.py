@@ -67,6 +67,6 @@ def fit_forest(
         samples,
         max_depth=max_depth,
         min_samples_leaf=min_samples_leaf,
-        feature_pickers=pickers,
+        pickers=pickers,
     )
     return ForestModel(trees=trees)

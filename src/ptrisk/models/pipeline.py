@@ -54,9 +54,9 @@ def fit_model(spec: ModelSpec, X: np.ndarray, y: np.ndarray, rng: RngKey):
     if spec.kind == "LR":
         return fit_logistic(X, y, balanced_weights(y))
     if spec.kind == "DT":
-        rows, cols = (np.arange(size)[None, :] for size in X.shape)
+        rows = np.arange(X.shape[0])[None, :]
         trees = build_classification_trees(
-            X, y, balanced_weights(y), rows, max_depth=4, min_samples_leaf=5, features=cols
+            X, y, balanced_weights(y), rows, max_depth=4, min_samples_leaf=5, pickers=[np.arange]
         )
         return ForestModel(trees)
     if spec.kind == "RF":

@@ -24,14 +24,14 @@ the codes.
 
 Lockstep.  ``grow_tree`` grows a batch of trees together on one matrix
 X: the bootstrap samples of a forest, or one tree for DT and for each
-boosting round, which searches a fixed row of X's columns at every node
-(DT: all, a round: its draw).  Each tree keeps one row permutation,
-stably partitioned in place at each split, so every node is a slice of
-it in ascending sample order.  The two statistics are held as one
-C-contiguous (2, rows) array, so a node gathers both with one ``take``.
-Each step takes, from every tree that has some, its next depth-first
-node if the tree draws features per split, or else all its pending
-nodes.  Over the step's nodes it computes:
+boosting round.  Each tree keeps one row permutation, stably partitioned
+in place at each split, so every node is a slice of it in ascending
+sample order.  The two statistics are held as one C-contiguous (2, rows)
+array, so a node gathers both with one ``take``.  Each step takes the
+next depth-first node of every tree that has one, so every tree creates
+its nodes in preorder and calls its picker in the order of a tree grown
+alone: a forest draws the same RNG stream as its trees grown one at a
+time.  Over the step's nodes it computes:
 
 1. the node totals A, B: one sum per node over its slice, in that order,
    the sum a tree grown alone takes (numpy's pairwise sum depends on the
@@ -39,10 +39,7 @@ nodes.  Over the step's nodes it computes:
    reduction along the rows of the gathered (2, n) block sums each
    statistic pairwise as its 1-D slice would be;
 2. the leaf values and the stop rules, elementwise;
-3. the candidate features, tree by tree.  A tree calls its own picker
-   at its own searched nodes in its own depth-first order, which is why
-   such a tree gives one node per step: a forest draws the same RNG
-   stream as its trees grown one at a time;
+3. the candidate features, from each tree's own picker;
 4. the split search, in a few ``_split_block`` calls over (nodes x
    features x rows) blocks of codes.  The nodes are sorted by row count
    and cut into calls whose largest node has under four times the rows
@@ -59,8 +56,6 @@ nodes.  Over the step's nodes it computes:
 5. the midpoint thresholds and the ``<=`` partitions, elementwise, which
    is exact.
 
-A tree that took several nodes in a step is renumbered into depth-first
-preorder when frozen, so every tree is stored as if grown alone.
 ``tree_sums`` walks all trees of an ensemble together over row blocks of
 at most ``_BLOCK_CELLS`` (trees x rows) node indices, so an ensemble's
 prediction holds a bounded block whatever the number of rows.
@@ -95,23 +90,6 @@ class TreeArrays:
         return len(self.feature) - 1
 
     def finalize(self) -> "FrozenTree":
-        """Freeze the tree with its nodes numbered in depth-first preorder,
-        left subtree before right."""
-        order = []
-        stack = [0]
-        while stack:
-            node = stack.pop()
-            order.append(node)
-            if self.feature[node] >= 0:
-                stack += (self.right[node], self.left[node])
-        if order != list(range(len(order))):
-            number = {node: i for i, node in enumerate(order)}
-            number[-1] = -1
-            self.feature = [self.feature[node] for node in order]
-            self.threshold = [self.threshold[node] for node in order]
-            self.left = [number[self.left[node]] for node in order]
-            self.right = [number[self.right[node]] for node in order]
-            self.value = [self.value[node] for node in order]
         return FrozenTree(
             feature=np.asarray(self.feature, dtype=np.intp),
             threshold=np.asarray(self.threshold, dtype=float),
@@ -300,8 +278,7 @@ def grow_tree(
     split_gain,
     max_depth: int,
     is_leaf,
-    features=None,
-    feature_pickers=None,
+    pickers,
 ) -> tuple:
     """Grow one tree per row of ``samples``, all in lockstep.
 
@@ -313,10 +290,9 @@ def grow_tree(
     ``leaf_value(A, B)`` gives the node value, ``is_leaf(A, B, n)`` stops
     a node before its split search, and ``split_gain(AL, BL, A, B,
     n_left, n)`` scores left-child sums, -inf where the split is not
-    allowed.  Exactly one of two inputs gives the candidate features, as
-    ascending columns of X: ``features[t]``, tree t's row searched at
-    every node, or ``feature_pickers[t](X.shape[1])``, called once per
-    searched node of tree t, in depth-first order.
+    allowed.  ``pickers[t](X.shape[1])`` gives tree t's candidate
+    features, as ascending columns of X; it is called once per searched
+    node of tree t, in depth-first order.
     """
     n_trees, m = samples.shape
     perm = samples.reshape(-1)
@@ -330,16 +306,12 @@ def grow_tree(
         nodes = []
         totals = []
         for t in active:
-            # a tree that draws features grows in its own depth-first order
-            stack = pending[t]
-            wave = stack[::-1] if feature_pickers is None else stack[-1:]
-            del stack[-len(wave) :]
-            for s, c, depth, link, parent in wave:
-                node = arrays[t].add_node()
-                if link is not None:
-                    link[parent] = node
-                totals.append(np.add.reduce(ab.take(perm[s : s + c], axis=1), axis=1))
-                nodes.append((t, node, s, c, depth))
+            s, c, depth, link, parent = pending[t].pop()
+            node = arrays[t].add_node()
+            if link is not None:
+                link[parent] = node
+            totals.append(np.add.reduce(ab.take(perm[s : s + c], axis=1), axis=1))
+            nodes.append((t, node, s, c, depth))
         A, B = np.array(totals).T
         n = np.array([node[3] for node in nodes])
         stop = is_leaf(A, B, n).tolist()
@@ -347,10 +319,7 @@ def grow_tree(
             arrays[t].value[node] = v
         i = [k for k, node in enumerate(nodes) if node[4] < max_depth and not stop[k]]
         if i:
-            if feature_pickers is None:
-                searched = features[[nodes[k][0] for k in i]]
-            else:
-                searched = np.array([feature_pickers[nodes[k][0]](X.shape[1]) for k in i])
+            searched = np.array([pickers[nodes[k][0]](X.shape[1]) for k in i])
             start = np.array([nodes[k][2] for k in i])
             if len(i) < len(nodes):
                 n, A, B = n[i], A[i], B[i]
@@ -378,16 +347,15 @@ def build_classification_trees(
     samples: np.ndarray,
     max_depth: int,
     min_samples_leaf: int,
-    features=None,
-    feature_pickers=None,
+    pickers,
 ) -> tuple:
     """Grow CART trees; leaf value is the weighted positive fraction.
 
     The row statistics are the weight w and the positive weight w*[y=1].
     A split needs at least ``min_samples_leaf`` rows on each side.  One
     tree is grown per row of ``samples`` (row indices of X, repeats
-    allowed), on the candidate features of ``features`` or
-    ``feature_pickers`` as for ``grow_tree``.
+    allowed), on the candidate features of ``pickers`` as for
+    ``grow_tree``.
     """
     X = np.ascontiguousarray(X, dtype=float)
     w = np.asarray(sample_weight, dtype=float)
@@ -412,6 +380,5 @@ def build_classification_trees(
         split_gain=gini_gain,
         max_depth=max_depth,
         is_leaf=is_leaf,
-        features=features,
-        feature_pickers=feature_pickers,
+        pickers=pickers,
     )

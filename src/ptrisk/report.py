@@ -62,6 +62,7 @@ class StageFailure(PtriskError):
 class ReportBundle:
     out_dir: Path
     reports: dict  # (group_tag, model_kind) -> metrics payload, as in metrics_*.json
+    warnings: tuple  # flagged, not fatal: the fold assignment's small-class warnings
 
 
 def _sha256_file(path: Path) -> str:
@@ -145,19 +146,42 @@ def run_experiment(config: ExperimentConfig) -> ReportBundle:
     out_dir.mkdir(parents=True, exist_ok=True)
     staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
     try:
-        return ReportBundle(out_dir=out_dir, reports=_run_stages(config, staging, out_dir))
+        return ReportBundle(out_dir, *_run_stages(config, staging, out_dir))
     finally:
         shutil.rmtree(staging, ignore_errors=True)
+
+
+def _listed_files(manifest_path: Path) -> set:
+    """The bare file names a manifest lists: no path separator, not "."
+    or "..".  An unreadable manifest lists none."""
+    try:
+        files = dict(json.loads(manifest_path.read_text(encoding="utf-8"))["files"])
+    except (OSError, ValueError, KeyError, TypeError):
+        return set()
+    return {
+        name
+        for name in files
+        if isinstance(name, str) and name not in ("", ".", "..") and os.path.basename(name) == name
+    }
 
 
 def _commit(staging: Path, out_dir: Path, names) -> None:
     """Move the files ``names`` and then the manifest from ``staging`` into
     ``out_dir``.  The old manifest is removed first and the new one moved
     last, so no manifest in ``out_dir`` ever lists a file that is missing
-    or from another run."""
+    or from another run.  Before the new manifest moves in, each regular
+    file the old manifest listed and the new one does not is deleted, so a
+    rerun leaves no file of the old run behind; a file that no manifest
+    listed is never touched."""
+    stale = _listed_files(out_dir / MANIFEST_FILENAME) - _listed_files(staging / MANIFEST_FILENAME)
     (out_dir / MANIFEST_FILENAME).unlink(missing_ok=True)
-    for name in [*names, MANIFEST_FILENAME]:
+    for name in names:
         os.replace(staging / name, out_dir / name)
+    for name in stale:
+        path = out_dir / name
+        if path.is_file() and not path.is_symlink():
+            path.unlink()
+    os.replace(staging / MANIFEST_FILENAME, out_dir / MANIFEST_FILENAME)
 
 
 def _curate(config: ExperimentConfig, emit) -> tuple:
@@ -171,6 +195,8 @@ def _curate(config: ExperimentConfig, emit) -> tuple:
     before any fit, when
 
     - no row passes QC;
+    - no row survives the combined missing-value filter: ``assemble``
+      drops each row with a missing value in any kept feature;
     - a run group has no feature left (the message names the features
       excluded from it);
     - fewer curated rows remain than the k folds;
@@ -230,9 +256,10 @@ def _curate(config: ExperimentConfig, emit) -> tuple:
     return dataset, summary, config_hash
 
 
-def _run_stages(config: ExperimentConfig, staging: Path, out_dir: Path) -> dict:
+def _run_stages(config: ExperimentConfig, staging: Path, out_dir: Path) -> tuple:
     """Write every file of the bundle into ``staging``, then move them into
-    ``out_dir``, manifest last; returns the metrics payloads by cell."""
+    ``out_dir``, manifest last; returns the metrics payloads by cell and
+    the fold assignment's warnings."""
     written = []
 
     def emit(name: str, content: str) -> None:
@@ -276,7 +303,7 @@ def _run_stages(config: ExperimentConfig, staging: Path, out_dir: Path) -> dict:
         _commit(staging, out_dir, written)
     except Exception as exc:
         raise StageFailure(stage, exc) from exc
-    return payloads
+    return payloads, folds.warnings
 
 
 def write_manifest(out_dir: Path, names, config_hash: str) -> None:

@@ -121,6 +121,52 @@ def test_failed_rerun_keeps_previous_bundle(tmp_path):
     assert {name: after[name] for name in manifest["files"]} == manifest["files"]
 
 
+BUNDLE_OUTPUTS = ("oof_", "metrics_", "table_", "plot_")
+
+
+def test_rerun_removes_the_old_runs_outputs(tmp_path):
+    # the old manifest's bare names the new one lacks are deleted; its
+    # other names, and files that no manifest listed, are left alone
+    out = tmp_path / "out"
+    wide = {"models": {"run": "DT|KNN"}, "groups": {"run": "F1|F2"}}
+    wide_ini = write_ini(tmp_path / "wide.ini", out, **wide)
+    narrow_ini = write_ini(tmp_path / "narrow.ini", out, models={"run": "DT"}, groups={"run": "F1"})
+    assert main(["synth", "--config", str(wide_ini)]) == 0
+    assert main(["run", "--config", str(wide_ini)]) == 0
+    outside = tmp_path / "x"
+    outside.write_text("not the bundle's\n")
+    (out / "sub").mkdir()
+    manifest = json.loads((out / "manifest.json").read_text())
+    for name in ("../x", str(outside), ".", "..", "sub"):
+        manifest["files"][name] = "0" * 64
+    (out / "manifest.json").write_text(json.dumps(manifest))
+
+    assert main(["run", "--config", str(narrow_ini)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    outputs = {p.name for p in out.iterdir() if p.name.startswith(BUNDLE_OUTPUTS)}
+    assert outputs == {name for name in manifest["files"] if name.startswith(BUNDLE_OUTPUTS)}
+    assert outputs == {
+        "oof_F1_DT.csv",
+        "metrics_F1_DT.json",
+        "table_F1.csv",
+        "table_F1_extended.csv",
+        "plot_auc_ci.csv",
+        "plot_sens_spec.csv",
+        "plot_age_hist.csv",
+    }
+    assert outside.read_text() == "not the bundle's\n"
+    assert (out / "sub").is_dir() and (out / "cohort.csv").exists()
+
+
+def test_unreadable_old_manifest_deletes_nothing(tmp_path):
+    ini = write_ini(tmp_path / "cfg.ini", tmp_path, models={"run": "DT"}, groups={"run": "F1"})
+    assert main(["synth", "--config", str(ini)]) == 0
+    (tmp_path / "metrics_F2_KNN.json").write_text("{}\n")
+    (tmp_path / "manifest.json").write_text('{"files": {"metrics_F2_KNN.json": ')
+    assert main(["run", "--config", str(ini)]) == 0
+    assert (tmp_path / "metrics_F2_KNN.json").exists()
+
+
 def test_run_group_emptied_by_exclusions_fails_at_curation(tmp_path, monkeypatch, capsys):
     # a run group with no feature left is refused before any fit; it used
     # to fit every F1 cell and then fail evaluation on an empty argmax
@@ -201,6 +247,39 @@ def test_no_row_passing_qc_fails_at_curation(tmp_path, capsys, cohort):
     err = capsys.readouterr().err
     assert "curation" in err and f"no row passed QC ({len(rows)} rows read)" in err
     assert not (tmp_path / "manifest.json").exists()
+
+
+def test_no_row_surviving_the_missing_value_filter_fails_at_curation(tmp_path, capsys):
+    # every feature is kept however much it misses, and each row misses one
+    ini = write_ini(
+        tmp_path / "cfg.ini",
+        tmp_path,
+        synth={"n": "20", "missing_rate": "0.5"},
+        curation={"max_missing_fraction": "1.0"},
+        models={"run": "DT"},
+    )
+    assert main(["synth", "--config", str(ini)]) == 0
+    assert main(["run", "--config", str(ini)]) == 2
+    err = capsys.readouterr().err
+    assert "stage 'curation'" in err and "no rows survive the combined missing-value filter" in err
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def test_small_class_fold_warning_reaches_stderr(tmp_path, capsys):
+    # three positives cannot reach all five folds: flagged, not fatal
+    ini = write_ini(
+        tmp_path / "cfg.ini",
+        tmp_path,
+        synth={"n": "10", "prevalence": "0.3"},
+        models={"run": "DT|LR"},
+        groups={"run": "F3"},
+    )
+    assert main(["synth", "--config", str(ini)]) == 0
+    capsys.readouterr()
+    assert main(["run", "--config", str(ini)]) == 0
+    err = capsys.readouterr().err
+    assert "warning: class 1 has 3 members for 5 folds" in err.splitlines()
+    assert json.loads((tmp_path / "manifest.json").read_text())["complete"] is True
 
 
 @pytest.mark.parametrize("damage", ["bare_cr_line_ends", "latin_1"])

@@ -20,26 +20,22 @@ from ptrisk.rng import RngKey, substream
 
 
 def all_of(X):
-    """One tree's row of every row index, and its row of every column."""
-    return np.arange(X.shape[0])[None, :], np.arange(X.shape[1])[None, :]
+    """One tree's row of every row index, and a picker of every column."""
+    return np.arange(X.shape[0])[None, :], [np.arange]
 
 
-def build_classification_tree(X, y, sample_weight, feature_pickers=None, **kwargs):
+def build_classification_tree(X, y, sample_weight, pickers=None, **kwargs):
     """One CART tree on all rows, a batch of one, searching every feature
-    unless ``feature_pickers`` draws them."""
-    rows, cols = all_of(X)
-    if feature_pickers is not None:
-        cols = None
-    (fitted,) = build_classification_trees(
-        X, y, sample_weight, rows, features=cols, feature_pickers=feature_pickers, **kwargs
-    )
+    unless ``pickers`` draws them."""
+    rows, every = all_of(X)
+    (fitted,) = build_classification_trees(X, y, sample_weight, rows, pickers=pickers or every, **kwargs)
     return fitted
 
 
 def regression_tree(X, g, h, max_depth, learning_rate):
     """One boosting-round tree on all rows and columns of X."""
     X = np.ascontiguousarray(X, dtype=float)
-    rows, cols = all_of(X)
+    rows, every = all_of(X)
     (fitted,) = tree.grow_tree(
         X,
         rank_codes(X.T),
@@ -50,7 +46,7 @@ def regression_tree(X, g, h, max_depth, learning_rate):
         split_gain=boosting._newton_gain,
         max_depth=max_depth,
         is_leaf=lambda G, H, n: H < 2 * boosting._MIN_CHILD_HESSIAN,
-        features=cols,
+        pickers=every,
     )
     return fitted
 
@@ -243,7 +239,7 @@ def test_feature_picker_subset_maps_to_global_indices():
         return np.array([2, 3])
 
     tree = build_classification_tree(
-        X, y, np.ones(40), max_depth=3, min_samples_leaf=1, feature_pickers=[picker]
+        X, y, np.ones(40), max_depth=3, min_samples_leaf=1, pickers=[picker]
     )
     assert tree.feature[0] == 3
     assert 3 + 10 * col[y == 0].max() < tree.threshold[0] < 3 + 10 * col[y == 1].min()
@@ -309,9 +305,9 @@ def float_sort_best_split(Xn, a, b, A, B, split_gain):
     return f, 0.5 * (V[f, j] + V[f, j + 1])
 
 
-def float_sort_grow_tree(X, a, b, leaf_value, split_gain, max_depth, is_leaf, features, feature_picker):
+def float_sort_grow_tree(X, a, b, leaf_value, split_gain, max_depth, is_leaf, picker):
     """Reference grower: one tree, depth-first, on ``float_sort_best_split``;
-    it searches ``features`` at every node, or ``feature_picker``'s draws."""
+    it searches ``picker``'s features at each node."""
     XT = np.ascontiguousarray(X.T)
     n_features = XT.shape[0]
     feature, threshold, left, right, value = [], [], [], [], []
@@ -332,7 +328,7 @@ def float_sort_grow_tree(X, a, b, leaf_value, split_gain, max_depth, is_leaf, fe
         value.append(float(leaf_value(A, B)))
         if depth >= max_depth or is_leaf(A, B, rows.size):
             continue
-        feature_ids = features if feature_picker is None else feature_picker(n_features)
+        feature_ids = picker(n_features)
         best = float_sort_best_split(XT[feature_ids][:, rows], a_rows, b_rows, A, B, split_gain)
         if best is None:
             continue
@@ -354,9 +350,7 @@ def float_sort_grow_tree(X, a, b, leaf_value, split_gain, max_depth, is_leaf, fe
     )
 
 
-def float_sort_grow_batch(
-    X, codes, a, b, samples, leaf_value, split_gain, max_depth, is_leaf, features=None, feature_pickers=None
-):
+def float_sort_grow_batch(X, codes, a, b, samples, leaf_value, split_gain, max_depth, is_leaf, pickers):
     """``grow_tree``'s interface on the reference grower, one tree at a
     time; ``codes`` is ignored."""
     return tuple(
@@ -368,8 +362,7 @@ def float_sort_grow_batch(
             split_gain,
             max_depth,
             is_leaf,
-            None if features is None else features[t],
-            None if feature_pickers is None else feature_pickers[t],
+            pickers[t],
         )
         for t, rows in enumerate(samples)
     )
@@ -395,7 +388,7 @@ def per_tree_forest(X, y, sample_weight, rng, n_trees, max_depth, min_samples_le
                 sample_weight[idx],
                 max_depth=max_depth,
                 min_samples_leaf=min_samples_leaf,
-                feature_pickers=[picker],
+                pickers=[picker],
             )
         )
     return tuple(trees)
