@@ -3,8 +3,9 @@
 Raw scores start at 0.  Each round subsamples rows and columns, fits a
 depth-limited regression tree to the gradient/hessian statistics of the
 logistic loss, and adds the shrunken leaf values -lr * G/(H + lambda).
-Round t draws its subsamples from its own substream; a fit seeds all its
-rounds' substreams at once, with one ``RngKey.generators`` call.
+Round t draws its subsamples from its own substream,
+``rng.child("round", t)``; a fit makes all its rounds' generators before
+the first round.
 The tree is grown by ``tree.grow_tree`` from the per-row statistics
 (g, h) on the full matrix, picking the round's column draw at every
 node, so it shares the CART tree's split search and tie-break (lowest
@@ -18,6 +19,7 @@ only skips searches that find no split.
 
 The raw score of a row is the sum of every round's leaf value, added in
 round order from 0.0 by ``tree_sums`` over bounded blocks of rows.
+``train_loss`` is the mean logistic train loss after the last round.
 """
 
 from __future__ import annotations
@@ -54,7 +56,7 @@ def _newton_gain(GL, HL, G, H, n_left, n):
 @dataclass(frozen=True)
 class BoostedModel:
     trees: tuple  # one FrozenTree per round
-    train_losses: tuple  # mean logistic train loss after each round
+    train_loss: float  # mean logistic train loss after the last round
 
     def raw_scores(self, X: np.ndarray) -> np.ndarray:
         return tree_sums(self.trees, X)
@@ -80,8 +82,8 @@ def fit_boosted(
     codes = rank_codes(X.T)
     raw = np.zeros(n)
     trees = []
-    losses = []
-    for gen in rng.generators("round", n_rounds):
+    generators = [rng.child("round", t).generator() for t in range(n_rounds)]
+    for gen in generators:
         rows = np.sort(gen.choice(n, size=n_rows, replace=False))
         cols = np.sort(gen.choice(p, size=n_cols, replace=False))
         prob = sigmoid(raw)
@@ -99,5 +101,5 @@ def fit_boosted(
         )
         trees.append(tree)
         raw += tree.predict_value(X)
-        losses.append(float(np.mean(np.logaddexp(0.0, raw) - y * raw)))
-    return BoostedModel(trees=tuple(trees), train_losses=tuple(losses))
+    train_loss = float(np.mean(np.logaddexp(0.0, raw) - y * raw))
+    return BoostedModel(trees=tuple(trees), train_loss=train_loss)

@@ -3,9 +3,9 @@
 Each tree is grown on a bootstrap resample (n draws with replacement)
 and considers floor(sqrt(p)) candidate features per split.  Tree t of
 the ensemble draws its resample and its feature draws from its own
-pre-assigned RNG substream, so the fitted forest is identical no matter
-how fitting is scheduled.  A fit seeds all its trees' substreams at once,
-with one ``RngKey.generators`` call.
+pre-assigned RNG substream, ``rng.child("tree", t)``, so the fitted
+forest is identical no matter how fitting is scheduled.  A fit makes all
+its trees' generators before the first tree grows.
 
 All trees are grown in lockstep by one ``build_classification_trees``
 call (see ``tree.py``): each step advances every tree by one node and
@@ -53,7 +53,8 @@ def fit_forest(
     n_candidates = max(1, int(np.floor(np.sqrt(p))))
     samples = np.empty((n_trees, n), dtype=np.min_scalar_type(n))
     pickers = []
-    for t, gen in enumerate(rng.generators("tree", n_trees)):
+    generators = [rng.child("tree", t).generator() for t in range(n_trees)]
+    for t, gen in enumerate(generators):
         samples[t] = gen.integers(0, n, size=n)
 
         def picker(n_features, gen=gen):

@@ -22,12 +22,10 @@ GRAD_TOL = 1e-8
 
 
 def sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1/(1 + e^-z) for z >= 0 and e^z/(1 + e^z) below, from one exp of -|z|
+    e = np.exp(-np.abs(z))
+    d = 1.0 + e
+    return np.where(z >= 0, 1.0 / d, e / d)
 
 
 def objective(theta: np.ndarray, X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray, C: float):

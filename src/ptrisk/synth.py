@@ -60,8 +60,10 @@ class SynthConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must be within [0, 1], got {value}")
-        if self.biomarker_signal < 0 or self.reported_signal < 0:
-            raise ConfigError("signal strengths must be non-negative")
+        for name in ("biomarker_signal", "reported_signal"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ConfigError(f"{name} must be finite and non-negative, got {value}")
         n_pos = positive_count(self.n, self.prevalence)
         if not 1 <= n_pos <= self.n - 1:
             raise ConfigError(

@@ -60,6 +60,23 @@ def test_synth_invalid_prevalence_exit_1(tmp_path, capsys):
     assert "prevalence" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["biomarker_signal", "reported_signal"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_synth_non_finite_signal_exit_1(tmp_path, capsys, key, value):
+    ini = write_ini(tmp_path / "cfg.ini", tmp_path, synth={key: value})
+    assert main(["synth", "--config", str(ini)]) == 1
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "cohort.csv").exists()
+
+
+def test_config_file_not_utf8_exit_1(tmp_path, capsys):
+    ini = write_ini(tmp_path / "cfg.ini", tmp_path)
+    ini.write_bytes("# r\u00e9sum\u00e9\n".encode("latin-1") + ini.read_bytes())
+    assert main(["synth", "--config", str(ini)]) == 1
+    err = capsys.readouterr().err
+    assert str(ini) in err and "UTF-8" in err
+
+
 def test_run_restricted_grid(tmp_path, capsys):
     ini = write_ini(tmp_path / "cfg.ini", tmp_path)
     assert main(["synth", "--config", str(ini)]) == 0
@@ -585,15 +602,28 @@ def test_run_does_not_import_numpy_ma(tmp_path):
     )
     assert main(["synth", "--config", str(ini)]) == 0
     code = "import sys; from ptrisk.cli import main; code = main(sys.argv[1:]); print(code, 'numpy.ma' in sys.modules)"
+    assert last_line_of_fresh_process(code, "run", "--config", str(ini)) == "0 False"
+
+
+def last_line_of_fresh_process(code, *args):
+    """The last stdout line of ``python -c code *args`` on this package."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
-        [sys.executable, "-c", code, "run", "--config", str(ini)],
+        [sys.executable, "-c", code, *args],
         env=dict(os.environ, PYTHONPATH=src),
         capture_output=True,
         text=True,
         timeout=300,
     )
-    assert proc.stdout.splitlines()[-1] == "0 False", proc.stdout + proc.stderr
+    assert proc.stdout, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def test_import_and_config_load_do_not_import_numpy_random():
+    # numpy imports numpy.random on first use; setup (import, then config
+    # load) never uses it, so a run pays for it only when it first draws
+    code = "import sys; import ptrisk.cli; from ptrisk.config import load_config; load_config(); print('numpy.random' in sys.modules)"
+    assert last_line_of_fresh_process(code) == "False"
 
 
 @pytest.mark.parametrize(

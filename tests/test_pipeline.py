@@ -59,7 +59,7 @@ def _fitted_state(pipeline) -> list:
     for tree in model.trees:
         state += [tree.feature, tree.threshold, tree.left, tree.right, tree.value]
     if pipeline.kind == "GBT":
-        state += [model.train_losses]
+        state += [model.train_loss]
     return state
 
 

@@ -153,8 +153,31 @@ def test_gbt_loss_monotone_without_subsampling():
     model = fit_boosted(
         X, y, RngKey(7).child("gbt"), n_rounds=40, row_subsample=1.0, col_subsample=1.0
     )
-    losses = np.array(model.train_losses)
+    raw = np.zeros(len(y))
+    losses = []
+    for fitted in model.trees:
+        raw += fitted.predict_value(X)
+        losses.append(float(np.mean(np.logaddexp(0.0, raw) - y * raw)))
     assert (np.diff(losses) <= 1e-12).all()
+    assert np.float64(model.train_loss).tobytes() == np.float64(losses[-1]).tobytes()
+
+
+def masked_sigmoid(z):
+    """The two-branch formula ``sigmoid`` replaced, as a bit-for-bit reference."""
+    out = np.empty_like(z, dtype=float)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def test_sigmoid_equals_masked_formula_bit_for_bit():
+    edges = np.array([0.0, 5e-324, 745.2, 750.0, 1e308])
+    rng = np.random.default_rng(21)
+    scaled = rng.normal(size=10**6) * np.geomspace(1e-8, 800.0, 10**6)
+    z = np.concatenate([edges, -edges, scaled])
+    assert sigmoid(z).tobytes() == masked_sigmoid(z).tobytes()
 
 
 def test_gbt_deterministic():
@@ -449,7 +472,7 @@ def fit_all(X, y, forest):
     ]
     gbt = fit_boosted(X, y.astype(float), RngKey(3).child("gbt"), n_rounds=12, max_depth=4)
     trees = [dt, deep, *rf, *gbt.trees]
-    return [tree_bytes(t) for t in trees], np.array(gbt.train_losses).tobytes()
+    return [tree_bytes(t) for t in trees], np.float64(gbt.train_loss).tobytes()
 
 
 @pytest.mark.parametrize("n", [30, 256, 257, 420])
