@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Callable, NamedTuple
 
-from .curation import CurationSettings, FeatureGroups, GROUP_TAGS, plan_proxies
+from .curation import CurationSettings, FeatureGroups, GROUP_TAGS, plan_proxies, repeated
 from .errors import ConfigError, CurationError
 from .models import MODEL_KINDS
 from .parsers import DEFAULT_VALID_FLAGS, Schema
@@ -174,11 +174,15 @@ class ExperimentConfig:
             raise ConfigError(f"unknown model kinds: {sorted(unknown)}")
         if not self.run_models:
             raise ConfigError("at least one model kind must be selected")
+        if repeated(self.run_models):
+            raise ConfigError(f"repeated model kinds: {repeated(self.run_models)}")
         bad_tags = set(self.run_groups) - set(GROUP_TAGS)
         if bad_tags:
             raise ConfigError(f"unknown feature groups: {sorted(bad_tags)}")
         if not self.run_groups:
             raise ConfigError("at least one feature group must be selected")
+        if repeated(self.run_groups):
+            raise ConfigError(f"repeated feature groups: {repeated(self.run_groups)}")
         if not 0.0 <= self.curation.max_missing_fraction <= 1.0:
             raise ConfigError("max_missing_fraction must be within [0, 1]")
         if self.curation.age_bin_width <= 0:
@@ -283,7 +287,7 @@ def load_config(path=None) -> ExperimentConfig:
 
     try:
         groups = replace(defaults.groups, **_overrides(parser, "groups"))
-    except CurationError as exc:  # f1 and f2 share a feature
+    except CurationError as exc:  # f1 and f2 share or repeat a feature
         raise ConfigError(f"bad [groups]: {exc}") from exc
     column_maps = {
         name: dict(parser.items(section))

@@ -12,6 +12,7 @@ the combined group share one row identity.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,17 +58,23 @@ DEFAULT_GENDER_MAP = {"male": 1.0, "m": 1.0, "female": 0.0, "f": 0.0}
 AGE_RANGE = (0, 120)
 
 
+def repeated(names) -> list:
+    """The names that occur more than once in ``names``, sorted."""
+    return sorted(name for name, count in Counter(names).items() if count > 1)
+
+
 @dataclass(frozen=True)
 class FeatureGroups:
-    """Feature names per group; the combined group is the concatenation."""
+    """Feature names per group; the combined group is the concatenation,
+    so no feature may be named twice across f1 and f2."""
 
     f1: tuple = DEFAULT_F1_FEATURES
     f2: tuple = DEFAULT_F2_FEATURES
 
     def __post_init__(self):
-        overlap = set(self.f1) & set(self.f2)
-        if overlap:
-            raise CurationError(f"feature groups overlap: {sorted(overlap)}")
+        twice = repeated([*self.f1, *self.f2])
+        if twice:
+            raise CurationError(f"feature groups overlap or repeat a feature: {twice}")
 
     def columns_and_tags(self) -> tuple:
         """The encoded table's columns, F1 then F2, and each one's group."""

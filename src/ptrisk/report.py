@@ -8,6 +8,11 @@ only report record: ``run`` builds the tables and plot-data files from
 the payloads it writes, and ``tables``/``plotdata`` from the same
 payloads read back.
 
+Every bundle file goes out through one path: ``run`` and
+``tables``/``plotdata`` build their files as a name -> text map,
+``write_manifest`` digests that text, and ``_publish`` writes and moves
+the files and the manifest into place.  ``_read_manifest`` reads one back.
+
 Everything written here is deterministic for a fixed config: JSON is
 dumped with sorted keys, floats use repr round-tripping, and no
 timestamps are recorded, so re-running a config reproduces every digest.
@@ -40,6 +45,7 @@ from .evaluation import ALL_METRICS, MetricReport, evaluate_oof, run_oof, strati
 from .models import MODEL_KINDS, ModelSpec
 from .parsers import load_raw, qc_filter
 from .rng import RngKey
+from .synth import make_out_dir
 
 DISPLAY_LABELS = {"GBT": "XGB"}  # table row label for the boosted-tree rows
 XGB_FOOTNOTE = (
@@ -63,10 +69,6 @@ class ReportBundle:
     out_dir: Path
     reports: dict  # (group_tag, model_kind) -> metrics payload, as in metrics_*.json
     warnings: tuple  # flagged, not fatal: the fold assignment's small-class warnings
-
-
-def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _json_text(payload: dict) -> str:
@@ -132,63 +134,120 @@ def _oof_text(row_ids, fold_of, labels, p_hat) -> str:
 def run_experiment(config: ExperimentConfig) -> ReportBundle:
     """Execute ingest -> curation -> grid evaluation -> report emission.
 
-    Ingest and curation hand the grid only the curated dataset, its
-    summary and the config hash, so the parsed records and the encoded
-    table are freed before any model is fitted.
-
-    The bundle is written into a staging directory inside ``out_dir`` and
-    moved into place by ``_commit`` only once it is complete.  On any
-    failure the staging directory is removed, any earlier bundle in
-    ``out_dir`` is left as it was, and a StageFailure naming the stage is
-    raised.
+    The output directory is made, or refused with a ConfigError, before
+    ingest.  Ingest and curation hand the grid only the curated dataset,
+    its summary, the config hash and the curation report, so the parsed
+    records and the encoded table are freed before any model is fitted.
+    Every file of the bundle is collected in one name -> text map, which
+    ``_publish`` writes once with its manifest.  A failure raises a
+    StageFailure naming the stage; before stage "manifest" nothing in
+    ``out_dir`` has changed.
     """
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_out_dir(config.out_dir)
+    dataset, summary, config_hash, curation_report = _curate(config)
+    stage = "evaluation"
+    try:
+        files = {"curation_report.json": _json_text(curation_report)}
+        files["cohort_summary.json"] = _json_text(summary)
+        payloads = {}
+        folds = stratified_kfold(dataset.labels, k=config.k, seed=config.seed)
+        rng = RngKey(config.seed)
+        for tag in config.run_groups:
+            for kind in config.run_models:
+                p_hat = run_oof(
+                    dataset.matrices[tag], dataset.labels, ModelSpec(kind), folds, rng, group_tag=tag
+                )
+                report = evaluate_oof(
+                    dataset.labels,
+                    p_hat,
+                    kind,
+                    tag,
+                    B=config.bootstrap_samples,
+                    alpha=config.alpha,
+                    seed=config.seed,
+                    threshold=config.threshold,
+                )
+                payloads[(tag, kind)] = _metrics_payload(report, tag, kind, config, config_hash)
+                oof_text = _oof_text(dataset.row_ids, folds.fold_of, dataset.labels, p_hat)
+                files[oof_filename(tag, kind)] = oof_text
+                files[metrics_filename(tag, kind)] = _json_text(payloads[(tag, kind)])
+
+        stage = "report"
+        files.update(table_files(payloads, config.run_groups, config.run_models))
+        files.update(plotdata_files(payloads, config.run_groups, config.run_models, summary))
+
+        stage = "manifest"
+        _publish(out_dir, files, write_manifest(files, config_hash))
+    except Exception as exc:
+        raise StageFailure(stage, exc) from exc
+    return ReportBundle(out_dir, payloads, folds.warnings)
+
+
+def write_manifest(files: dict, config_hash: str, kept: dict = None) -> dict:
+    """The bundle's manifest: the sha256 digest of each of ``files``
+    (name -> text), taken from the UTF-8 bytes ``_publish`` writes, over
+    ``kept``, the digests an earlier manifest lists for files left as they
+    are.  ``_publish`` writes it."""
+    digests = {name: hashlib.sha256(text.encode("utf-8")).hexdigest() for name, text in files.items()}
+    return {
+        "tool": "ptrisk",
+        "version": __version__,
+        "config_hash": config_hash,
+        "complete": True,
+        "files": {**(kept or {}), **digests},
+    }
+
+
+def _read_manifest(out_dir: Path) -> dict:
+    """The manifest in ``out_dir``: a JSON object whose ``files`` maps
+    names to digests, all strings.  Anything else raises DataError."""
+    path = out_dir / MANIFEST_FILENAME
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except (OSError, ValueError) as exc:
+        raise DataError(f"no readable {MANIFEST_FILENAME} in {out_dir}: {exc}") from exc
+    files = manifest.get("files") if isinstance(manifest, dict) else None
+    if not isinstance(files, dict) or not all(isinstance(s, str) for s in (*files, *files.values())):
+        raise DataError(f"{path} does not map file names to digests")
+    return manifest
+
+
+def _publish(out_dir: Path, files: dict, manifest: dict) -> None:
+    """Write ``files`` (name -> text) and then ``manifest`` into a staging
+    directory inside ``out_dir``, as UTF-8 with no newline translation,
+    so each file holds the bytes its digest was taken from; then move them
+    into ``out_dir``.  The old manifest is removed first and the new one
+    moved last, so no manifest in ``out_dir`` ever lists a file that is
+    missing or from another run.  Just before the new manifest moves in,
+    each regular file the old manifest lists by a bare name (no path
+    separator, not "." or "..") and the new one does not is deleted; a
+    file that no readable manifest lists is never touched.  The staging
+    directory is removed in every case."""
+    try:
+        old = _read_manifest(out_dir)["files"].keys() - manifest["files"].keys()
+    except DataError:
+        old = ()
+    stale = [out_dir / n for n in old if n not in ("", ".", "..") and os.path.basename(n) == n]
     staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
     try:
-        return ReportBundle(out_dir, *_run_stages(config, staging, out_dir))
+        for name, text in {**files, MANIFEST_FILENAME: _json_text(manifest)}.items():
+            (staging / name).write_text(text, encoding="utf-8", newline="")
+        (out_dir / MANIFEST_FILENAME).unlink(missing_ok=True)
+        for name in (*files, MANIFEST_FILENAME):
+            if name == MANIFEST_FILENAME:  # every new file is in place
+                for path in stale:
+                    if path.is_file() and not path.is_symlink():
+                        path.unlink()
+            os.replace(staging / name, out_dir / name)
     finally:
         shutil.rmtree(staging, ignore_errors=True)
 
 
-def _listed_files(manifest_path: Path) -> set:
-    """The bare file names a manifest lists: no path separator, not "."
-    or "..".  An unreadable manifest lists none."""
-    try:
-        files = dict(json.loads(manifest_path.read_text(encoding="utf-8"))["files"])
-    except (OSError, ValueError, KeyError, TypeError):
-        return set()
-    return {
-        name
-        for name in files
-        if isinstance(name, str) and name not in ("", ".", "..") and os.path.basename(name) == name
-    }
-
-
-def _commit(staging: Path, out_dir: Path, names) -> None:
-    """Move the files ``names`` and then the manifest from ``staging`` into
-    ``out_dir``.  The old manifest is removed first and the new one moved
-    last, so no manifest in ``out_dir`` ever lists a file that is missing
-    or from another run.  Before the new manifest moves in, each regular
-    file the old manifest listed and the new one does not is deleted, so a
-    rerun leaves no file of the old run behind; a file that no manifest
-    listed is never touched."""
-    stale = _listed_files(out_dir / MANIFEST_FILENAME) - _listed_files(staging / MANIFEST_FILENAME)
-    (out_dir / MANIFEST_FILENAME).unlink(missing_ok=True)
-    for name in names:
-        os.replace(staging / name, out_dir / name)
-    for name in stale:
-        path = out_dir / name
-        if path.is_file() and not path.is_symlink():
-            path.unlink()
-    os.replace(staging / MANIFEST_FILENAME, out_dir / MANIFEST_FILENAME)
-
-
-def _curate(config: ExperimentConfig, emit) -> tuple:
-    """Ingest and curate the cohort, emit ``curation_report.json`` and
-    ``cohort_summary.json``, and return (dataset, summary, config_hash);
-    the parsed records and the encoded table go out of scope here.  A
-    failure is raised as a StageFailure of stage "ingest" or "curation".
+def _curate(config: ExperimentConfig) -> tuple:
+    """Ingest and curate the cohort, and return (dataset, summary,
+    config_hash, curation report); the parsed records and the encoded
+    table go out of scope here.  A failure is raised as a StageFailure of
+    stage "ingest" or "curation".
 
     This is the one place that decides whether a cohort can run; the
     code below it checks none of these again.  Curation refuses a cohort,
@@ -249,72 +308,9 @@ def _curate(config: ExperimentConfig, emit) -> tuple:
             "effective_config": config.to_dict(),
             "config_hash": config_hash,
         }
-        emit("curation_report.json", _json_text(curation_report))
-        emit("cohort_summary.json", _json_text(summary))
     except Exception as exc:
         raise StageFailure(stage, exc) from exc
-    return dataset, summary, config_hash
-
-
-def _run_stages(config: ExperimentConfig, staging: Path, out_dir: Path) -> tuple:
-    """Write every file of the bundle into ``staging``, then move them into
-    ``out_dir``, manifest last; returns the metrics payloads by cell and
-    the fold assignment's warnings."""
-    written = []
-
-    def emit(name: str, content: str) -> None:
-        (staging / name).write_text(content, encoding="utf-8")
-        written.append(name)
-
-    dataset, summary, config_hash = _curate(config, emit)
-    stage = "evaluation"
-    try:
-        payloads = {}
-        folds = stratified_kfold(dataset.labels, k=config.k, seed=config.seed)
-        rng = RngKey(config.seed)
-        for tag in config.run_groups:
-            for kind in config.run_models:
-                p_hat = run_oof(
-                    dataset.matrices[tag], dataset.labels, ModelSpec(kind), folds, rng, group_tag=tag
-                )
-                report = evaluate_oof(
-                    dataset.labels,
-                    p_hat,
-                    kind,
-                    tag,
-                    B=config.bootstrap_samples,
-                    alpha=config.alpha,
-                    seed=config.seed,
-                    threshold=config.threshold,
-                )
-                payloads[(tag, kind)] = _metrics_payload(report, tag, kind, config, config_hash)
-                oof_text = _oof_text(dataset.row_ids, folds.fold_of, dataset.labels, p_hat)
-                emit(oof_filename(tag, kind), oof_text)
-                emit(metrics_filename(tag, kind), _json_text(payloads[(tag, kind)]))
-
-        stage = "report"
-        for name, content in table_files(payloads, config.run_groups, config.run_models):
-            emit(name, content)
-        for name, content in plotdata_files(payloads, config.run_groups, config.run_models, summary):
-            emit(name, content)
-
-        stage = "manifest"
-        write_manifest(staging, written, config_hash)
-        _commit(staging, out_dir, written)
-    except Exception as exc:
-        raise StageFailure(stage, exc) from exc
-    return payloads, folds.warnings
-
-
-def write_manifest(out_dir: Path, names, config_hash: str) -> None:
-    manifest = {
-        "tool": "ptrisk",
-        "version": __version__,
-        "config_hash": config_hash,
-        "complete": True,
-        "files": {name: _sha256_file(out_dir / name) for name in sorted(names)},
-    }
-    (out_dir / MANIFEST_FILENAME).write_text(_json_text(manifest), encoding="utf-8")
+    return dataset, summary, config_hash, curation_report
 
 
 # --- tables ------------------------------------------------------------------------
@@ -336,14 +332,14 @@ def _ordered_kinds(run_models) -> list:
     return [kind for kind in MODEL_KINDS if kind in run_models]
 
 
-def table_files(payloads: dict, run_groups, run_models) -> list:
-    """Main and extended per-group tables as (name, content) pairs, from
-    the metrics payloads by (group, model).
+def table_files(payloads: dict, run_groups, run_models) -> dict:
+    """Main and extended per-group tables as a name -> text map, from the
+    metrics payloads by (group, model).
 
     AUC cells use 4 decimals, threshold metrics 3.  Rows follow the
     fixed model order with the boosted model labelled XGB.
     """
-    out = []
+    out = {}
     for tag in run_groups:
         rows = []
         extended = []
@@ -367,15 +363,16 @@ def table_files(payloads: dict, run_groups, run_models) -> list:
             )
         footnotes = (XGB_FOOTNOTE,) if "GBT" in run_models else ()
         header = ("model", "auc_95ci", "precision_95ci", "f1_95ci")
-        out.append((f"table_{tag}.csv", _csv_text(header, rows, footnotes)))
+        out[f"table_{tag}.csv"] = _csv_text(header, rows, footnotes)
         header = ("model", "sensitivity_95ci", "specificity_95ci")
-        out.append((f"table_{tag}_extended.csv", _csv_text(header, extended)))
+        out[f"table_{tag}_extended.csv"] = _csv_text(header, extended)
     return out
 
 
-def plotdata_files(payloads: dict, run_groups, run_models, summary: dict) -> list:
-    """Plot-data files: AUC points + CIs with the 0.5 reference line,
-    sensitivity/specificity points + CIs, and the age histogram."""
+def plotdata_files(payloads: dict, run_groups, run_models, summary: dict) -> dict:
+    """Plot-data files as a name -> text map: AUC points + CIs with the 0.5
+    reference line, sensitivity/specificity points + CIs, and the age
+    histogram."""
 
     def num(value):
         return "" if value is None else repr(float(value))
@@ -413,19 +410,19 @@ def plotdata_files(payloads: dict, run_groups, run_models, summary: dict) -> lis
     hist_rows = [
         (item["lo"], item["hi"], item["count"]) for item in summary.get("age_histogram") or []
     ]
-    return [
-        ("plot_auc_ci.csv", _csv_text(("kind", "model", "group", "auc", "ci_low", "ci_high"), auc_rows)),
-        ("plot_sens_spec.csv", _csv_text(sens_header, sens_rows)),
-        ("plot_age_hist.csv", _csv_text(("bin_lo", "bin_hi", "count"), hist_rows)),
-    ]
+    return {
+        "plot_auc_ci.csv": _csv_text(("kind", "model", "group", "auc", "ci_low", "ci_high"), auc_rows),
+        "plot_sens_spec.csv": _csv_text(sens_header, sens_rows),
+        "plot_age_hist.csv": _csv_text(("bin_lo", "bin_hi", "count"), hist_rows),
+    }
 
 
 def regenerate(config: ExperimentConfig, command: str) -> list:
     """Rewrite the tables (``command="tables"``) or the plot-data files
-    (``"plotdata"``) of the bundle in ``config.out_dir`` and record their
-    new digests in its manifest.  The files and the manifest are staged
-    and moved into place by ``_commit``, as ``run`` does, so a failed
-    rewrite leaves no manifest that lists a stale file.
+    (``"plotdata"``) of the bundle in ``config.out_dir``, and return their
+    names.  ``_publish`` writes them, as it does ``run``'s files, with a
+    manifest that keeps every other file's digest, so a failed rewrite
+    leaves no manifest that lists a stale file.
 
     Only a bundle this config wrote is trusted: its manifest must carry
     ``config.config_hash()``, and the metric report of every cell of the
@@ -434,13 +431,10 @@ def regenerate(config: ExperimentConfig, command: str) -> list:
     written.
     """
     out_dir = Path(config.out_dir)
-    manifest_path = out_dir / MANIFEST_FILENAME
-    try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-        digests = dict(manifest["files"])
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise DataError(f"no readable {MANIFEST_FILENAME} in {out_dir}: {exc}") from exc
-    if manifest.get("config_hash") != config.config_hash():
+    manifest = _read_manifest(out_dir)
+    digests = manifest["files"]
+    config_hash = config.config_hash()
+    if manifest.get("config_hash") != config_hash:
         raise DataError(f"the bundle in {out_dir} was written with a different config")
 
     def read_json(name: str) -> dict:
@@ -460,14 +454,5 @@ def regenerate(config: ExperimentConfig, command: str) -> list:
     else:
         summary = read_json("cohort_summary.json")
         files = plotdata_files(payloads, config.run_groups, config.run_models, summary)
-    names = [name for name, _ in files]
-    staging = Path(tempfile.mkdtemp(prefix=".staging-", dir=out_dir))
-    try:
-        for name, content in files:
-            (staging / name).write_text(content, encoding="utf-8")
-            manifest["files"][name] = _sha256_file(staging / name)
-        (staging / MANIFEST_FILENAME).write_text(_json_text(manifest), encoding="utf-8")
-        _commit(staging, out_dir, names)
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
-    return names
+    _publish(out_dir, files, write_manifest(files, config_hash, kept=digests))
+    return list(files)

@@ -5,6 +5,8 @@ standardized mean shift; patient-reported binaries are Bernoulli with a
 log-odds shift.  Both families have closed-form large-sample AUCs which
 are recorded in the ground-truth sidecar, so evaluation code can be
 checked against known discrimination.
+
+``make_out_dir`` makes the output directory of ``synth`` and of ``run``.
 """
 
 from __future__ import annotations
@@ -201,10 +203,21 @@ def generate_cohort(config: SynthConfig) -> CohortData:
     return CohortData(header=header, rows=rows, sidecar=sidecar)
 
 
+def make_out_dir(out_dir) -> Path:
+    """Make the output directory ``out_dir`` if it is missing and return it
+    as a Path.  A path that names a file, or runs through one, is a
+    ConfigError."""
+    out_dir = Path(out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"output directory {out_dir} is not a directory: {exc}") from exc
+    return out_dir
+
+
 def write_cohort(config: SynthConfig, out_dir) -> tuple:
     """Write cohort.csv and cohort_sidecar.json; returns both paths."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_out_dir(out_dir)
     cohort = generate_cohort(config)
     cohort_path = out_dir / COHORT_FILENAME
     sidecar_path = out_dir / SIDECAR_FILENAME

@@ -184,6 +184,17 @@ def test_unreadable_old_manifest_deletes_nothing(tmp_path):
     assert (tmp_path / "metrics_F2_KNN.json").exists()
 
 
+def test_manifest_files_that_are_not_an_object_delete_nothing(tmp_path):
+    # a list's two-character strings were once read as (name, digest)
+    # pairs, so an old manifest listing "ab" made a rerun delete "a"
+    ini = write_ini(tmp_path / "cfg.ini", tmp_path, models={"run": "DT"}, groups={"run": "F1"})
+    assert main(["synth", "--config", str(ini)]) == 0
+    (tmp_path / "a").write_text("not the bundle's\n")
+    (tmp_path / "manifest.json").write_text('{"files": ["ab", "no"]}')
+    assert main(["run", "--config", str(ini)]) == 0
+    assert (tmp_path / "a").read_text() == "not the bundle's\n"
+
+
 def test_run_group_emptied_by_exclusions_fails_at_curation(tmp_path, monkeypatch, capsys):
     # a run group with no feature left is refused before any fit; it used
     # to fit every F1 cell and then fail evaluation on an empty argmax
@@ -376,6 +387,21 @@ def test_tables_and_plotdata_regenerate(tmp_path):
     assert digest(tmp_path / "plot_auc_ci.csv") == before_plot
 
 
+def test_tables_and_plotdata_leave_the_bundle_byte_identical(tmp_path):
+    # every manifest digest is of the bytes on disk, and a regenerate
+    # rewrites every file it touches, manifest.json included, byte for byte
+    ini = write_ini(tmp_path / "cfg.ini", tmp_path, models={"run": "DT|KNN"}, groups={"run": "F1|F2"})
+    assert main(["synth", "--config", str(ini)]) == 0
+    assert main(["run", "--config", str(ini)]) == 0
+    bundle = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    files = json.loads(bundle["manifest.json"])["files"]
+    assert set(files) == set(bundle) - {"manifest.json", "cfg.ini", "cohort.csv", "cohort_sidecar.json"}
+    assert {name: hashlib.sha256(bundle[name]).hexdigest() for name in files} == files
+    for command in ("tables", "plotdata"):
+        assert main([command, "--config", str(ini)]) == 0
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == bundle
+
+
 def test_tables_and_plotdata_refuse_untrusted_bundle(tmp_path, capsys):
     grid = {"models": {"run": "DT"}, "groups": {"run": "F1"}}
     ini = write_ini(tmp_path / "cfg.ini", tmp_path, **grid)
@@ -526,6 +552,37 @@ def test_overlapping_feature_groups_are_a_config_error(tmp_path, capsys):
         load_config(ini)
     assert main(["synth", "--config", str(ini), "--out", str(tmp_path)]) == 1
     assert "overlap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section, key, value, named",
+    [
+        ("groups", "run", "F1|F1", "F1"),
+        ("models", "run", "DT|DT", "DT"),
+        ("groups", "f1", "age|age|gender", "age"),
+        ("groups", "f2", "ph|protein|ph", "ph"),
+    ],
+)
+def test_repeated_names_are_a_config_error(tmp_path, capsys, section, key, value, named):
+    # a repeated cell once ran twice and then failed at the manifest stage,
+    # and a repeated feature became a duplicate column; both are refused at
+    # load, before ingest (the cohort file does not exist)
+    ini = write_ini(tmp_path / "cfg.ini", tmp_path, **{section: {key: value}})
+    assert main(["run", "--config", str(ini)]) == 1
+    err = capsys.readouterr().err
+    assert "repeat" in err and repr(named) in err
+
+
+@pytest.mark.parametrize("command", ["synth", "run"])
+@pytest.mark.parametrize("out", ["taken", "taken/sub"])
+def test_output_directory_through_a_file_is_a_config_error(tmp_path, capsys, command, out):
+    # once an internal error (exit 3) from mkdir; run refuses it before
+    # ingest, so the missing cohort file is not reached
+    (tmp_path / "taken").write_text("a file\n")
+    ini = write_ini(tmp_path / "cfg.ini", tmp_path)
+    assert main([command, "--config", str(ini), "--out", str(tmp_path / out)]) == 1
+    assert f"output directory {tmp_path / out}" in capsys.readouterr().err
+    assert (tmp_path / "taken").read_text() == "a file\n"
 
 
 def test_proxy_target_takes_the_place_of_its_sources(tmp_path, monkeypatch, capsys):

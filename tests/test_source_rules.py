@@ -9,7 +9,9 @@ one, numpy checks for a masked array and so imports ``numpy.ma``.  Every
 ``raise`` re-raises or raises a ``PtriskError`` subclass, so no input
 error reaches the CLI as an internal error (exit 3).  Only ``rng.py``
 builds numpy generators, so every draw comes from an addressed substream,
-and it seeds them through numpy's public API alone.
+and it seeds them through numpy's public API alone.  In ``report.py``
+only ``_publish`` writes, moves or deletes a file, so every bundle file
+goes out through one path.
 """
 
 import ast
@@ -135,13 +137,13 @@ def test_only_rng_module_builds_numpy_generators():
     assert hits == []
 
 
-def _raises(node, function=None):
-    """(name of the enclosing function, Raise node) for every raise under ``node``."""
+def _enclosed(node, kind, function=None):
+    """(name of the enclosing function, node) for every ``kind`` node under ``node``."""
     for child in ast.iter_child_nodes(node):
-        if isinstance(child, ast.Raise):
+        if isinstance(child, kind):
             yield function, child
         inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else function
-        yield from _raises(child, inner)
+        yield from _enclosed(child, kind, inner)
 
 
 def test_every_raise_names_a_package_error():
@@ -167,7 +169,7 @@ def test_every_raise_names_a_package_error():
     }
     hits = []
     for path, tree in trees.items():
-        for function, node in _raises(tree):
+        for function, node in _enclosed(tree, ast.Raise):
             if node.exc is None:
                 continue
             raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
@@ -177,4 +179,21 @@ def test_every_raise_names_a_package_error():
             if path == config and function in value_parsers and name == "ValueError":
                 continue
             hits.append(f"{path}:{node.lineno} {name}")
+    assert hits == []
+
+
+FILE_WRITES = {
+    "mkdtemp", "write_text", "write_bytes", "open", "unlink", "rmtree", "mkdir", "touch", "rmdir", "remove", "rename", "move"
+}
+
+
+def test_report_writes_files_only_in_publish():
+    # one publish path: in report.py only _publish makes the staging
+    # directory and writes, moves or deletes a file
+    report = Path("src", "ptrisk", "report.py")
+    hits = []
+    for function, node in _enclosed(parsed(PACKAGE)[report], ast.Call):
+        name = _dotted(node.func)
+        if function != "_publish" and (name == "os.replace" or name.split(".")[-1] in FILE_WRITES):
+            hits.append(f"{report}:{node.lineno} {name} in {function}")
     assert hits == []
