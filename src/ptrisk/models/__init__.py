@@ -10,7 +10,7 @@ from .pipeline import (
     fit_pipeline,
 )
 from .standardizer import apply_standardizer, fit_standardizer
-from .tree import FrozenTree, build_classification_trees
+from .tree import FrozenTree, build_classification_tree, build_classification_trees
 
 __all__ = [
     "MODEL_KINDS",
@@ -20,6 +20,7 @@ __all__ = [
     "ModelSpec",
     "apply_standardizer",
     "balanced_weights",
+    "build_classification_tree",
     "build_classification_trees",
     "fit_boosted",
     "fit_forest",

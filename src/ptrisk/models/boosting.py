@@ -6,9 +6,10 @@ logistic loss, and adds the shrunken leaf values -lr * G/(H + lambda).
 Round t draws its subsamples from its own substream,
 ``rng.child("round", t)``; a fit makes all its rounds' generators before
 the first round.
-The tree is grown by ``tree.grow_tree`` from the per-row statistics
-(g, h) on the full matrix, picking the round's column draw at every
-node, so it shares the CART tree's split search and tie-break (lowest
+The tree is grown by ``tree.grow_presorted``, as the DT is, on the
+round's sorted row draw of the full matrix, from the per-row statistics
+(g, h) and the fit's one presort, searching the round's column draw at
+every node; it shares the CART tree's split search and tie-break (lowest
 feature, then lowest threshold).  Split gain is the usual second-order
 improvement; a split is accepted only when both children carry at least
 ``_MIN_CHILD_HESSIAN`` hessian mass and the gain is positive.  So a node
@@ -17,9 +18,13 @@ without a search: if HL >= c and fl(H - HL) >= c then H >= 2c (for
 HL >= H/2 the subtraction is exact, otherwise H > 2 HL), so the rule
 only skips searches that find no split.
 
-The raw score of a row is the sum of every round's leaf value, added in
-round order from 0.0 by ``tree_sums`` over bounded blocks of rows.
-``train_loss`` is the mean logistic train loss after the last round.
+During the fit, the grower routes every training row, drawn or not,
+down the round's partitions, and each row's raw score adds the value of
+the leaf it reached; no tree is walked.  A prediction's raw score is the
+sum of every round's leaf value, added in round order from 0.0 by
+``tree_sums`` over bounded blocks of rows, so on the training rows it
+equals the fit's raw score.  ``train_loss`` is the mean logistic train
+loss after the last round.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ import numpy as np
 
 from ..rng import RngKey
 from .logistic import sigmoid
-from .tree import grow_tree, rank_codes, tree_sums
+from .tree import grow_presorted, rank_codes, tree_sums
 
 _LAMBDA = 1.0
 _MIN_CHILD_HESSIAN = 1.0
@@ -79,7 +84,8 @@ def fit_boosted(
     n_rows = max(1, int(round(row_subsample * n)))
     n_cols = max(1, int(round(col_subsample * p)))
 
-    codes = rank_codes(X.T)
+    XT = np.ascontiguousarray(X.T, dtype=float)
+    codes, order = rank_codes(XT)
     raw = np.zeros(n)
     trees = []
     generators = [rng.child("round", t).generator() for t in range(n_rounds)]
@@ -87,19 +93,20 @@ def fit_boosted(
         rows = np.sort(gen.choice(n, size=n_rows, replace=False))
         cols = np.sort(gen.choice(p, size=n_cols, replace=False))
         prob = sigmoid(raw)
-        (tree,) = grow_tree(
-            X,
+        tree, leaf = grow_presorted(
+            XT,
             codes,
+            order,
             prob - y,
             prob * (1.0 - prob),
-            rows[None, :],
+            rows,
+            cols,
             leaf_value=lambda G, H: -learning_rate * G / (H + _LAMBDA),
             split_gain=_newton_gain,
             max_depth=max_depth,
             is_leaf=lambda G, H, n: H < 2 * _MIN_CHILD_HESSIAN,
-            pickers=[lambda _: cols],
         )
         trees.append(tree)
-        raw += tree.predict_value(X)
+        raw += tree.value.take(leaf)
     train_loss = float(np.mean(np.logaddexp(0.0, raw) - y * raw))
     return BoostedModel(trees=tuple(trees), train_loss=train_loss)

@@ -9,12 +9,15 @@ its trees' generators before the first tree grows.
 
 All trees are grown in lockstep by one ``build_classification_trees``
 call (see ``tree.py``): each step advances every tree by one node and
-searches the step's nodes in a few block calls.  The resample of every
-tree is drawn first; tree t's feature draws then come from its own
-generator at its own searched nodes, in its own depth-first order, which
-is the stream tree t would draw if grown alone.  The resamples are held
-as one (trees x n) array of the smallest unsigned integer type that
-indexes the rows, which the grower partitions in place.
+searches the step's nodes in a few block calls.  The forest is the only
+user of this lockstep grower: its resamples repeat rows, so their order
+cannot come from one presort per fit, as a DT's or a boosting round's
+does.  The resample of every tree is drawn first; tree t's feature
+draws then come from its own generator at its own searched nodes, in
+its own depth-first order, which is the stream tree t would draw if
+grown alone.  The resamples are held as one (trees x n) array of the
+smallest unsigned integer type that indexes the rows, which the grower
+partitions in place.
 
 A prediction is the mean of the trees' leaf probabilities: ``tree_sums``
 adds them in tree order over bounded blocks of rows, and the sum is

@@ -12,7 +12,9 @@ once, as a default of its fit function (``fit_logistic``,
 ``fit_forest``, ``fit_boosted``, ``fit_knn``); a DT, one CART tree on all
 rows and features held as a one-tree ``ForestModel``, has no fit
 function of its own, so its depth and leaf size are written in
-``fit_model``.  None is configurable and there is no tuning path.
+``fit_model``.  Its tree comes from ``build_classification_tree``, on
+the presorted grower that also grows each boosting round.  None is
+configurable and there is no tuning path.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .forest import ForestModel, fit_forest
 from .knn import fit_knn
 from .logistic import fit_logistic
 from .standardizer import StandardizerParams, apply_standardizer, fit_standardizer
-from .tree import build_classification_trees
+from .tree import build_classification_tree
 
 MODEL_KINDS = ("LR", "DT", "RF", "GBT", "KNN")
 
@@ -54,11 +56,8 @@ def fit_model(spec: ModelSpec, X: np.ndarray, y: np.ndarray, rng: RngKey):
     if spec.kind == "LR":
         return fit_logistic(X, y, balanced_weights(y))
     if spec.kind == "DT":
-        rows = np.arange(X.shape[0])[None, :]
-        trees = build_classification_trees(
-            X, y, balanced_weights(y), rows, max_depth=4, min_samples_leaf=5, pickers=[np.arange]
-        )
-        return ForestModel(trees)
+        tree = build_classification_tree(X, y, balanced_weights(y), max_depth=4, min_samples_leaf=5)
+        return ForestModel((tree,))
     if spec.kind == "RF":
         return fit_forest(X, y, balanced_weights(y), rng)
     if spec.kind == "GBT":

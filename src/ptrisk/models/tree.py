@@ -1,20 +1,23 @@
 """Tree growing shared by the CART tree, the forest and the boosted trees.
 
-``grow_tree`` is the one grower and ``_split_block`` the one split search.
-A tree kind supplies two additive per-row statistics, a leaf-value rule
-and a gain rule: (w, w*[y=1]) with the weighted Gini gain for CART, and
-the logistic (gradient, hessian) with the Newton gain for boosting (see
+Two growers produce the same trees from the same rules.  A tree kind
+supplies two additive per-row statistics, a leaf-value rule and a gain
+rule: (w, w*[y=1]) with the weighted Gini gain for CART, and the
+logistic (gradient, hessian) with the Newton gain for boosting (see
 ``boosting.py``).  Split candidates are midpoints of consecutive distinct
 sorted feature values.  Ties between equally good splits resolve to the
 lowest feature index, then the lowest threshold, giving a fully
 deterministic tree.  A tree is stored as flat arrays (feature < 0 marks
 a leaf), its nodes numbered in depth-first preorder, left before right.
 
+The rows decide the grower.  ``grow_presorted`` grows one tree whose
+rows are unique and ascending: the DT (every row) and each boosting
+round (its sorted row draw).  ``grow_tree`` grows the forest's
+bootstrap samples, whose rows repeat, in lockstep.
+
 The split search never sorts floats.  ``rank_codes`` gives each feature
 column dense integer ranks once per fit (uint8 up to 256 rows, uint16 up
-to 65,536), and each node sorts its block of codes, each packed with its
-slot into one unique unsigned key, so one plain sort gives the stable
-order.  Codes keep the order and the ties of the values, so the row
+to 65,536).  Codes keep the order and the ties of the values, so the row
 order, the running sums and the gains are those of a stable sort of the
 floats.  The floats are read only to form the chosen threshold, the
 midpoint of the two values at the chosen position, and to partition the
@@ -22,16 +25,33 @@ node's rows by ``value <= threshold``: a midpoint of two adjacent floats
 can round onto the upper value, so the partition cannot be taken from
 the codes.
 
+Presorted.  ``rank_codes`` also returns the fit's one stable argsort:
+each feature's rows in (code, row) order.  ``grow_presorted`` filters
+those lists by the tree's rows at the root, and each split hands its
+children the parent's lists through a stable ``compress``, as in SPRINT
+(Shafer, Agrawal & Mehta, VLDB 1996), so no node sorts.  The rows are
+unique and ascending, so (code, row) order is the (code, slot) order of
+``grow_tree``'s keys.  A node takes its totals with one pairwise sum
+over its rows in ascending order, the running sums of the two statistics
+along each list, and evaluates the gain rule only where the code
+changes, the only positions where a split can fall.  The first maximum
+over (feature, position), the ``_MIN_GAIN`` test, the midpoint and the
+``<=`` partition are those of ``grow_tree``.  Every row of X, in the
+tree's rows or not, is routed down the same partitions, so the grower
+also returns the leaf of each row: a boosting round adds the leaf values
+to the raw scores without walking the tree.
+
 Lockstep.  ``grow_tree`` grows a batch of trees together on one matrix
-X: the bootstrap samples of a forest, or one tree for DT and for each
-boosting round.  Each tree keeps one row permutation, stably partitioned
-in place at each split, so every node is a slice of it in ascending
-sample order.  The two statistics are held as one C-contiguous (2, rows)
-array, so a node gathers both with one ``take``.  Each step takes the
-next depth-first node of every tree that has one, so every tree creates
-its nodes in preorder and calls its picker in the order of a tree grown
-alone: a forest draws the same RNG stream as its trees grown one at a
-time.  Over the step's nodes it computes:
+X: the bootstrap samples of a forest.  Each node sorts its block of
+codes, each packed with its slot into one unique unsigned key, so one
+plain sort gives the stable order.  Each tree keeps one row permutation,
+stably partitioned in place at each split, so every node is a slice of
+it in ascending sample order.  The two statistics are held as one
+C-contiguous (2, rows) array, so a node gathers both with one ``take``.
+Each step takes the next depth-first node of every tree that has one, so
+every tree creates its nodes in preorder and calls its picker in the
+order of a tree grown alone: a forest draws the same RNG stream as its
+trees grown one at a time.  Over the step's nodes it computes:
 
 1. the node totals A, B: one sum per node over its slice, in that order,
    the sum a tree grown alone takes (numpy's pairwise sum depends on the
@@ -107,10 +127,6 @@ class FrozenTree:
     right: np.ndarray
     value: np.ndarray
 
-    def predict_value(self, X: np.ndarray) -> np.ndarray:
-        start = np.zeros(X.shape[0], dtype=np.intp)
-        return self.value[descend(self.feature, self.threshold, self.left, self.right, X, start)]
-
 
 def descend(feature, threshold, left, right, X, idx):
     """The leaf reached from each node of ``idx`` by the rows of X.
@@ -156,12 +172,15 @@ def tree_sums(trees, X: np.ndarray) -> np.ndarray:
     return totals
 
 
-def rank_codes(XT: np.ndarray) -> np.ndarray:
-    """Dense rank of each value within its row of XT (features x rows).
+def rank_codes(XT: np.ndarray) -> tuple:
+    """Dense rank codes of each row of XT (features x rows), and each
+    row's stable sort order.
 
     Equal values, -0.0 and 0.0 among them, share a code, and a larger
     value has a larger code.  The dtype is the smallest unsigned integer
-    that holds the number of rows minus one.
+    that holds the number of rows minus one.  The order is the one stable
+    argsort of a fit: row f lists the columns of XT in (code, column)
+    order of feature f.
     """
     order = np.argsort(XT, axis=1, kind="stable")
     V = np.take_along_axis(XT, order, axis=1)
@@ -169,7 +188,7 @@ def rank_codes(XT: np.ndarray) -> np.ndarray:
     step[:, 1:] = V[:, 1:] > V[:, :-1]
     codes = np.empty_like(step)
     np.put_along_axis(codes, order, np.cumsum(step, axis=1, dtype=step.dtype), axis=1)
-    return codes
+    return codes, order
 
 
 def _split_block(X, codes, ab, perm, start, n, features, A, B, split_gain, L, padded):
@@ -284,7 +303,7 @@ def grow_tree(
 
     Tree t grows on the rows ``samples[t]`` of X (rows x features,
     C-contiguous), in that order, repeats allowed; the rows of ``samples``
-    are reordered in place.  ``codes`` is ``rank_codes(X.T)``.  The rules
+    are reordered in place.  ``codes`` is ``rank_codes(X.T)[0]``.  The rules
     see only sums of the per-row statistics ``a``, ``b`` over a node's
     rows, taken in sample order, and apply elementwise to arrays of nodes:
     ``leaf_value(A, B)`` gives the node value, ``is_leaf(A, B, n)`` stops
@@ -336,28 +355,99 @@ def grow_tree(
     return tuple(tree.finalize() for tree in arrays)
 
 
+def grow_presorted(
+    XT: np.ndarray,
+    codes: np.ndarray,
+    order: np.ndarray,
+    a: np.ndarray,
+    b: np.ndarray,
+    rows: np.ndarray,
+    features: np.ndarray,
+    leaf_value,
+    split_gain,
+    max_depth: int,
+    is_leaf,
+) -> tuple:
+    """Grow one tree on the unique ascending ``rows`` of X, depth-first.
+
+    XT is X.T, C-contiguous (features x rows), and ``codes, order =
+    rank_codes(XT)``.  Every node searches the ascending columns
+    ``features``; the statistics and the rules are those of ``grow_tree``.
+    Returns the tree and the leaf reached by each row of X, ``rows`` or not.
+
+    Each node holds its rows in ascending order, one list per candidate
+    feature of those rows in (code, row) order, and the rows of X that
+    reach it.  The root filters ``order``; a split passes each child the
+    parent's arrays, compressed stably.  No node sorts.
+    """
+    n = XT.shape[1]
+    ab = np.array((a, b))
+    k = features.size
+    offset = (features * n)[:, None]  # into codes, flattened
+    lists = order.take(features, axis=0)
+    in_tree = np.zeros(n, dtype=bool)
+    in_tree[rows] = True
+    lists = lists.compress(in_tree.take(lists).reshape(-1)).reshape(k, rows.size)
+    arrays = TreeArrays()
+    leaf = np.empty(n, dtype=np.intp)
+    # (rows, lists, rows of X reaching the node, depth, parent's child list, parent)
+    pending = [(rows, lists, np.arange(n), 0, None, -1)]
+    while pending:
+        rows, lists, reach, depth, link, parent = pending.pop()
+        node = arrays.add_node()
+        if link is not None:
+            link[parent] = node
+        A, B = np.add.reduce(ab.take(rows, axis=1), axis=1)
+        arrays.value[node] = float(leaf_value(A, B))
+        m = rows.size
+        boundary = np.empty(0, dtype=np.intp)
+        if depth < max_depth and not is_leaf(A, B, m):
+            # only a position where the code changes can split the node
+            listed = codes.take(lists + offset)
+            boundary = (listed[:, 1:] != listed[:, :-1]).reshape(-1).nonzero()[0]
+        if boundary.size:
+            AL, BL = ab.take(lists[:, :-1], axis=1).cumsum(axis=2).reshape(2, -1).take(boundary, axis=1)
+            gain = split_gain(AL, BL, A, B, boundary % (m - 1) + 1, m)
+            best = int(gain.argmax())
+        if not boundary.size or not gain[best] > _MIN_GAIN:
+            leaf[reach] = node
+            continue
+        i, j = divmod(int(boundary[best]), m - 1)
+        f = int(features[i])
+        x = XT[f]
+        threshold = 0.5 * (x[lists[i, j]] + x[lists[i, j + 1]])
+        go_left = x.take(rows) <= threshold
+        n_left = int(np.count_nonzero(go_left))
+        # a midpoint of adjacent floats can round onto the upper value
+        if n_left == m:
+            leaf[reach] = node
+            continue
+        arrays.feature[node] = f
+        arrays.threshold[node] = float(threshold)
+        reach_left = x.take(reach) <= threshold
+        lists_left = lists_right = None
+        if depth + 1 < max_depth:  # a child at the depth limit searches nothing
+            list_left = (x.take(lists) <= threshold).reshape(-1)
+            lists_left = lists.compress(list_left).reshape(k, n_left)
+            lists_right = lists.compress(~list_left).reshape(k, m - n_left)
+        pending.append(
+            (rows.compress(~go_left), lists_right, reach.compress(~reach_left), depth + 1, arrays.right, node)
+        )
+        pending.append((rows.compress(go_left), lists_left, reach.compress(reach_left), depth + 1, arrays.left, node))
+    return arrays.finalize(), leaf
+
+
 def _gini(frac):
     return 1.0 - frac * frac - (1.0 - frac) * (1.0 - frac)
 
 
-def build_classification_trees(
-    X: np.ndarray,
-    y: np.ndarray,
-    sample_weight: np.ndarray,
-    samples: np.ndarray,
-    max_depth: int,
-    min_samples_leaf: int,
-    pickers,
-) -> tuple:
-    """Grow CART trees; leaf value is the weighted positive fraction.
+def _cart_rules(y: np.ndarray, sample_weight: np.ndarray, min_samples_leaf: int) -> dict:
+    """The CART row statistics and rules, as keywords of either grower.
 
-    The row statistics are the weight w and the positive weight w*[y=1].
-    A split needs at least ``min_samples_leaf`` rows on each side.  One
-    tree is grown per row of ``samples`` (row indices of X, repeats
-    allowed), on the candidate features of ``pickers`` as for
-    ``grow_tree``.
+    The statistics are the weight w and the positive weight w*[y=1]; the
+    leaf value is the weighted positive fraction, and a split needs at
+    least ``min_samples_leaf`` rows on each side.
     """
-    X = np.ascontiguousarray(X, dtype=float)
     w = np.asarray(sample_weight, dtype=float)
     wpos = np.where(y == 1, w, 0.0)
 
@@ -370,15 +460,46 @@ def build_classification_trees(
         valid = (n_left >= min_samples_leaf) & (n - n_left >= min_samples_leaf)
         return np.where(valid, gain, -np.inf)
 
+    return dict(a=w, b=wpos, leaf_value=lambda W, Wp: Wp / W, split_gain=gini_gain, is_leaf=is_leaf)
+
+
+def build_classification_trees(
+    X: np.ndarray,
+    y: np.ndarray,
+    sample_weight: np.ndarray,
+    samples: np.ndarray,
+    max_depth: int,
+    min_samples_leaf: int,
+    pickers,
+) -> tuple:
+    """Grow CART trees in lockstep, one per row of ``samples`` (row
+    indices of X, repeats allowed), on the candidate features of
+    ``pickers`` as for ``grow_tree``."""
+    X = np.ascontiguousarray(X, dtype=float)
+    codes = rank_codes(X.T)[0]
     return grow_tree(
         X,
-        rank_codes(X.T),
-        w,
-        wpos,
-        samples,
-        leaf_value=lambda W, Wp: Wp / W,
-        split_gain=gini_gain,
+        codes,
+        samples=samples,
         max_depth=max_depth,
-        is_leaf=is_leaf,
         pickers=pickers,
+        **_cart_rules(y, sample_weight, min_samples_leaf),
     )
+
+
+def build_classification_tree(
+    X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray, max_depth: int, min_samples_leaf: int
+) -> FrozenTree:
+    """Grow one CART tree on every row and every feature of X."""
+    XT = np.ascontiguousarray(np.asarray(X, dtype=float).T)
+    codes, order = rank_codes(XT)
+    tree, _ = grow_presorted(
+        XT,
+        codes,
+        order,
+        rows=np.arange(XT.shape[1]),
+        features=np.arange(XT.shape[0]),
+        max_depth=max_depth,
+        **_cart_rules(y, sample_weight, min_samples_leaf),
+    )
+    return tree

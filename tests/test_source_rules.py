@@ -11,7 +11,8 @@ error reaches the CLI as an internal error (exit 3).  Only ``rng.py``
 builds numpy generators, so every draw comes from an addressed substream,
 and it seeds them through numpy's public API alone.  In ``report.py``
 only ``_publish`` writes, moves or deletes a file, so every bundle file
-goes out through one path.
+goes out through one path.  The presorted tree grower sorts nothing: its
+one stable argsort per fit is ``rank_codes``'.
 """
 
 import ast
@@ -196,4 +197,21 @@ def test_report_writes_files_only_in_publish():
         name = _dotted(node.func)
         if function != "_publish" and (name == "os.replace" or name.split(".")[-1] in FILE_WRITES):
             hits.append(f"{report}:{node.lineno} {name} in {function}")
+    assert hits == []
+
+
+SORTS = {"sort", "sorted", "argsort", "lexsort", "partition", "argpartition"}
+
+
+def test_presorted_grower_sorts_nothing():
+    # each node reads its parent's presorted lists, compressed stably; a
+    # per-node sort would undo the presort
+    tree_py = Path("src", "ptrisk", "models", "tree.py")
+    module = parsed(PACKAGE)[tree_py]
+    assert "grow_presorted" in {node.name for node in module.body if isinstance(node, ast.FunctionDef)}
+    hits = [
+        f"{tree_py}:{node.lineno} {name}"
+        for function, node in _enclosed(module, ast.Call)
+        if function == "grow_presorted" and (name := _dotted(node.func)).split(".")[-1] in SORTS
+    ]
     assert hits == []

@@ -9,44 +9,39 @@ from ptrisk.models import (
     ForestModel,
     FrozenTree,
     balanced_weights,
+    build_classification_tree,
     build_classification_trees,
     fit_boosted,
     fit_forest,
 )
 from ptrisk.models import boosting, tree
 from ptrisk.models.logistic import sigmoid
-from ptrisk.models.tree import rank_codes
+from ptrisk.models.tree import descend, grow_presorted, rank_codes, tree_sums
 from ptrisk.rng import RngKey, substream
 
 
-def all_of(X):
-    """One tree's row of every row index, and a picker of every column."""
-    return np.arange(X.shape[0])[None, :], [np.arange]
-
-
-def build_classification_tree(X, y, sample_weight, pickers=None, **kwargs):
-    """One CART tree on all rows, a batch of one, searching every feature
-    unless ``pickers`` draws them."""
-    rows, every = all_of(X)
-    (fitted,) = build_classification_trees(X, y, sample_weight, rows, pickers=pickers or every, **kwargs)
-    return fitted
+def newton_rules(learning_rate):
+    """The boosting round's leaf value, stop rule and split gain."""
+    return dict(
+        leaf_value=lambda G, H: -learning_rate * G / (H + boosting._LAMBDA),
+        split_gain=boosting._newton_gain,
+        is_leaf=lambda G, H, n: H < 2 * boosting._MIN_CHILD_HESSIAN,
+    )
 
 
 def regression_tree(X, g, h, max_depth, learning_rate):
-    """One boosting-round tree on all rows and columns of X."""
-    X = np.ascontiguousarray(X, dtype=float)
-    rows, every = all_of(X)
-    (fitted,) = tree.grow_tree(
-        X,
-        rank_codes(X.T),
+    """One boosting-round tree on all rows and columns of X, grown as a
+    round grows it."""
+    XT = np.ascontiguousarray(np.asarray(X, dtype=float).T)
+    fitted, _ = grow_presorted(
+        XT,
+        *rank_codes(XT),
         g,
         h,
-        rows,
-        leaf_value=lambda G, H: -learning_rate * G / (H + boosting._LAMBDA),
-        split_gain=boosting._newton_gain,
+        np.arange(XT.shape[1]),
+        np.arange(XT.shape[0]),
         max_depth=max_depth,
-        is_leaf=lambda G, H, n: H < 2 * boosting._MIN_CHILD_HESSIAN,
-        pickers=every,
+        **newton_rules(learning_rate),
     )
     return fitted
 
@@ -61,7 +56,7 @@ def test_tree_pure_split_on_feature_zero():
     left_prob = tree.value[tree.left[0]]
     right_prob = tree.value[tree.right[0]]
     assert (left_prob, right_prob) == (0.0, 1.0)
-    assert np.array_equal(tree.predict_value(X), y.astype(float))
+    assert np.array_equal(tree_sums((tree,), X), y.astype(float))
 
 
 def test_tree_respects_depth_and_leaf_size():
@@ -156,7 +151,7 @@ def test_gbt_loss_monotone_without_subsampling():
     raw = np.zeros(len(y))
     losses = []
     for fitted in model.trees:
-        raw += fitted.predict_value(X)
+        raw += tree_sums((fitted,), X)
         losses.append(float(np.mean(np.logaddexp(0.0, raw) - y * raw)))
     assert (np.diff(losses) <= 1e-12).all()
     assert np.float64(model.train_loss).tobytes() == np.float64(losses[-1]).tobytes()
@@ -205,7 +200,7 @@ def test_gbt_trees_split_only_on_their_rounds_columns():
         assert used.size and np.isin(used, cols).all()
 
 
-# --- the shared split search: tie-breaks and edge cases ------------------------
+# --- the split search: tie-breaks and edge cases ------------------------------
 
 
 def cart_stump(X, y):
@@ -261,8 +256,8 @@ def test_feature_picker_subset_maps_to_global_indices():
         calls.append(n_features)
         return np.array([2, 3])
 
-    tree = build_classification_tree(
-        X, y, np.ones(40), max_depth=3, min_samples_leaf=1, pickers=[picker]
+    (tree,) = build_classification_trees(
+        X, y, np.ones(40), np.arange(40)[None, :], max_depth=3, min_samples_leaf=1, pickers=[picker]
     )
     assert tree.feature[0] == 3
     assert 3 + 10 * col[y == 0].max() < tree.threshold[0] < 3 + 10 * col[y == 1].min()
@@ -373,22 +368,12 @@ def float_sort_grow_tree(X, a, b, leaf_value, split_gain, max_depth, is_leaf, pi
     )
 
 
-def float_sort_grow_batch(X, codes, a, b, samples, leaf_value, split_gain, max_depth, is_leaf, pickers):
-    """``grow_tree``'s interface on the reference grower, one tree at a
-    time; ``codes`` is ignored."""
-    return tuple(
-        float_sort_grow_tree(
-            X[rows],
-            a[rows],
-            b[rows],
-            leaf_value,
-            split_gain,
-            max_depth,
-            is_leaf,
-            pickers[t],
-        )
-        for t, rows in enumerate(samples)
-    )
+def float_sort_cart(X, y, sample_weight, rows, picker, max_depth, min_samples_leaf):
+    """Reference CART tree on ``rows`` of X (repeats allowed), searching
+    ``picker``'s features at each node."""
+    rules = tree._cart_rules(y, sample_weight, min_samples_leaf)
+    a, b = rules.pop("a"), rules.pop("b")
+    return float_sort_grow_tree(X[rows], a[rows], b[rows], max_depth=max_depth, picker=picker, **rules)
 
 
 def per_tree_forest(X, y, sample_weight, rng, n_trees, max_depth, min_samples_leaf):
@@ -404,30 +389,33 @@ def per_tree_forest(X, y, sample_weight, rng, n_trees, max_depth, min_samples_le
         def picker(n_features, gen=gen):
             return np.sort(gen.choice(n_features, size=n_candidates, replace=False))
 
-        trees.append(
-            build_classification_tree(
-                X[idx],
-                y[idx],
-                sample_weight[idx],
-                max_depth=max_depth,
-                min_samples_leaf=min_samples_leaf,
-                pickers=[picker],
-            )
-        )
+        trees.append(float_sort_cart(X, y, sample_weight, idx, picker, max_depth, min_samples_leaf))
     return tuple(trees)
 
 
-def lockstep_forest(X, y, sample_weight, rng, n_trees, max_depth, min_samples_leaf):
-    forest = fit_forest(
-        X,
-        y,
-        sample_weight,
-        rng,
-        n_trees=n_trees,
-        max_depth=max_depth,
-        min_samples_leaf=min_samples_leaf,
-    )
-    return forest.trees
+def float_sort_boosted(X, y, rng, n_rounds, max_depth, learning_rate=0.1, subsample=0.8):
+    """Reference boosting: round t draws its rows, then its columns, from
+    ``rng.child("round", t)``, grows ``float_sort_grow_tree`` on those rows
+    and columns, and adds the tree's values to every row's raw score."""
+    n, p = X.shape
+    raw = np.zeros(n)
+    trees = []
+    for t in range(n_rounds):
+        gen = rng.child("round", t).generator()
+        rows = np.sort(gen.choice(n, size=max(1, int(round(subsample * n))), replace=False))
+        cols = np.sort(gen.choice(p, size=max(1, int(round(subsample * p))), replace=False))
+        prob = sigmoid(raw)
+        fitted = float_sort_grow_tree(
+            X[rows],
+            (prob - y)[rows],
+            (prob * (1.0 - prob))[rows],
+            max_depth=max_depth,
+            picker=lambda _: cols,
+            **newton_rules(learning_rate),
+        )
+        trees.append(fitted)
+        raw += tree_sums((fitted,), X)
+    return trees, float(np.mean(np.logaddexp(0.0, raw) - y * raw))
 
 
 def tricky_matrix(rng, n):
@@ -461,22 +449,41 @@ def tree_bytes(fitted):
 FORESTS = ((12, 4, 1), (37, 8, 1), (37, 8, 5))
 
 
-def fit_all(X, y, forest):
+def fit_all(X, y):
+    """The package's trees: two CART trees, three forests and a boosted fit."""
     weights = balanced_weights(y)
     dt = build_classification_tree(X, y, weights, max_depth=4, min_samples_leaf=5)
     deep = build_classification_tree(X, y, weights, max_depth=8, min_samples_leaf=1)
     rf = [
         fitted
         for n_trees, depth, leaf in FORESTS
-        for fitted in forest(X, y, weights, RngKey(3).child("rf", depth, leaf), n_trees, depth, leaf)
+        for fitted in fit_forest(
+            X, y, weights, RngKey(3).child("rf", depth, leaf), n_trees=n_trees, max_depth=depth, min_samples_leaf=leaf
+        ).trees
     ]
     gbt = fit_boosted(X, y.astype(float), RngKey(3).child("gbt"), n_rounds=12, max_depth=4)
     trees = [dt, deep, *rf, *gbt.trees]
     return [tree_bytes(t) for t in trees], np.float64(gbt.train_loss).tobytes()
 
 
+def float_sort_all(X, y):
+    """``fit_all``'s trees from the float-sort reference grower."""
+    weights = balanced_weights(y)
+    every = np.arange(X.shape[0])
+    dt = float_sort_cart(X, y, weights, every, np.arange, max_depth=4, min_samples_leaf=5)
+    deep = float_sort_cart(X, y, weights, every, np.arange, max_depth=8, min_samples_leaf=1)
+    rf = [
+        fitted
+        for n_trees, depth, leaf in FORESTS
+        for fitted in per_tree_forest(X, y, weights, RngKey(3).child("rf", depth, leaf), n_trees, depth, leaf)
+    ]
+    gbt, train_loss = float_sort_boosted(X, y.astype(float), RngKey(3).child("gbt"), n_rounds=12, max_depth=4)
+    trees = [dt, deep, *rf, *gbt]
+    return [tree_bytes(t) for t in trees], np.float64(train_loss).tobytes()
+
+
 @pytest.mark.parametrize("n", [30, 256, 257, 420])
-def test_rank_code_search_matches_float_sort_oracle(n, monkeypatch):
+def test_rank_code_search_matches_float_sort_oracle(n):
     # n=256 gives uint8 codes up to 255, the dtype's largest code, which is
     # also the pad code of a padded search block
     rng = np.random.default_rng(n)
@@ -485,21 +492,49 @@ def test_rank_code_search_matches_float_sort_oracle(n, monkeypatch):
         X = X[:, rng.permutation(X.shape[1])]
         signal = X[:, 0] + (X[:, 5] > 1.0) + 0.5 * X[:, 1] + rng.normal(size=n)
         y = (signal > np.median(signal)).astype(int)
-        got = fit_all(X, y, lockstep_forest)
-        with monkeypatch.context() as patch:
-            patch.setattr(tree, "grow_tree", float_sort_grow_batch)
-            patch.setattr(boosting, "grow_tree", float_sort_grow_batch)
-            expected = fit_all(X, y, per_tree_forest)
-        assert got == expected
+        assert fit_all(X, y) == float_sort_all(X, y)
+
+
+@pytest.mark.parametrize("n", [30, 256, 257, 420])
+def test_presorted_grower_matches_lockstep_grower(n):
+    # one tree on sorted row and column subsets, under random Newton and
+    # CART rules: same bytes from both growers, and the presorted grower's
+    # leaf of every row of X is the leaf a walk of the tree reaches
+    rng = np.random.default_rng(n + 1)
+    X = tricky_matrix(rng, n)
+    XT = np.ascontiguousarray(X.T)
+    codes, order = rank_codes(XT)
+    p = X.shape[1]
+    for trial in range(66):
+        rows = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
+        cols = np.sort(rng.choice(p, size=int(rng.integers(1, p + 1)), replace=False))
+        max_depth = int(rng.integers(1, 7))
+        if trial % 11:
+            a = rng.normal(size=n) * 10.0 ** rng.integers(-3, 3, size=n)
+            b = rng.uniform(0.05, 1.0, size=n)
+            rules = newton_rules(float(rng.uniform(0.05, 1.0)))
+        else:
+            y = rng.integers(0, 2, size=n)
+            rules = tree._cart_rules(y, rng.uniform(0.5, 2.0, size=n), int(rng.integers(1, 6)))
+            a, b = rules.pop("a"), rules.pop("b")
+        (expected,) = tree.grow_tree(
+            X, codes, a, b, rows.copy()[None, :], max_depth=max_depth, pickers=[lambda _: cols], **rules
+        )
+        got, leaf = grow_presorted(XT, codes, order, a, b, rows, cols, max_depth=max_depth, **rules)
+        assert tree_bytes(got) == tree_bytes(expected)
+        walked = descend(got.feature, got.threshold, got.left, got.right, X, np.zeros(n, dtype=np.intp))
+        assert np.array_equal(leaf, walked)
 
 
 def test_rank_codes_keep_order_and_ties():
     v = np.nextafter(1.0, np.inf)
     col = np.array([3.0, -0.0, 0.0, v, -2.0, 3.0, np.nextafter(v, np.inf), 0.0])
-    codes = rank_codes(np.vstack([col, np.zeros(8)]))
+    codes, order = rank_codes(np.vstack([col, np.zeros(8)]))
     assert codes.tolist() == [[4, 1, 1, 2, 0, 4, 3, 1], [0] * 8]
-    assert rank_codes(np.zeros((2, 256))).dtype == np.uint8
-    assert rank_codes(np.zeros((2, 257))).dtype == np.uint16
+    # each row's columns in (code, column) order
+    assert order.tolist() == [[4, 1, 2, 7, 3, 6, 0, 5], list(range(8))]
+    assert rank_codes(np.zeros((2, 256)))[0].dtype == np.uint8
+    assert rank_codes(np.zeros((2, 257)))[0].dtype == np.uint16
 
 
 def test_tied_rows_are_summed_in_row_order():
@@ -561,11 +596,11 @@ def test_all_tree_prediction_adds_trees_in_order(small_ensembles, rows):
     X = np.column_stack([rng.normal(size=rows), rng.integers(0, 3, size=rows), rng.normal(size=rows)])
     votes = np.zeros(rows)
     for fitted in forest.trees:
-        votes += fitted.predict_value(X)
+        votes += tree_sums((fitted,), X)
     assert forest.predict_proba(X).tobytes() == (votes / 30).tobytes()
     raw = np.zeros(rows)
     for fitted in model.trees:
-        raw += fitted.predict_value(X)
+        raw += tree_sums((fitted,), X)
     assert model.raw_scores(X).tobytes() == raw.tobytes()
 
 
@@ -587,6 +622,19 @@ def test_forest_fit_working_set_stays_small():
     tracemalloc.start()
     try:
         fit_forest(X, y, weights, RngKey(4).child("rf"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
+def test_gbt_fit_working_set_stays_small():
+    # one round's presorted lists and running sums at a time; the one-node
+    # lockstep search it replaced peaked at 1.92 MiB
+    X, y = cohort_like(800, 12)
+    tracemalloc.start()
+    try:
+        fit_boosted(X, y.astype(float), RngKey(4).child("gbt"))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
