@@ -1,5 +1,5 @@
 from .boosting import fit_boosted
-from .forest import ForestModel, fit_forest
+from .forest import ForestModel, fit_forest, fit_tree
 from .knn import fit_knn
 from .logistic import fit_logistic, objective, sigmoid
 from .pipeline import (
@@ -10,7 +10,7 @@ from .pipeline import (
     fit_pipeline,
 )
 from .standardizer import apply_standardizer, fit_standardizer
-from .tree import FrozenTree, build_classification_tree, build_classification_trees
+from .tree import FrozenTree
 
 __all__ = [
     "MODEL_KINDS",
@@ -20,14 +20,13 @@ __all__ = [
     "ModelSpec",
     "apply_standardizer",
     "balanced_weights",
-    "build_classification_tree",
-    "build_classification_trees",
     "fit_boosted",
     "fit_forest",
     "fit_knn",
     "fit_logistic",
     "fit_pipeline",
     "fit_standardizer",
+    "fit_tree",
     "objective",
     "sigmoid",
 ]

@@ -9,7 +9,7 @@ the first round.
 The tree is grown by ``tree.grow_presorted``, as the DT is, on the
 round's sorted row draw of the full matrix, from the per-row statistics
 (g, h) and the fit's one presort, searching the round's column draw at
-every node; it shares the CART tree's split search and tie-break (lowest
+every node; it shares the DT's split search and tie-break (lowest
 feature, then lowest threshold).  Split gain is the usual second-order
 improvement; a split is accepted only when both children carry at least
 ``_MIN_CHILD_HESSIAN`` hessian mass and the gain is positive.  So a node

@@ -9,12 +9,8 @@ a class with fewer than two rows (``report._curate``), and
 ``evaluation.stratified_kfold`` deals those rows to different folds, so
 every training split keeps both classes.  Each hyperparameter is written
 once, as a default of its fit function (``fit_logistic``,
-``fit_forest``, ``fit_boosted``, ``fit_knn``); a DT, one CART tree on all
-rows and features held as a one-tree ``ForestModel``, has no fit
-function of its own, so its depth and leaf size are written in
-``fit_model``.  Its tree comes from ``build_classification_tree``, on
-the presorted grower that also grows each boosting round.  None is
-configurable and there is no tuning path.
+``fit_tree`` for the DT, ``fit_forest``, ``fit_boosted``, ``fit_knn``).
+None is configurable and there is no tuning path.
 """
 
 from __future__ import annotations
@@ -26,11 +22,10 @@ import numpy as np
 from ..errors import ContractError
 from ..rng import RngKey
 from .boosting import fit_boosted
-from .forest import ForestModel, fit_forest
+from .forest import fit_forest, fit_tree
 from .knn import fit_knn
 from .logistic import fit_logistic
 from .standardizer import StandardizerParams, apply_standardizer, fit_standardizer
-from .tree import build_classification_tree
 
 MODEL_KINDS = ("LR", "DT", "RF", "GBT", "KNN")
 
@@ -56,8 +51,7 @@ def fit_model(spec: ModelSpec, X: np.ndarray, y: np.ndarray, rng: RngKey):
     if spec.kind == "LR":
         return fit_logistic(X, y, balanced_weights(y))
     if spec.kind == "DT":
-        tree = build_classification_tree(X, y, balanced_weights(y), max_depth=4, min_samples_leaf=5)
-        return ForestModel((tree,))
+        return fit_tree(X, y, balanced_weights(y))
     if spec.kind == "RF":
         return fit_forest(X, y, balanced_weights(y), rng)
     if spec.kind == "GBT":

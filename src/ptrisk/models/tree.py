@@ -1,14 +1,14 @@
-"""Tree growing shared by the CART tree, the forest and the boosted trees.
+"""Tree growing shared by the DT, the forest and the boosted trees.
 
 Two growers produce the same trees from the same rules.  A tree kind
 supplies two additive per-row statistics, a leaf-value rule and a gain
-rule: (w, w*[y=1]) with the weighted Gini gain for CART, and the
-logistic (gradient, hessian) with the Newton gain for boosting (see
-``boosting.py``).  Split candidates are midpoints of consecutive distinct
-sorted feature values.  Ties between equally good splits resolve to the
-lowest feature index, then the lowest threshold, giving a fully
-deterministic tree.  A tree is stored as flat arrays (feature < 0 marks
-a leaf), its nodes numbered in depth-first preorder, left before right.
+rule; ``forest.py`` holds the CART rules and ``boosting.py`` the Newton
+rules, and no rule lives here.  Split candidates are midpoints of
+consecutive distinct sorted feature values.  Ties between equally good
+splits resolve to the lowest feature index, then the lowest threshold,
+giving a fully deterministic tree.  A tree is stored as flat arrays
+(feature < 0 marks a leaf), its nodes numbered in depth-first preorder,
+left before right.
 
 The rows decide the grower.  ``grow_presorted`` grows one tree whose
 rows are unique and ascending: the DT (every row) and each boosting
@@ -25,6 +25,13 @@ node's rows by ``value <= threshold``: a midpoint of two adjacent floats
 can round onto the upper value, so the partition cannot be taken from
 the codes.
 
+Both growers evaluate the gain rule only at boundaries: the positions in
+a node's stable order of a feature's codes where the code changes, the
+only positions where a split can fall, as histogram tree learners do
+(Chen & Guestrin, KDD 2016).  Both children of a boundary hold rows, so
+no rule divides by an empty child.  A node keeps the first maximum over
+(feature, position), and splits if its gain exceeds ``_MIN_GAIN``.
+
 Presorted.  ``rank_codes`` also returns the fit's one stable argsort:
 each feature's rows in (code, row) order.  ``grow_presorted`` filters
 those lists by the tree's rows at the root, and each split hands its
@@ -33,9 +40,7 @@ children the parent's lists through a stable ``compress``, as in SPRINT
 unique and ascending, so (code, row) order is the (code, slot) order of
 ``grow_tree``'s keys.  A node takes its totals with one pairwise sum
 over its rows in ascending order, the running sums of the two statistics
-along each list, and evaluates the gain rule only where the code
-changes, the only positions where a split can fall.  The first maximum
-over (feature, position), the ``_MIN_GAIN`` test, the midpoint and the
+along each list, and scores its boundaries.  The midpoint and the
 ``<=`` partition are those of ``grow_tree``.  Every row of X, in the
 tree's rows or not, is routed down the same partitions, so the grower
 also returns the leaf of each row: a boosting round adds the leaf values
@@ -68,11 +73,9 @@ trees grown one at a time.  Over the step's nodes it computes:
    the pads sit after every real row and a key's low bits hold its slot,
    so the sort leaves them last even where a real row has that code, and
    the running sums (``cumsum`` from the first sorted row) are those of
-   the node alone.  Past a node's last real position the sums are
-   replaced by its one-row sums before the gain rule runs, so no rule
-   divides by an empty child, and the gain there is -inf.  A call whose
-   nodes all have the same row count pads nothing.  One flat argmax per
-   node keeps the tie-break;
+   the node alone.  The gains at the boundaries between two real rows
+   fill one -inf (nodes x features * positions) array, and one argmax
+   per node keeps the first maximum;
 5. the midpoint thresholds and the ``<=`` partitions, elementwise, which
    is exact.
 
@@ -191,23 +194,22 @@ def rank_codes(XT: np.ndarray) -> tuple:
     return codes, order
 
 
-def _split_block(X, codes, ab, perm, start, n, features, A, B, split_gain, L, padded):
+def _split_block(X, codes, ab, perm, start, n, features, A, B, split_gain, L):
     """Best split of each node of one search call, and its partition.
 
     Node i holds the rows ``perm[start[i]:start[i] + n[i]]`` and searches
-    the feature row ``features[i]``; L is the largest row count, and
-    ``padded`` says whether any node has fewer.  Returns the split mask,
-    the chosen feature and threshold, and the left row count; the rows of
-    every split node are stably partitioned in place, left before right.
+    the feature row ``features[i]``; L is the largest row count.  Returns
+    the split mask, the chosen feature and threshold, and the left row
+    count; the rows of every split node are stably partitioned in place,
+    left before right.
     """
     nodes, k = features.shape
     # rows and block: pads (past a node's n rows) hold other nodes' rows
     span = start[:, None] + np.arange(L)
+    real = span < (start + n)[:, None]
     rows = perm.take(span, mode="clip")
     block = codes.take(features[:, :, None] * codes.shape[1] + rows[:, None, :])
-    if padded:
-        real = span < (start + n)[:, None]
-        np.copyto(block, np.iinfo(block.dtype).max, where=~real[:, None, :])
+    np.copyto(block, np.iinfo(block.dtype).max, where=~real[:, None, :])
     # keys are unique, code above slot, so one sort gives the stable order
     shift = (L - 1).bit_length()
     key = block.astype(np.min_scalar_type((1 << (8 * block.itemsize + shift)) - 1))
@@ -216,20 +218,14 @@ def _split_block(X, codes, ab, perm, start, n, features, A, B, split_gain, L, pa
     key.sort(axis=2)
     order = (key & ((1 << shift) - 1)).astype(np.intp)
     key >>= shift
-    cand = key[:, :, :-1] < key[:, :, 1:]
-    if nodes > 1:
-        order += (np.arange(nodes) * L)[:, None, None]  # into rows, flattened
-    AL, BL = np.cumsum(ab.take(rows, axis=1).reshape(2, -1).take(order, axis=1)[..., :-1], axis=3)
-    if padded:
-        # past a node's last real position the sums are replaced by its
-        # one-row sums, so the gain rule sees no empty child
-        tail = int(n.min()) - 1
-        beyond = ~real[:, None, tail + 1 :]
-        cand[:, :, tail:] &= ~beyond
-        np.copyto(AL[:, :, tail:], AL[:, :, :1], where=beyond)
-        np.copyto(BL[:, :, tail:], BL[:, :, :1], where=beyond)
-    gain = split_gain(AL, BL, A[:, None, None], B[:, None, None], np.arange(1, L), n[:, None, None])
-    gain = np.where(cand, gain, -np.inf).reshape(nodes, k * (L - 1))
+    # a boundary: the code changes between two real rows
+    boundary = ((key[:, :, :-1] < key[:, :, 1:]) & (np.arange(1, L) < n[:, None, None])).reshape(-1).nonzero()[0]
+    order += (np.arange(nodes) * L)[:, None, None]  # into rows, flattened
+    sums = np.cumsum(ab.take(rows, axis=1).reshape(2, -1).take(order, axis=1)[..., :-1], axis=3)
+    AL, BL = sums.reshape(2, -1).take(boundary, axis=1)
+    node = boundary // (k * (L - 1))
+    gain = np.full((nodes, k * (L - 1)), -np.inf)
+    gain.reshape(-1)[boundary] = split_gain(AL, BL, A.take(node), B.take(node), boundary % (L - 1) + 1, n.take(node))
     best = gain.argmax(axis=1)
     best += np.arange(0, nodes * k * (L - 1), k * (L - 1))  # into gain, flattened
     ok = gain.take(best) > _MIN_GAIN
@@ -240,8 +236,7 @@ def _split_block(X, codes, ab, perm, start, n, features, A, B, split_gain, L, pa
     hi = rows.take(order.take(best + 1))
     threshold = 0.5 * (X[lo, feature] + X[hi, feature])
     go_left = X[rows, feature[:, None]] <= threshold[:, None]
-    if padded:
-        go_left &= real
+    go_left &= real
     # the threshold is never below the lower value, so only the right
     # child can be empty: when a midpoint of adjacent floats rounds up
     n_left = go_left.sum(axis=1)
@@ -249,10 +244,7 @@ def _split_block(X, codes, ab, perm, start, n, features, A, B, split_gain, L, pa
     parted = np.argsort(~go_left, axis=1, kind="stable")
     parted += start[:, None]
     parted = perm.take(parted, mode="clip")
-    if padded:
-        perm[span[real]] = parted[real]
-    else:
-        perm[span] = parted
+    perm[span[real]] = parted[real]
     return ok, feature, threshold, n_left
 
 
@@ -264,26 +256,21 @@ def _split_nodes(X, codes, ab, perm, start, n, features, A, B, split_gain):
     sizes = n.tolist()
     order = sorted((i for i, size in enumerate(sizes) if size >= 2), key=sizes.__getitem__)
     k = features.shape[1]
-    calls = []
+    ok = np.zeros(len(sizes), dtype=bool)
+    feature = np.zeros(len(sizes), dtype=np.intp)
+    threshold = np.zeros(len(sizes))
+    n_left = np.zeros(len(sizes), dtype=np.intp)
     lo = 0
     for hi in range(1, len(order) + 1):
         if hi < len(order):
             size = sizes[order[hi]]
             if size < 4 * sizes[order[lo]] and (hi - lo + 1) * k * size <= _BLOCK_CELLS:
                 continue
-        calls.append((order[lo:hi], sizes[order[hi - 1]], sizes[order[lo]] < sizes[order[hi - 1]]))
-        lo = hi
-    if len(calls) == 1 and len(order) == len(sizes):
-        return _split_block(X, codes, ab, perm, start, n, features, A, B, split_gain, *calls[0][1:])
-    ok = np.zeros(len(sizes), dtype=bool)
-    feature = np.zeros(len(sizes), dtype=np.intp)
-    threshold = np.zeros(len(sizes))
-    n_left = np.zeros(len(sizes), dtype=np.intp)
-    for i, L, padded in calls:
-        i = np.array(i)
+        i = np.array(order[lo:hi])
         ok[i], feature[i], threshold[i], n_left[i] = _split_block(
-            X, codes, ab, perm, start[i], n[i], features[i], A[i], B[i], split_gain, L, padded
+            X, codes, ab, perm, start[i], n[i], features[i], A[i], B[i], split_gain, sizes[order[hi - 1]]
         )
+        lo = hi
     return ok, feature, threshold, n_left
 
 
@@ -435,71 +422,3 @@ def grow_presorted(
         )
         pending.append((rows.compress(go_left), lists_left, reach.compress(reach_left), depth + 1, arrays.left, node))
     return arrays.finalize(), leaf
-
-
-def _gini(frac):
-    return 1.0 - frac * frac - (1.0 - frac) * (1.0 - frac)
-
-
-def _cart_rules(y: np.ndarray, sample_weight: np.ndarray, min_samples_leaf: int) -> dict:
-    """The CART row statistics and rules, as keywords of either grower.
-
-    The statistics are the weight w and the positive weight w*[y=1]; the
-    leaf value is the weighted positive fraction, and a split needs at
-    least ``min_samples_leaf`` rows on each side.
-    """
-    w = np.asarray(sample_weight, dtype=float)
-    wpos = np.where(y == 1, w, 0.0)
-
-    def is_leaf(W, Wp, n):
-        return (n < 2 * min_samples_leaf) | (Wp == 0.0) | (Wp == W)
-
-    def gini_gain(WL, WpL, W, Wp, n_left, n):
-        WR = W - WL
-        gain = _gini(Wp / W) - (WL * _gini(WpL / WL) + WR * _gini((Wp - WpL) / WR)) / W
-        valid = (n_left >= min_samples_leaf) & (n - n_left >= min_samples_leaf)
-        return np.where(valid, gain, -np.inf)
-
-    return dict(a=w, b=wpos, leaf_value=lambda W, Wp: Wp / W, split_gain=gini_gain, is_leaf=is_leaf)
-
-
-def build_classification_trees(
-    X: np.ndarray,
-    y: np.ndarray,
-    sample_weight: np.ndarray,
-    samples: np.ndarray,
-    max_depth: int,
-    min_samples_leaf: int,
-    pickers,
-) -> tuple:
-    """Grow CART trees in lockstep, one per row of ``samples`` (row
-    indices of X, repeats allowed), on the candidate features of
-    ``pickers`` as for ``grow_tree``."""
-    X = np.ascontiguousarray(X, dtype=float)
-    codes = rank_codes(X.T)[0]
-    return grow_tree(
-        X,
-        codes,
-        samples=samples,
-        max_depth=max_depth,
-        pickers=pickers,
-        **_cart_rules(y, sample_weight, min_samples_leaf),
-    )
-
-
-def build_classification_tree(
-    X: np.ndarray, y: np.ndarray, sample_weight: np.ndarray, max_depth: int, min_samples_leaf: int
-) -> FrozenTree:
-    """Grow one CART tree on every row and every feature of X."""
-    XT = np.ascontiguousarray(np.asarray(X, dtype=float).T)
-    codes, order = rank_codes(XT)
-    tree, _ = grow_presorted(
-        XT,
-        codes,
-        order,
-        rows=np.arange(XT.shape[1]),
-        features=np.arange(XT.shape[0]),
-        max_depth=max_depth,
-        **_cart_rules(y, sample_weight, min_samples_leaf),
-    )
-    return tree

@@ -9,12 +9,11 @@ from ptrisk.models import (
     ForestModel,
     FrozenTree,
     balanced_weights,
-    build_classification_tree,
-    build_classification_trees,
     fit_boosted,
     fit_forest,
+    fit_tree,
 )
-from ptrisk.models import boosting, tree
+from ptrisk.models import boosting, forest, tree
 from ptrisk.models.logistic import sigmoid
 from ptrisk.models.tree import descend, grow_presorted, rank_codes, tree_sums
 from ptrisk.rng import RngKey, substream
@@ -50,7 +49,7 @@ def test_tree_pure_split_on_feature_zero():
     X = np.array([[-2.0, 1.0], [-1.0, 2.0], [1.0, 1.5], [2.0, 0.5]] * 3)
     y = np.array([0, 0, 1, 1] * 3)
     weights = balanced_weights(y)
-    tree = build_classification_tree(X, y, weights, max_depth=4, min_samples_leaf=5)
+    (tree,) = fit_tree(X, y, weights).trees
     assert tree.feature[0] == 0
     assert -1.0 < tree.threshold[0] < 1.0
     left_prob = tree.value[tree.left[0]]
@@ -64,7 +63,7 @@ def test_tree_respects_depth_and_leaf_size():
     X = rng.normal(size=(100, 3))
     y = rng.integers(0, 2, size=100)
     weights = balanced_weights(y)
-    tree = build_classification_tree(X, y, weights, max_depth=2, min_samples_leaf=10)
+    (tree,) = fit_tree(X, y, weights, max_depth=2, min_samples_leaf=10).trees
 
     def depth_of(node, depth=0):
         if tree.feature[node] < 0:
@@ -91,7 +90,7 @@ def test_tree_deterministic_tie_break():
     X = np.column_stack([col, col])
     y = (col > 0).astype(int)
     weights = balanced_weights(y)
-    tree = build_classification_tree(X, y, weights, max_depth=3, min_samples_leaf=1)
+    (tree,) = fit_tree(X, y, weights, max_depth=3, min_samples_leaf=1).trees
     assert tree.feature[0] == 0
 
 
@@ -204,7 +203,21 @@ def test_gbt_trees_split_only_on_their_rounds_columns():
 
 
 def cart_stump(X, y):
-    return build_classification_tree(X, y, np.ones(len(y)), max_depth=1, min_samples_leaf=1)
+    (stump,) = fit_tree(X, y, np.ones(len(y)), max_depth=1, min_samples_leaf=1).trees
+    return stump
+
+
+def lockstep_stump(X, y):
+    X = np.ascontiguousarray(X)
+    (stump,) = tree.grow_tree(
+        X,
+        rank_codes(X.T)[0],
+        samples=np.arange(len(y))[None, :],
+        max_depth=1,
+        pickers=[np.arange],
+        **forest._cart_rules(y, np.ones(len(y)), 1),
+    )
+    return stump
 
 
 def newton_stump(X, y):
@@ -212,7 +225,9 @@ def newton_stump(X, y):
     return regression_tree(X, g, np.ones(len(y)), max_depth=1, learning_rate=0.1)
 
 
-STUMPS = pytest.mark.parametrize("stump", [cart_stump, newton_stump], ids=["cart", "newton"])
+STUMPS = pytest.mark.parametrize(
+    "stump", [cart_stump, newton_stump, lockstep_stump], ids=["cart", "newton", "lockstep"]
+)
 
 
 @STUMPS
@@ -256,12 +271,17 @@ def test_feature_picker_subset_maps_to_global_indices():
         calls.append(n_features)
         return np.array([2, 3])
 
-    (tree,) = build_classification_trees(
-        X, y, np.ones(40), np.arange(40)[None, :], max_depth=3, min_samples_leaf=1, pickers=[picker]
+    (fitted,) = tree.grow_tree(
+        X,
+        rank_codes(X.T)[0],
+        samples=np.arange(40)[None, :],
+        max_depth=3,
+        pickers=[picker],
+        **forest._cart_rules(y, np.ones(40), 1),
     )
-    assert tree.feature[0] == 3
-    assert 3 + 10 * col[y == 0].max() < tree.threshold[0] < 3 + 10 * col[y == 1].min()
-    assert set(tree.feature.tolist()) <= {-1, 3}
+    assert fitted.feature[0] == 3
+    assert 3 + 10 * col[y == 0].max() < fitted.threshold[0] < 3 + 10 * col[y == 1].min()
+    assert set(fitted.feature.tolist()) <= {-1, 3}
     # one draw per searched node: the root split and its two pure children stop early
     assert calls == [4]
 
@@ -371,7 +391,7 @@ def float_sort_grow_tree(X, a, b, leaf_value, split_gain, max_depth, is_leaf, pi
 def float_sort_cart(X, y, sample_weight, rows, picker, max_depth, min_samples_leaf):
     """Reference CART tree on ``rows`` of X (repeats allowed), searching
     ``picker``'s features at each node."""
-    rules = tree._cart_rules(y, sample_weight, min_samples_leaf)
+    rules = forest._cart_rules(y, sample_weight, min_samples_leaf)
     a, b = rules.pop("a"), rules.pop("b")
     return float_sort_grow_tree(X[rows], a[rows], b[rows], max_depth=max_depth, picker=picker, **rules)
 
@@ -452,8 +472,8 @@ FORESTS = ((12, 4, 1), (37, 8, 1), (37, 8, 5))
 def fit_all(X, y):
     """The package's trees: two CART trees, three forests and a boosted fit."""
     weights = balanced_weights(y)
-    dt = build_classification_tree(X, y, weights, max_depth=4, min_samples_leaf=5)
-    deep = build_classification_tree(X, y, weights, max_depth=8, min_samples_leaf=1)
+    (dt,) = fit_tree(X, y, weights).trees
+    (deep,) = fit_tree(X, y, weights, max_depth=8, min_samples_leaf=1).trees
     rf = [
         fitted
         for n_trees, depth, leaf in FORESTS
@@ -495,6 +515,29 @@ def test_rank_code_search_matches_float_sort_oracle(n):
         assert fit_all(X, y) == float_sort_all(X, y)
 
 
+def random_rules(rng, n, cart):
+    """Random per-row statistics a, b of n rows and the rules, CART's or
+    a boosting round's."""
+    if cart:
+        y = rng.integers(0, 2, size=n)
+        rules = forest._cart_rules(y, rng.uniform(0.5, 2.0, size=n), int(rng.integers(1, 6)))
+        return rules.pop("a"), rules.pop("b"), rules
+    a = rng.normal(size=n) * 10.0 ** rng.integers(-3, 3, size=n)
+    b = rng.uniform(0.05, 1.0, size=n)
+    return a, b, newton_rules(float(rng.uniform(0.05, 1.0)))
+
+
+def counting(split_gain, scored):
+    """``split_gain`` that appends to ``scored`` the number of positions
+    each call scores."""
+
+    def gain(AL, *rest):
+        scored.append(AL.size)
+        return split_gain(AL, *rest)
+
+    return gain
+
+
 @pytest.mark.parametrize("n", [30, 256, 257, 420])
 def test_presorted_grower_matches_lockstep_grower(n):
     # one tree on sorted row and column subsets, under random Newton and
@@ -509,14 +552,7 @@ def test_presorted_grower_matches_lockstep_grower(n):
         rows = np.sort(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False))
         cols = np.sort(rng.choice(p, size=int(rng.integers(1, p + 1)), replace=False))
         max_depth = int(rng.integers(1, 7))
-        if trial % 11:
-            a = rng.normal(size=n) * 10.0 ** rng.integers(-3, 3, size=n)
-            b = rng.uniform(0.05, 1.0, size=n)
-            rules = newton_rules(float(rng.uniform(0.05, 1.0)))
-        else:
-            y = rng.integers(0, 2, size=n)
-            rules = tree._cart_rules(y, rng.uniform(0.5, 2.0, size=n), int(rng.integers(1, 6)))
-            a, b = rules.pop("a"), rules.pop("b")
+        a, b, rules = random_rules(rng, n, cart=trial % 11 == 0)
         (expected,) = tree.grow_tree(
             X, codes, a, b, rows.copy()[None, :], max_depth=max_depth, pickers=[lambda _: cols], **rules
         )
@@ -524,6 +560,36 @@ def test_presorted_grower_matches_lockstep_grower(n):
         assert tree_bytes(got) == tree_bytes(expected)
         walked = descend(got.feature, got.threshold, got.left, got.right, X, np.zeros(n, dtype=np.intp))
         assert np.array_equal(leaf, walked)
+    # five trees on equal-size row subsets in one lockstep call, so their
+    # deeper steps share padded search blocks: each is the presorted
+    # grower's tree, and both growers score the same number of positions,
+    # the code boundaries
+    for trial in range(6):
+        samples = np.sort([rng.choice(n, size=2 * n // 3, replace=False) for _ in range(5)], axis=1)
+        size = int(rng.integers(1, p + 1))
+        picks = [np.sort(rng.choice(p, size=size, replace=False)) for _ in range(5)]
+        max_depth = int(rng.integers(2, 7))
+        a, b, rules = random_rules(rng, n, cart=trial % 2 == 0)
+        split_gain = rules.pop("split_gain")
+        lockstep_scored, presorted_scored = [], []
+        expected = tree.grow_tree(
+            X,
+            codes,
+            a,
+            b,
+            samples.copy(),
+            max_depth=max_depth,
+            pickers=[lambda _, cols=cols: cols for cols in picks],
+            split_gain=counting(split_gain, lockstep_scored),
+            **rules,
+        )
+        presorted_gain = counting(split_gain, presorted_scored)
+        got = [
+            grow_presorted(XT, codes, order, a, b, rows, cols, max_depth=max_depth, split_gain=presorted_gain, **rules)
+            for rows, cols in zip(samples, picks)
+        ]
+        assert [tree_bytes(t) for t, _ in got] == [tree_bytes(t) for t in expected]
+        assert sum(lockstep_scored) == sum(presorted_scored)
 
 
 def test_rank_codes_keep_order_and_ties():
