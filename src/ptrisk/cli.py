@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 
-from .config import load_config, with_out_dir, with_synth_seed
+from .config import load_config
 from .errors import ConfigError, DataError
 from .report import StageFailure, regenerate, run_experiment
 from .synth import write_cohort
@@ -63,10 +64,10 @@ def main(argv=None) -> int:
             raise ConfigError(f"--seed applies to synth only, not to {args.command}")
         config = load_config(args.config)
         if args.out is not None:
-            config = with_out_dir(config, args.out)
+            config = replace(config, out_dir=args.out)
         if args.command == "synth":
             if args.seed is not None:
-                config = with_synth_seed(config, args.seed)
+                config = replace(config, synth=replace(config.synth, seed=args.seed))
             cohort_path, sidecar_path = write_cohort(config.synth, config.out_dir)
             print(f"wrote {cohort_path} and {sidecar_path}")
             return EXIT_OK

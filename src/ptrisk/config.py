@@ -1,12 +1,18 @@
 """Experiment configuration: flat INI file with sections, one source of
 truth for every protocol constant.
 
-Every default lives on a dataclass field: ``ExperimentConfig`` and the
-``Schema``, ``FeatureGroups``, ``CurationSettings`` and ``SynthConfig`` it
-holds.  They reproduce the evaluation protocol exactly (k=5, seed=42,
-threshold=0.5, B=1000, alpha=0.05), and the default schema maps every
-feature to a column of the same name, which is the layout the synthetic
-generator writes.  Environment variables override nothing.
+Every default lives on a dataclass field, and only there:
+``ExperimentConfig`` and the ``Schema``, ``FeatureGroups``,
+``CurationSettings`` and ``SynthConfig`` it holds.  They reproduce the
+evaluation protocol exactly (k=5, seed=42, threshold=0.5, B=1000,
+alpha=0.05), and the default schema maps every feature to a column of
+the same name, which is the layout the synthetic generator writes.  The
+functions that apply the settings take them as required arguments:
+``default_schema`` here, and every function of ``parsers.py``,
+``curation.py`` and ``evaluation.py``, which
+``tests/test_source_rules.py::test_setting_modules_have_no_parameter_defaults``
+holds free of parameter defaults.  Environment variables override
+nothing.
 
 ``_SETTINGS`` names each setting once: its INI section and key, its
 attribute path on ``ExperimentConfig``, the parser of its INI text and,
@@ -210,7 +216,7 @@ class ExperimentConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def default_schema(groups: FeatureGroups = FeatureGroups()) -> Schema:
+def default_schema(groups: FeatureGroups) -> Schema:
     return Schema(
         questionnaire={name: name for name in groups.f1},
         biomarkers={name: name for name in groups.f2},
@@ -314,14 +320,6 @@ def load_config(path=None) -> ExperimentConfig:
         **_overrides(parser, ""),
     )
     if parser.has_option(*_OUTPUT_DIR):
-        config = with_out_dir(config, parser.get(*_OUTPUT_DIR))
+        config = replace(config, out_dir=parser.get(*_OUTPUT_DIR))
     config.validate()
     return config
-
-
-def with_out_dir(config: ExperimentConfig, out_dir) -> ExperimentConfig:
-    return replace(config, out_dir=str(out_dir))
-
-
-def with_synth_seed(config: ExperimentConfig, seed: int) -> ExperimentConfig:
-    return replace(config, synth=replace(config.synth, seed=seed))

@@ -8,6 +8,10 @@ takes their group.
 Missing values are represented as NaN and are never imputed; rows that
 miss any value in the combined feature set are dropped, so F1, F2 and
 the combined group share one row identity.
+
+The settings come in as required arguments, a ``FeatureGroups`` and a
+``CurationSettings`` as the run's config holds them: their dataclass
+fields are the only defaults, and no function here has one.
 """
 
 from __future__ import annotations
@@ -133,11 +137,7 @@ def _parse_binary(raw: str, true_set, false_set) -> float:
     return np.nan
 
 
-def encode_features(
-    records: list,
-    groups: FeatureGroups = FeatureGroups(),
-    settings: CurationSettings = CurationSettings(),
-) -> FeatureTable:
+def encode_features(records: list, groups: FeatureGroups, settings: CurationSettings) -> FeatureTable:
     """Encode QC-filtered records into a numeric table with missing markers.
 
     The columns are the F1 features, tagged "F1", then the F2 features,
@@ -227,19 +227,17 @@ def aggregate_proxies(table: FeatureTable, rules) -> FeatureTable:
     return FeatureTable(columns, tags, data, list(table.row_ids))
 
 
-def exclude_features(
-    table: FeatureTable,
-    max_missing_fraction: float = 0.30,
-    drop_zero_variance: bool = True,
-    blocklist=(),
-):
-    """Drop blocklisted, zero-variance, and overly missing columns.
+def exclude_features(table: FeatureTable, settings: CurationSettings):
+    """Drop the columns that ``settings`` rules out: blocklisted ones,
+    those missing in more than ``max_missing_fraction`` of the rows, and,
+    with ``drop_zero_variance``, those with one value or none.
 
     Returns (reduced table, [(name, reason), ...]); reasons are recorded
     verbatim in the curation report.  The config holds
     ``max_missing_fraction`` within [0, 1].
     """
-    blocked = set(blocklist)
+    max_missing_fraction = settings.max_missing_fraction
+    blocked = set(settings.blocklist)
     dropped = []
     keep = []
     n = len(table.row_ids)
@@ -253,7 +251,7 @@ def exclude_features(
             dropped.append((name, f"missingness {missing:.2f} > {max_missing_fraction:.2f}"))
             continue
         present = col[~np.isnan(col)]
-        if drop_zero_variance and (present == present[:1]).all():  # one value, or none
+        if settings.drop_zero_variance and (present == present[:1]).all():  # one value, or none
             dropped.append((name, "zero variance"))
             continue
         keep.append(j)
@@ -299,8 +297,9 @@ def assemble(table: FeatureTable, labels: np.ndarray) -> CuratedDataset:
     )
 
 
-def cohort_summary(ds: CuratedDataset, settings: CurationSettings = CurationSettings()) -> dict:
-    """n, prevalence, gender counts and an age histogram for reporting."""
+def cohort_summary(ds: CuratedDataset, settings: CurationSettings) -> dict:
+    """n, prevalence, gender counts and an age histogram, in bins of
+    ``settings.age_bin_width`` years, for reporting."""
     summary = {
         "n": ds.n,
         "prevalence": float(np.mean(ds.labels)) if ds.n else 0.0,
@@ -330,7 +329,7 @@ def cohort_summary(ds: CuratedDataset, settings: CurationSettings = CurationSett
     return summary
 
 
-def age_histogram(ages: np.ndarray, bin_width: int = 5) -> list:
+def age_histogram(ages: np.ndarray, bin_width: int) -> list:
     """Contiguous [lo, hi) bins aligned to multiples of the bin width, over
     the ages inside AGE_RANGE only, so one mistyped age cannot stretch the
     histogram over hundreds of thousands of empty bins.  The config holds

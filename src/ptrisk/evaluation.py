@@ -80,7 +80,7 @@ def run_oof(
     spec: ModelSpec,
     folds: FoldAssignment,
     rng: RngKey,
-    group_tag: str = "",
+    group_tag: str,
 ) -> np.ndarray:
     """Cross-fitted probabilities p_hat, one per row: each row predicted
     by the pipeline trained with that row's fold held out.

@@ -67,9 +67,9 @@ trees grown one at a time.  Over the step's nodes it computes:
 3. the candidate features, from each tree's own picker;
 4. the split search, in a few ``_split_block`` calls over (nodes x
    features x rows) blocks of codes.  The nodes are sorted by row count
-   and cut into calls whose largest node has under four times the rows
-   of the smallest, and whose block holds at most ``_BLOCK_CELLS``
-   cells.  A shorter node is padded with the largest code of the dtype;
+   and cut into calls whose block holds at most ``_BLOCK_CELLS`` cells,
+   by block size alone: a node's search is its own whatever call it
+   shares.  A shorter node is padded with the largest code of the dtype;
    the pads sit after every real row and a key's low bits hold its slot,
    so the sort leaves them last even where a real row has that code, and
    the running sums (``cumsum`` from the first sorted row) are those of
@@ -250,8 +250,7 @@ def _split_block(X, codes, ab, perm, start, n, features, A, B, split_gain, L):
 
 def _split_nodes(X, codes, ab, perm, start, n, features, A, B, split_gain):
     """``_split_block`` over the searched nodes of a step: the nodes with at
-    least two rows, sorted by row count, in calls whose largest node has
-    under four times the rows of the smallest and whose block holds at
+    least two rows, sorted by row count, in calls whose block holds at
     most ``_BLOCK_CELLS`` cells (a larger node alone)."""
     sizes = n.tolist()
     order = sorted((i for i, size in enumerate(sizes) if size >= 2), key=sizes.__getitem__)
@@ -262,10 +261,8 @@ def _split_nodes(X, codes, ab, perm, start, n, features, A, B, split_gain):
     n_left = np.zeros(len(sizes), dtype=np.intp)
     lo = 0
     for hi in range(1, len(order) + 1):
-        if hi < len(order):
-            size = sizes[order[hi]]
-            if size < 4 * sizes[order[lo]] and (hi - lo + 1) * k * size <= _BLOCK_CELLS:
-                continue
+        if hi < len(order) and (hi - lo + 1) * k * sizes[order[hi]] <= _BLOCK_CELLS:
+            continue
         i = np.array(order[lo:hi])
         ok[i], feature[i], threshold[i], n_left[i] = _split_block(
             X, codes, ab, perm, start[i], n[i], features[i], A[i], B[i], split_gain, sizes[order[hi - 1]]

@@ -27,7 +27,8 @@ class PcrResult(str, Enum):
 DEFAULT_PCR_POSITIVE = frozenset({"pos", "positive", "1", "true", "yes", "+"})
 DEFAULT_PCR_NEGATIVE = frozenset({"neg", "negative", "0", "false", "no", "-"})
 
-# QC flags accepted by default; the real flag vocabulary is deployment-specific.
+# QC flags ``ExperimentConfig`` accepts by default; the real flag
+# vocabulary is deployment-specific.
 DEFAULT_VALID_FLAGS = frozenset({"OK", "PASS", "VALID"})
 
 # Source-cohort spellings (lower case, spaces removed) of the beta-LAMP
@@ -221,7 +222,7 @@ def load_raw(path, schema: Schema) -> list:
     return records
 
 
-def qc_filter(records: list, valid_flags=DEFAULT_VALID_FLAGS) -> list:
+def qc_filter(records: list, valid_flags) -> list:
     """Keep rows with an accepted QC flag, a usable PCR label, and a
     non-beta-assay source; relative order is preserved."""
     return [

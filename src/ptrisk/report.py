@@ -277,12 +277,7 @@ def _curate(config: ExperimentConfig) -> tuple:
         table = encode_features(kept, config.groups, config.curation)
         table = aggregate_proxies(table, config.curation.proxy_rules)
         group_of = dict(zip(table.columns, table.tags))
-        table, dropped = exclude_features(
-            table,
-            max_missing_fraction=config.curation.max_missing_fraction,
-            drop_zero_variance=config.curation.drop_zero_variance,
-            blocklist=config.curation.blocklist,
-        )
+        table, dropped = exclude_features(table, config.curation)
         dataset = assemble(table, labels_from_records(kept))
         for tag in config.run_groups:
             if not dataset.feature_names[tag]:

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from ptrisk.curation import (
     DEFAULT_F1_FEATURES,
     DEFAULT_F2_FEATURES,
+    CurationSettings,
     FeatureGroups,
     FeatureTable,
     age_histogram,
@@ -34,7 +35,7 @@ SMALL_TAGS = ["F1", "F1", "F1", "F2", "F2"]
 
 
 def test_group_defaults_concatenate():
-    table = encode_features([])
+    table = encode_features([], FeatureGroups(), CurationSettings())
     assert table.columns == list(DEFAULT_F1_FEATURES + DEFAULT_F2_FEATURES)
     assert table.tags == ["F1"] * 13 + ["F2"] * 9
     assert len(DEFAULT_F1_FEATURES) == 13
@@ -57,7 +58,7 @@ def test_encode_gender_and_binaries():
         make_record("a", {"gender": "male", "age": "25", "prior_std": "yes", "leukocytes": "5", "ph": "6"}),
         make_record("b", {"gender": "female", "age": "31", "prior_std": "no", "leukocytes": "<5", "ph": "7,5"}),
     ]
-    table = encode_features(records, SMALL_GROUPS)
+    table = encode_features(records, SMALL_GROUPS, CurationSettings())
     assert table.columns == ["gender", "age", "prior_std", "leukocytes", "ph"]
     assert table.tags == SMALL_TAGS
     assert _column(table, "gender").tolist() == [1.0, 0.0]
@@ -69,7 +70,7 @@ def test_encode_gender_and_binaries():
 
 def test_encode_unknown_level_is_missing():
     records = [make_record("a", {"gender": "other", "age": "x", "prior_std": "maybe"})]
-    table = encode_features(records, SMALL_GROUPS)
+    table = encode_features(records, SMALL_GROUPS, CurationSettings())
     assert np.isnan(_column(table, "gender")[0])
     assert np.isnan(_column(table, "age")[0])
     assert np.isnan(_column(table, "prior_std")[0])
@@ -85,10 +86,11 @@ def test_encode_visual_onehot_reference_unknown():
         make_record("b", {**base, **biomarkers[1], "visual_text": ""}),
     ]
     bare = [make_record(r.record_id, {**base, **b}) for r, b in zip(records, biomarkers)]
-    table = encode_features(records, SMALL_GROUPS)
+    table = encode_features(records, SMALL_GROUPS, CurationSettings())
     assert table.columns == ["gender", "age", "prior_std", "leukocytes", "ph"]
-    np.testing.assert_array_equal(table.data, encode_features(bare, SMALL_GROUPS).data)
-    assert encode_features(records).columns == list(DEFAULT_F1_FEATURES + DEFAULT_F2_FEATURES)
+    np.testing.assert_array_equal(table.data, encode_features(bare, SMALL_GROUPS, CurationSettings()).data)
+    table = encode_features(records, FeatureGroups(), CurationSettings())
+    assert table.columns == list(DEFAULT_F1_FEATURES + DEFAULT_F2_FEATURES)
 
 
 def test_labels_from_records():
@@ -160,7 +162,7 @@ def test_proxy_rejects_non_binary_source():
 
 def test_exclude_zero_variance():
     table = _table(["const", "varies"], [[7.0, 1.0], [7.0, 2.0], [7.0, 3.0]], ["F1", "F2"])
-    reduced, dropped = exclude_features(table)
+    reduced, dropped = exclude_features(table, CurationSettings())
     assert reduced.columns == ["varies"] and reduced.tags == ["F2"]
     assert dropped == [("const", "zero variance")]
 
@@ -171,7 +173,7 @@ def test_exclude_zero_variance_ignores_sign_of_zero_and_missing_cells():
     nan = np.nan
     rows = [[-0.0, nan, 1.0], [0.0, nan, 2.0], [nan, nan, 3.0], [-0.0, nan, 4.0]]
     table = _table(["signed_zero", "all_missing", "varies"], rows)
-    reduced, dropped = exclude_features(table, max_missing_fraction=1.0)
+    reduced, dropped = exclude_features(table, CurationSettings(max_missing_fraction=1.0))
     assert reduced.columns == ["varies"]
     assert dropped == [("signed_zero", "zero variance"), ("all_missing", "zero variance")]
 
@@ -180,21 +182,21 @@ def test_exclude_missingness_threshold():
     nan = np.nan
     rows = [[1.0, 1.0], [2.0, nan], [3.0, nan], [4.0, 2.0], [5.0, 3.0]]
     table = _table(["full", "gappy"], rows)
-    reduced, dropped = exclude_features(table, max_missing_fraction=0.30)
+    reduced, dropped = exclude_features(table, CurationSettings(max_missing_fraction=0.30))
     assert reduced.columns == ["full"]
     assert dropped == [("gappy", "missingness 0.40 > 0.30")]
 
 
 def test_exclude_blocklist_regardless_of_content():
     table = _table(["lab_result_code", "x"], [[1.0, 1.0], [2.0, 2.0]])
-    reduced, dropped = exclude_features(table, blocklist=["lab_result_code"])
+    reduced, dropped = exclude_features(table, CurationSettings(blocklist=("lab_result_code",)))
     assert reduced.columns == ["x"]
     assert dropped == [("lab_result_code", "blocklisted")]
 
 
 def test_exclude_keeps_zero_variance_when_disabled():
     table = _table(["const"], [[7.0], [7.0]])
-    reduced, dropped = exclude_features(table, drop_zero_variance=False)
+    reduced, dropped = exclude_features(table, CurationSettings(drop_zero_variance=False))
     assert reduced.columns == ["const"] and dropped == []
 
 
@@ -211,8 +213,8 @@ def test_exclusion_monotone_in_threshold(n, t_low, t_high, seed):
     data = rng.normal(size=(n, 4))
     data[rng.random(size=data.shape) < 0.4] = np.nan
     table = _table(["a", "b", "c", "d"], data)
-    kept_low, _ = exclude_features(table, max_missing_fraction=t_low, drop_zero_variance=False)
-    kept_high, _ = exclude_features(table, max_missing_fraction=t_high, drop_zero_variance=False)
+    kept_low, _ = exclude_features(table, CurationSettings(max_missing_fraction=t_low, drop_zero_variance=False))
+    kept_high, _ = exclude_features(table, CurationSettings(max_missing_fraction=t_high, drop_zero_variance=False))
     assert set(kept_low.columns) <= set(kept_high.columns)
 
 
@@ -281,7 +283,7 @@ def test_summary_prevalence():
     rows = [[1, 20, 7], [0, 21, 6], [1, 29, 7], [0, 40, 5]]
     table = _table(["gender", "age", "ph"], rows, ["F1", "F1", "F2"])
     ds = assemble(table, np.array([1, 1, 1, 0]))
-    summary = cohort_summary(ds)
+    summary = cohort_summary(ds, CurationSettings())
     assert summary["n"] == 4
     assert summary["prevalence"] == pytest.approx(0.75)
     assert summary["gender_counts"] == {"male": 2, "female": 2}
@@ -297,7 +299,7 @@ def test_summary_age_histogram():
 
 def test_summary_age_histogram_bins_only_plausible_ages():
     table = _table(["age", "ph"], [[20, 7], [3e6, 6], [-1, 7], [29, 5], [120, 6]], ["F1", "F2"])
-    summary = cohort_summary(assemble(table, np.array([1, 1, 0, 0, 1])))
+    summary = cohort_summary(assemble(table, np.array([1, 1, 0, 0, 1])), CurationSettings())
     assert summary["age_histogram"] == [
         {"lo": 20, "hi": 25, "count": 1},
         {"lo": 25, "hi": 30, "count": 1},
@@ -309,6 +311,6 @@ def test_summary_age_histogram_bins_only_plausible_ages():
 def test_summary_without_age_warns():
     table = _table(["gender", "ph"], [[1, 7], [0, 6]], ["F1", "F2"])
     ds = assemble(table, np.array([1, 0]))
-    summary = cohort_summary(ds)
+    summary = cohort_summary(ds, CurationSettings())
     assert summary["age_histogram"] is None
     assert "age column absent" in summary["warnings"]

@@ -159,12 +159,12 @@ def test_oof_leakage_guard():
     perturbed = X.copy()
     perturbed[test_rows] += 1000.0
     for kind in MODEL_KINDS:
-        shifted = run_oof(perturbed, y, ModelSpec(kind), folds, RngKey(42))
+        shifted = run_oof(perturbed, y, ModelSpec(kind), folds, RngKey(42), group_tag="F1")
         alone = fit_pipeline(
             ModelSpec(kind),
             X[~test_rows],
             y[~test_rows],
-            RngKey(42).child("model", kind, "group", "", "fold", 0),
+            RngKey(42).child("model", kind, "group", "F1", "fold", 0),
         )
         expected = alone.predict_proba(perturbed[test_rows])
         assert shifted[test_rows].tobytes() == expected.tobytes()

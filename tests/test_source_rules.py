@@ -12,7 +12,9 @@ builds numpy generators, so every draw comes from an addressed substream,
 and it seeds them through numpy's public API alone.  In ``report.py``
 only ``_publish`` writes, moves or deletes a file, so every bundle file
 goes out through one path.  The presorted tree grower sorts nothing: its
-one stable argsort per fit is ``rank_codes``'.
+one stable argsort per fit is ``rank_codes``'.  No function of
+``parsers.py``, ``curation.py`` or ``evaluation.py`` has a parameter
+default, so a setting's one default is its config dataclass field.
 """
 
 import ast
@@ -214,4 +216,22 @@ def test_presorted_grower_sorts_nothing():
         for function, node in _enclosed(module, ast.Call)
         if function == "grow_presorted" and (name := _dotted(node.func)).split(".")[-1] in SORTS
     ]
+    assert hits == []
+
+
+SETTING_MODULES = ("parsers.py", "curation.py", "evaluation.py")
+
+
+def test_setting_modules_have_no_parameter_defaults():
+    # the config dataclasses hold every default; a function default here
+    # would be a second copy that a run could silently fall back to
+    trees = parsed(PACKAGE)
+    hits = []
+    for name in SETTING_MODULES:
+        path = Path("src", "ptrisk", name)
+        for function, node in _enclosed(trees[path], ast.arguments):
+            positional = node.posonlyargs + node.args
+            defaulted = positional[len(positional) - len(node.defaults) :]
+            defaulted += [arg for arg, default in zip(node.kwonlyargs, node.kw_defaults) if default is not None]
+            hits += [f"{path}:{arg.lineno} {function}({arg.arg}=...)" for arg in defaulted]
     assert hits == []

@@ -43,6 +43,47 @@ def test_refit_on_standardized_data_is_idempotent():
     assert np.allclose(refit.std, 1.0, atol=1e-10)
 
 
+def per_column_standardizer(X):
+    """The per-column loop: the reference the row-wise reductions match."""
+    standardized = np.array([not np.isin(X[:, j], (0.0, 1.0)).all() for j in range(X.shape[1])], dtype=bool)
+    mean = np.zeros(X.shape[1])
+    std = np.zeros(X.shape[1])
+    for j in np.nonzero(standardized)[0]:
+        mean[j] = X[:, j].mean()
+        std[j] = X[:, j].std()
+    zero_variance = standardized & (std == 0.0)
+    out = X.copy()
+    for j in np.nonzero(standardized)[0]:
+        out[:, j] = 0.0 if zero_variance[j] else (X[:, j] - mean[j]) / std[j]
+    return (mean, std, standardized, zero_variance), out
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 93, 130, 1000, 4099])
+def test_matches_per_column_loop_bit_for_bit(n):
+    # binary (with -0.0), constant, signed-zero and continuous columns, in
+    # random order; n spans numpy's 8-way unrolled and pairwise (>128) sums
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        X = np.column_stack(
+            [
+                rng.choice([-0.0, 0.0, 1.0], size=n),
+                np.full(n, rng.normal()),
+                rng.choice([-0.0, 0.0, 2.0], size=n),
+                rng.normal(loc=30.0, scale=10.0, size=n),
+                rng.normal(scale=1e-3, size=n) + 1e6,
+                np.round(rng.normal(size=n), 1),
+            ]
+        )
+        # C order, as a fold's rows are: an axis-0 reduction of it would
+        # add row by row, not pairwise
+        X = np.ascontiguousarray(X[:, rng.permutation(X.shape[1])])
+        params = fit_standardizer(X)
+        expected, out = per_column_standardizer(X)
+        got = (params.mean, params.std, params.standardized, params.zero_variance)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in expected]
+        assert apply_standardizer(params, X).tobytes() == out.tobytes()
+
+
 def test_apply_rejects_column_mismatch():
     params = fit_standardizer(np.array([[1.0, 2.0], [3.0, 4.0]]))
     with pytest.raises(ContractError):

@@ -9,13 +9,15 @@ from hypothesis import given, settings, strategies as st
 from ptrisk.curation import (
     DEFAULT_F1_FEATURES,
     DEFAULT_F2_FEATURES,
+    CurationSettings,
+    FeatureGroups,
     assemble,
     encode_features,
     exclude_features,
     labels_from_records,
 )
 from ptrisk.errors import ConfigError
-from ptrisk.parsers import Schema, load_raw, parse_semiquant, qc_filter
+from ptrisk.parsers import DEFAULT_VALID_FLAGS, Schema, load_raw, parse_semiquant, qc_filter
 from ptrisk.synth import (
     SynthConfig,
     generate_cohort,
@@ -153,10 +155,10 @@ def test_roundtrip_through_ingestion_and_curation(tmp_path):
     )
     cohort_path, sidecar_path = write_cohort(config, tmp_path)
     assert cohort_path.exists() and sidecar_path.exists()
-    records = qc_filter(load_raw(cohort_path, FULL_SCHEMA))
+    records = qc_filter(load_raw(cohort_path, FULL_SCHEMA), DEFAULT_VALID_FLAGS)
     assert len(records) == 60
-    table = encode_features(records)
-    table, dropped = exclude_features(table)
+    table = encode_features(records, FeatureGroups(), CurationSettings())
+    table, dropped = exclude_features(table, CurationSettings())
     assert dropped == []
     ds = assemble(table, labels_from_records(records))
     assert ds.n == 60  # no rows lost when missing_rate is 0
@@ -168,9 +170,9 @@ def test_roundtrip_through_ingestion_and_curation(tmp_path):
 def test_missingness_drops_rows_downstream(tmp_path):
     config = SynthConfig(n=80, prevalence=0.5, missing_rate=0.08, seed=21)
     cohort_path, _ = write_cohort(config, tmp_path)
-    records = qc_filter(load_raw(cohort_path, FULL_SCHEMA))
-    table = encode_features(records)
-    table, _ = exclude_features(table)
+    records = qc_filter(load_raw(cohort_path, FULL_SCHEMA), DEFAULT_VALID_FLAGS)
+    table = encode_features(records, FeatureGroups(), CurationSettings())
+    table, _ = exclude_features(table, CurationSettings())
     ds = assemble(table, labels_from_records(records))
     assert ds.n < 80
     assert ds.n + len(ds.dropped_rows) == 80

@@ -592,6 +592,32 @@ def test_presorted_grower_matches_lockstep_grower(n):
         assert sum(lockstep_scored) == sum(presorted_scored)
 
 
+def test_search_grouping_never_changes_a_tree(monkeypatch):
+    # a node's search is its own whatever call it shares: calls of at most
+    # 2**6 cells (572 here, most of one node), the default cap (58) and
+    # 2**20 cells (57, one per step) grow the same forest from tied
+    # bootstrap rows
+    rng = np.random.default_rng(17)
+    X = tricky_matrix(rng, 120)
+    y = (X[:, 0] + X[:, 1] + rng.normal(size=120) > 1.0).astype(int)
+    weights = balanced_weights(y)
+    split_block = tree._split_block
+    fitted, calls = [], []
+    for cells in (2**6, tree._BLOCK_CELLS, 2**20):
+        calls.append(0)
+
+        def counted(*args):
+            calls[-1] += 1
+            return split_block(*args)
+
+        monkeypatch.setattr(tree, "_BLOCK_CELLS", cells)
+        monkeypatch.setattr(tree, "_split_block", counted)
+        model = fit_forest(X, y, weights, RngKey(5).child("rf"), n_trees=37, max_depth=8, min_samples_leaf=1)
+        fitted.append([tree_bytes(t) for t in model.trees])
+    assert calls[0] > calls[1] > calls[2]
+    assert fitted[0] == fitted[1] == fitted[2]
+
+
 def test_rank_codes_keep_order_and_ties():
     v = np.nextafter(1.0, np.inf)
     col = np.array([3.0, -0.0, 0.0, v, -2.0, 3.0, np.nextafter(v, np.inf), 0.0])
