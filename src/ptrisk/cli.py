@@ -1,14 +1,17 @@
 """Command-line entry point.
 
-Subcommands: ``synth`` (write a synthetic cohort), ``run`` (full
-ingest/curate/evaluate/report pipeline), ``tables`` and ``plotdata``
-(regenerate those outputs from a bundle the same config wrote, checked
-against its manifest).  All take ``--config`` (INI file; defaults apply
-when omitted), ``--out`` (overrides the output directory) and ``--seed``
-(overrides the cohort seed; synth only, any other subcommand rejects it
-with a config error).
+Subcommands: ``synth`` (write a synthetic cohort) and ``run`` (full
+ingest/curate/evaluate/report pipeline; the only command that writes
+the report bundle).  Both take ``--config`` (INI file; defaults apply
+when omitted) and ``--out`` (overrides the output directory); ``synth``
+also takes ``--seed`` (overrides the cohort seed).
 
-Exit codes: 0 success, 1 config error, 2 data error, 3 internal error.
+The ``tables`` and ``plotdata`` subcommands are gone: they rewrote the
+tables and plot-data files that ``run`` writes, with the same bytes, and
+rerunning ``run`` does that.  Naming either one is a usage error.
+
+Exit codes: 0 success, 1 config or usage error (argparse's message on
+stderr), 2 data error, 3 internal error.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import replace
 
 from .config import load_config
 from .errors import ConfigError, DataError
-from .report import StageFailure, regenerate, run_experiment
+from .report import StageFailure, run_experiment
 from .synth import write_cohort
 
 EXIT_OK = 0
@@ -37,15 +40,12 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, help_text in (
         ("synth", "generate a synthetic cohort file plus ground-truth sidecar"),
         ("run", "run the full evaluation grid and write the report bundle"),
-        ("tables", "regenerate per-group metric tables from a bundle"),
-        ("plotdata", "regenerate plot-data files from a bundle"),
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", default=None, help="INI config file; defaults if omitted")
         cmd.add_argument("--out", default=None, help="output directory (overrides config)")
-        cmd.add_argument(
-            "--seed", type=int, default=None, help="cohort seed override (synth only)"
-        )
+        if name == "synth":
+            cmd.add_argument("--seed", type=int, default=None, help="cohort seed override")
     return parser
 
 
@@ -58,10 +58,11 @@ def _classify(exc: Exception) -> int:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        if args.seed is not None and args.command != "synth":
-            raise ConfigError(f"--seed applies to synth only, not to {args.command}")
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has written its usage error (code 2) or -h's help (0)
+        return EXIT_OK if exc.code == 0 else EXIT_CONFIG
+    try:
         config = load_config(args.config)
         if args.out is not None:
             config = replace(config, out_dir=args.out)
@@ -71,14 +72,10 @@ def main(argv=None) -> int:
             cohort_path, sidecar_path = write_cohort(config.synth, config.out_dir)
             print(f"wrote {cohort_path} and {sidecar_path}")
             return EXIT_OK
-        if args.command == "run":
-            bundle = run_experiment(config)
-            for warning in bundle.warnings:
-                print(f"warning: {warning}", file=sys.stderr)
-            print(f"wrote bundle with {len(bundle.reports)} metric reports to {bundle.out_dir}")
-            return EXIT_OK
-        names = regenerate(config, args.command)
-        print(f"wrote {', '.join(names)}")
+        bundle = run_experiment(config)
+        for warning in bundle.warnings:
+            print(f"warning: {warning}", file=sys.stderr)
+        print(f"wrote bundle with {len(bundle.reports)} metric reports to {bundle.out_dir}")
         return EXIT_OK
     except StageFailure as exc:
         print(f"error in {exc}", file=sys.stderr)

@@ -55,6 +55,10 @@ def stratified_kfold(labels: np.ndarray, k: int, seed: int) -> FoldAssignment:
     folds without that class; this is flagged, not fatal.  The config
     holds k >= 2, and curation k <= n and at least two rows per class,
     which are therefore dealt to different folds.
+
+    The partition follows the order of ``labels``.  A run passes its rows
+    in the canonical order, ascending ``record_id`` (``report._curate``),
+    so the folds do not depend on the order of the cohort file's rows.
     """
     labels = np.asarray(labels)
     n = labels.size

@@ -5,13 +5,14 @@ content digests.
 
 The metrics payload of a cell, written as its ``metrics_*.json``, is the
 only report record: ``run`` builds the tables and plot-data files from
-the payloads it writes, and ``tables``/``plotdata`` from the same
-payloads read back.
+the payloads it writes.
 
-Every bundle file goes out through one path: ``run`` and
-``tables``/``plotdata`` build their files as a name -> text map,
+``run`` is the only producer of bundle files, and every one goes out
+through one path: ``run_experiment`` builds them as a name -> text map,
 ``write_manifest`` digests that text, and ``_publish`` writes and moves
-the files and the manifest into place.  ``_read_manifest`` reads one back.
+the files and the manifest into place.  A new bundle file is one more
+entry of that map.  ``_read_manifest`` reads an earlier run's manifest
+back, so ``_publish`` can delete the files only it lists.
 
 Everything written here is deterministic for a fixed config: JSON is
 dumped with sorted keys, floats use repr round-tripping, and no
@@ -88,8 +89,8 @@ def _csv_text(header, rows, footnotes=()) -> str:
 def _metrics_payload(
     report: MetricReport, tag: str, kind: str, config: ExperimentConfig, config_hash: str
 ) -> dict:
-    """The record of one cell: written as its metrics_*.json and read
-    back, unchanged, by the tables and plot-data files."""
+    """The record of one cell: written as its metrics_*.json, and the
+    source of the cell's rows in the tables and plot-data files."""
     return {
         "model": kind,
         "group": tag,
@@ -183,18 +184,17 @@ def run_experiment(config: ExperimentConfig) -> ReportBundle:
     return ReportBundle(out_dir, payloads, folds.warnings)
 
 
-def write_manifest(files: dict, config_hash: str, kept: dict = None) -> dict:
+def write_manifest(files: dict, config_hash: str) -> dict:
     """The bundle's manifest: the sha256 digest of each of ``files``
-    (name -> text), taken from the UTF-8 bytes ``_publish`` writes, over
-    ``kept``, the digests an earlier manifest lists for files left as they
-    are.  ``_publish`` writes it."""
+    (name -> text), taken from the UTF-8 bytes ``_publish`` writes.
+    ``_publish`` writes it."""
     digests = {name: hashlib.sha256(text.encode("utf-8")).hexdigest() for name, text in files.items()}
     return {
         "tool": "ptrisk",
         "version": __version__,
         "config_hash": config_hash,
         "complete": True,
-        "files": {**(kept or {}), **digests},
+        "files": digests,
     }
 
 
@@ -249,6 +249,11 @@ def _curate(config: ExperimentConfig) -> tuple:
     table go out of scope here.  A failure is raised as a StageFailure of
     stage "ingest" or "curation".
 
+    The QC-kept records are put in ascending ``record_id`` order before
+    any other use, and ``rows_removed_by_qc`` lists its ids in the same
+    order, so the bundle does not depend on the order of the file's rows.
+    ``load_raw`` refuses a repeated id, so the order is total.
+
     This is the one place that decides whether a cohort can run; the
     code below it checks none of these again.  Curation refuses a cohort,
     before any fit, when
@@ -269,7 +274,7 @@ def _curate(config: ExperimentConfig) -> tuple:
     try:
         config_hash = config.config_hash()
         records = load_raw(config.input_path, config.schema)
-        kept = qc_filter(records, config.valid_flags)
+        kept = sorted(qc_filter(records, config.valid_flags), key=lambda r: r.record_id)
 
         stage = "curation"
         if not kept:
@@ -297,7 +302,7 @@ def _curate(config: ExperimentConfig) -> tuple:
         curation_report = {
             "input_rows": len(records),
             "rows_after_qc": len(kept),
-            "rows_removed_by_qc": [r.record_id for r in records if r.record_id not in kept_ids],
+            "rows_removed_by_qc": sorted(r.record_id for r in records if r.record_id not in kept_ids),
             "dropped_rows": [list(item) for item in dataset.dropped_rows],
             "dropped_features": [list(item) for item in dropped],
             "effective_config": config.to_dict(),
@@ -410,44 +415,3 @@ def plotdata_files(payloads: dict, run_groups, run_models, summary: dict) -> dic
         "plot_sens_spec.csv": _csv_text(sens_header, sens_rows),
         "plot_age_hist.csv": _csv_text(("bin_lo", "bin_hi", "count"), hist_rows),
     }
-
-
-def regenerate(config: ExperimentConfig, command: str) -> list:
-    """Rewrite the tables (``command="tables"``) or the plot-data files
-    (``"plotdata"``) of the bundle in ``config.out_dir``, and return their
-    names.  ``_publish`` writes them, as it does ``run``'s files, with a
-    manifest that keeps every other file's digest, so a failed rewrite
-    leaves no manifest that lists a stale file.
-
-    Only a bundle this config wrote is trusted: its manifest must carry
-    ``config.config_hash()``, and the metric report of every cell of the
-    config's grid, and the cohort summary when read, must be present and
-    match its digest there.  Otherwise DataError is raised and nothing is
-    written.
-    """
-    out_dir = Path(config.out_dir)
-    manifest = _read_manifest(out_dir)
-    digests = manifest["files"]
-    config_hash = config.config_hash()
-    if manifest.get("config_hash") != config_hash:
-        raise DataError(f"the bundle in {out_dir} was written with a different config")
-
-    def read_json(name: str) -> dict:
-        path = out_dir / name
-        data = path.read_bytes() if path.exists() else b""
-        if hashlib.sha256(data).hexdigest() != digests.get(name):
-            raise DataError(f"{name} is missing or does not match its digest in {MANIFEST_FILENAME}")
-        return json.loads(data)
-
-    payloads = {
-        (tag, kind): read_json(metrics_filename(tag, kind))
-        for tag in config.run_groups
-        for kind in config.run_models
-    }
-    if command == "tables":
-        files = table_files(payloads, config.run_groups, config.run_models)
-    else:
-        summary = read_json("cohort_summary.json")
-        files = plotdata_files(payloads, config.run_groups, config.run_models, summary)
-    _publish(out_dir, files, write_manifest(files, config_hash, kept=digests))
-    return list(files)

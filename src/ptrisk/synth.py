@@ -165,10 +165,11 @@ def generate_cohort(config: SynthConfig) -> CohortData:
         + list(DEFAULT_F2_FEATURES)
         + ["pcr_result"]
     )
+    width = max(4, len(str(n - 1)))  # zero-padded ids sort as text in numeric order
     rows = []
     for i in range(n):
         row = [
-            f"S{i:04d}",
+            f"S{i:0{width}d}",
             str(sources[i]),
             "OK",
             maybe_missing(str(gender[i])),

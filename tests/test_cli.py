@@ -13,6 +13,8 @@ from ptrisk.cli import main
 from ptrisk.config import load_config
 from ptrisk.report import _fmt
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
 
 def write_ini(path: Path, out_dir: Path, **overrides) -> Path:
     sections = {
@@ -374,22 +376,9 @@ def test_rerun_reproduces_digests(tmp_path):
     assert first == second
 
 
-def test_tables_and_plotdata_regenerate(tmp_path):
-    ini = write_ini(tmp_path / "cfg.ini", tmp_path)
-    main(["synth", "--config", str(ini)])
-    main(["run", "--config", str(ini)])
-    before = digest(tmp_path / "table_F2.csv")
-    (tmp_path / "table_F2.csv").unlink()
-    assert main(["tables", "--config", str(ini)]) == 0
-    assert digest(tmp_path / "table_F2.csv") == before
-    before_plot = digest(tmp_path / "plot_auc_ci.csv")
-    assert main(["plotdata", "--config", str(ini)]) == 0
-    assert digest(tmp_path / "plot_auc_ci.csv") == before_plot
-
-
-def test_tables_and_plotdata_leave_the_bundle_byte_identical(tmp_path):
-    # every manifest digest is of the bytes on disk, and a regenerate
-    # rewrites every file it touches, manifest.json included, byte for byte
+def test_manifest_digests_the_bundle_bytes_on_disk(tmp_path):
+    # the manifest lists exactly the bundle's files, each with the sha256
+    # of its bytes on disk
     ini = write_ini(tmp_path / "cfg.ini", tmp_path, models={"run": "DT|KNN"}, groups={"run": "F1|F2"})
     assert main(["synth", "--config", str(ini)]) == 0
     assert main(["run", "--config", str(ini)]) == 0
@@ -397,48 +386,14 @@ def test_tables_and_plotdata_leave_the_bundle_byte_identical(tmp_path):
     files = json.loads(bundle["manifest.json"])["files"]
     assert set(files) == set(bundle) - {"manifest.json", "cfg.ini", "cohort.csv", "cohort_sidecar.json"}
     assert {name: hashlib.sha256(bundle[name]).hexdigest() for name in files} == files
-    for command in ("tables", "plotdata"):
-        assert main([command, "--config", str(ini)]) == 0
-        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == bundle
 
 
-def test_tables_and_plotdata_refuse_untrusted_bundle(tmp_path, capsys):
-    grid = {"models": {"run": "DT"}, "groups": {"run": "F1"}}
-    ini = write_ini(tmp_path / "cfg.ini", tmp_path, **grid)
-    other = write_ini(tmp_path / "other.ini", tmp_path, protocol={"seed": "7"}, **grid)
-    main(["synth", "--config", str(ini)])
-    assert main(["run", "--config", str(ini)]) == 0
-    manifest = tmp_path / "manifest.json"
-    pristine = manifest.read_bytes()
-
-    # a config with another config_hash does not own this bundle
-    for command in ("tables", "plotdata"):
-        assert main([command, "--config", str(other)]) == 2
-        assert "different config" in capsys.readouterr().err
-    assert manifest.read_bytes() == pristine
-
-    # an input file that no longer matches its manifest digest
-    metrics = tmp_path / "metrics_F1_DT.json"
-    original = metrics.read_bytes()
-    metrics.write_bytes(original.replace(b'"n": 60', b'"n": 61'))
-    assert main(["tables", "--config", str(ini)]) == 2
-    assert "metrics_F1_DT.json" in capsys.readouterr().err
-    metrics.write_bytes(original)
-    summary = tmp_path / "cohort_summary.json"
-    summary.write_bytes(summary.read_bytes() + b" ")
-    assert main(["plotdata", "--config", str(ini)]) == 2
-    assert "cohort_summary.json" in capsys.readouterr().err
-    assert manifest.read_bytes() == pristine
-
-    manifest.unlink()
-    assert main(["tables", "--config", str(ini)]) == 2
-    assert "manifest.json" in capsys.readouterr().err
-
-
-def test_failed_tables_rewrite_leaves_no_stale_manifest(tmp_path, monkeypatch):
-    # the disk fills while the second table is written, which leaves the
-    # bundle as it was, or while the rewritten tables are moved into place
+def test_failed_run_publish_leaves_no_stale_manifest(tmp_path, monkeypatch):
+    # the disk fills while a rerun with another seed writes its second
+    # table, which leaves the bundle as it was, or while its files are
+    # moved into place
     ini = write_ini(tmp_path / "cfg.ini", tmp_path)
+    other = write_ini(tmp_path / "other.ini", tmp_path, protocol={"seed": "7"})
     main(["synth", "--config", str(ini)])
     assert main(["run", "--config", str(ini)]) == 0
     before = {p.name: digest(p) for p in tmp_path.iterdir()}
@@ -459,7 +414,7 @@ def test_failed_tables_rewrite_leaves_no_stale_manifest(tmp_path, monkeypatch):
     for target, attr, fault in ((Path, "write_text", half_written), (os, "replace", moved_once)):
         with monkeypatch.context() as patch:
             patch.setattr(target, attr, fault)
-            assert main(["tables", "--config", str(ini)]) == 3
+            assert main(["run", "--config", str(other)]) == 3
         manifest = tmp_path / "manifest.json"
         if manifest.exists():
             files = json.loads(manifest.read_text())["files"]
@@ -467,15 +422,6 @@ def test_failed_tables_rewrite_leaves_no_stale_manifest(tmp_path, monkeypatch):
         assert list(tmp_path.glob(".staging-*")) == []
         if fault is half_written:
             assert {p.name: digest(p) for p in tmp_path.iterdir()} == before
-
-
-def test_tables_on_incomplete_bundle_exit_2(tmp_path, capsys):
-    ini = write_ini(tmp_path / "cfg.ini", tmp_path)
-    main(["synth", "--config", str(ini)])
-    main(["run", "--config", str(ini)])
-    (tmp_path / "metrics_F2_RF.json").unlink()
-    assert main(["tables", "--config", str(ini)]) == 2
-    assert "metrics_F2_RF.json" in capsys.readouterr().err
 
 
 def test_fmt_rendering():
@@ -664,10 +610,9 @@ def test_run_does_not_import_numpy_ma(tmp_path):
 
 def last_line_of_fresh_process(code, *args):
     """The last stdout line of ``python -c code *args`` on this package."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
     proc = subprocess.run(
         [sys.executable, "-c", code, *args],
-        env=dict(os.environ, PYTHONPATH=src),
+        env=dict(os.environ, PYTHONPATH=SRC),
         capture_output=True,
         text=True,
         timeout=300,
@@ -738,12 +683,44 @@ def test_curation_settings_are_checked_at_load(tmp_path, capsys, curation, named
     assert not (tmp_path / "manifest.json").exists()
 
 
-@pytest.mark.parametrize("command", ["run", "tables", "plotdata"])
+@pytest.mark.parametrize("command", ["run"])
 def test_seed_outside_synth_is_rejected(tmp_path, capsys, command):
     ini = write_ini(tmp_path / "cfg.ini", tmp_path)
     assert main([command, "--config", str(ini), "--seed", "99"]) == 1
     assert "--seed" in capsys.readouterr().err
     assert not (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv,named",
+    [
+        (["tables"], "invalid choice: 'tables'"),  # deleted; run writes every bundle file
+        (["run", "--bogus"], "unrecognized arguments: --bogus"),
+        ([], "required: command"),
+    ],
+)
+def test_usage_errors_exit_1(capsys, argv, named):
+    # a usage error is a config error (1), not a data error (2), and main
+    # returns it rather than raising SystemExit
+    assert main(argv) == 1
+    assert named in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    assert main(["-h"]) == 0
+    assert "{synth,run}" in capsys.readouterr().out
+
+
+def test_usage_error_exit_code_from_the_command_line():
+    proc = subprocess.run(
+        [sys.executable, "-m", "ptrisk.cli", "plotdata"],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 1
+    assert "invalid choice: 'plotdata'" in proc.stderr
 
 
 def test_load_config_rejects_unknown_keys(tmp_path, capsys):

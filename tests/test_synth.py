@@ -51,6 +51,15 @@ def test_exact_prevalence(n, prevalence, seed):
     assert labels.count("POS") == expected
 
 
+def test_record_ids_sort_as_text_in_numeric_order():
+    # four digits up to 10,000 rows, so every pinned cohort keeps its ids,
+    # and wider past that, so the canonical record_id order is the row order
+    assert generate_cohort(SynthConfig(n=10, prevalence=0.5, seed=1)).rows[-1][0] == "S0009"
+    ids = [row[0] for row in generate_cohort(SynthConfig(n=10_001, prevalence=0.5, seed=1)).rows]
+    assert (ids[0], ids[-1]) == ("S00000", "S10000")
+    assert sorted(ids) == ids
+
+
 def test_deterministic_bytes(tmp_path):
     config = SynthConfig(n=40, prevalence=0.5, biomarker_signal=0.8, seed=77,
                          missing_rate=0.1, semiquant_rate=0.2)
