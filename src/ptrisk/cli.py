@@ -6,10 +6,6 @@ the report bundle).  Both take ``--config`` (INI file; defaults apply
 when omitted) and ``--out`` (overrides the output directory); ``synth``
 also takes ``--seed`` (overrides the cohort seed).
 
-The ``tables`` and ``plotdata`` subcommands are gone: they rewrote the
-tables and plot-data files that ``run`` writes, with the same bytes, and
-rerunning ``run`` does that.  Naming either one is a usage error.
-
 Exit codes: 0 success, 1 config or usage error (argparse's message on
 stderr), 2 data error, 3 internal error.
 """

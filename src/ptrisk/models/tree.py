@@ -6,9 +6,12 @@ rule; ``forest.py`` holds the CART rules and ``boosting.py`` the Newton
 rules, and no rule lives here.  Split candidates are midpoints of
 consecutive distinct sorted feature values.  Ties between equally good
 splits resolve to the lowest feature index, then the lowest threshold,
-giving a fully deterministic tree.  A tree is stored as flat arrays
-(feature < 0 marks a leaf), its nodes numbered in depth-first preorder,
-left before right.
+giving a fully deterministic tree.
+
+A tree is four arrays over its nodes, numbered in depth-first preorder,
+left before right: ``feature`` (< 0 at a leaf), ``threshold``, ``right``
+(-1 at a leaf) and ``value``.  An internal node's left child is the next
+node, so only the right child is stored.
 
 The rows decide the grower.  ``grow_presorted`` grows one tree whose
 rows are unique and ascending: the DT (every row) and each boosting
@@ -100,23 +103,24 @@ _BLOCK_CELLS = 2**13
 class TreeArrays:
     feature: list = field(default_factory=list)
     threshold: list = field(default_factory=list)
-    left: list = field(default_factory=list)
     right: list = field(default_factory=list)
     value: list = field(default_factory=list)  # leaf probability / raw score
 
-    def add_node(self) -> int:
+    def add_node(self, parent: int) -> int:
+        """Append a leaf; it is ``parent``'s right child if ``parent >= 0``."""
+        node = len(self.feature)
         self.feature.append(-1)
         self.threshold.append(0.0)
-        self.left.append(-1)
         self.right.append(-1)
         self.value.append(0.0)
-        return len(self.feature) - 1
+        if parent >= 0:
+            self.right[parent] = node
+        return node
 
     def finalize(self) -> "FrozenTree":
         return FrozenTree(
             feature=np.asarray(self.feature, dtype=np.intp),
             threshold=np.asarray(self.threshold, dtype=float),
-            left=np.asarray(self.left, dtype=np.intp),
             right=np.asarray(self.right, dtype=np.intp),
             value=np.asarray(self.value, dtype=float),
         )
@@ -126,12 +130,11 @@ class TreeArrays:
 class FrozenTree:
     feature: np.ndarray
     threshold: np.ndarray
-    left: np.ndarray
     right: np.ndarray
     value: np.ndarray
 
 
-def descend(feature, threshold, left, right, X, idx):
+def descend(feature, threshold, right, X, idx):
     """The leaf reached from each node of ``idx`` by the rows of X.
 
     ``idx`` holds node indices of the flat tree arrays; its last axis
@@ -144,7 +147,7 @@ def descend(feature, threshold, left, right, X, idx):
         where = np.nonzero(internal)
         node = idx[where]
         go_left = X[where[-1], feature[node]] <= threshold[node]
-        idx[where] = np.where(go_left, left[node], right[node])
+        idx[where] = np.where(go_left, node + 1, right[node])
 
 
 def tree_sums(trees, X: np.ndarray) -> np.ndarray:
@@ -161,7 +164,6 @@ def tree_sums(trees, X: np.ndarray) -> np.ndarray:
     shift = np.repeat(offset, sizes)
     feature = np.concatenate([tree.feature for tree in trees])
     threshold = np.concatenate([tree.threshold for tree in trees])
-    left = np.concatenate([tree.left for tree in trees]) + shift
     right = np.concatenate([tree.right for tree in trees]) + shift
     value = np.concatenate([tree.value for tree in trees])
     totals = np.zeros(X.shape[0])
@@ -170,7 +172,7 @@ def tree_sums(trees, X: np.ndarray) -> np.ndarray:
         block = X[lo : lo + step]
         idx = np.repeat(offset[:, None], block.shape[0], axis=1)
         total = totals[lo : lo + step]
-        for values in value[descend(feature, threshold, left, right, block, idx)]:
+        for values in value[descend(feature, threshold, right, block, idx)]:
             total += values
     return totals
 
@@ -301,18 +303,16 @@ def grow_tree(
     perm = samples.reshape(-1)
     ab = np.stack((a, b))
     arrays = [TreeArrays() for _ in range(n_trees)]
-    # per tree: (start in perm, rows, depth, parent's child list, parent);
+    # per tree: (start in perm, rows, depth, parent if a right child else -1);
     # right is pushed before left
-    pending = [[(t * m, m, 0, None, -1)] for t in range(n_trees)]
+    pending = [[(t * m, m, 0, -1)] for t in range(n_trees)]
     active = list(range(n_trees))
     while active:
         nodes = []
         totals = []
         for t in active:
-            s, c, depth, link, parent = pending[t].pop()
-            node = arrays[t].add_node()
-            if link is not None:
-                link[parent] = node
+            s, c, depth, parent = pending[t].pop()
+            node = arrays[t].add_node(parent)
             totals.append(np.add.reduce(ab.take(perm[s : s + c], axis=1), axis=1))
             nodes.append((t, node, s, c, depth))
         A, B = np.array(totals).T
@@ -333,8 +333,8 @@ def grow_tree(
                     tree = arrays[t]
                     tree.feature[node] = f
                     tree.threshold[node] = thr
-                    pending[t].append((s + nl, c - nl, depth + 1, tree.right, node))
-                    pending[t].append((s, nl, depth + 1, tree.left, node))
+                    pending[t].append((s + nl, c - nl, depth + 1, node))
+                    pending[t].append((s, nl, depth + 1, -1))
         active = [t for t in active if pending[t]]
     return tuple(tree.finalize() for tree in arrays)
 
@@ -374,13 +374,11 @@ def grow_presorted(
     lists = lists.compress(in_tree.take(lists).reshape(-1)).reshape(k, rows.size)
     arrays = TreeArrays()
     leaf = np.empty(n, dtype=np.intp)
-    # (rows, lists, rows of X reaching the node, depth, parent's child list, parent)
-    pending = [(rows, lists, np.arange(n), 0, None, -1)]
+    # (rows, lists, rows of X reaching the node, depth, parent if a right child else -1)
+    pending = [(rows, lists, np.arange(n), 0, -1)]
     while pending:
-        rows, lists, reach, depth, link, parent = pending.pop()
-        node = arrays.add_node()
-        if link is not None:
-            link[parent] = node
+        rows, lists, reach, depth, parent = pending.pop()
+        node = arrays.add_node(parent)
         A, B = np.add.reduce(ab.take(rows, axis=1), axis=1)
         arrays.value[node] = float(leaf_value(A, B))
         m = rows.size
@@ -414,8 +412,6 @@ def grow_presorted(
             list_left = (x.take(lists) <= threshold).reshape(-1)
             lists_left = lists.compress(list_left).reshape(k, n_left)
             lists_right = lists.compress(~list_left).reshape(k, m - n_left)
-        pending.append(
-            (rows.compress(~go_left), lists_right, reach.compress(~reach_left), depth + 1, arrays.right, node)
-        )
-        pending.append((rows.compress(go_left), lists_left, reach.compress(reach_left), depth + 1, arrays.left, node))
+        pending.append((rows.compress(~go_left), lists_right, reach.compress(~reach_left), depth + 1, node))
+        pending.append((rows.compress(go_left), lists_left, reach.compress(reach_left), depth + 1, -1))
     return arrays.finalize(), leaf

@@ -57,7 +57,7 @@ def _fitted_state(pipeline) -> list:
     if pipeline.kind == "KNN":
         return state + [model.X, model.y, model.k]
     for tree in model.trees:
-        state += [tree.feature, tree.threshold, tree.left, tree.right, tree.value]
+        state += [tree.feature, tree.threshold, tree.right, tree.value]
     if pipeline.kind == "GBT":
         state += [model.train_loss]
     return state

@@ -4,19 +4,24 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from ptrisk import report
+from ptrisk.config import ExperimentConfig
 from ptrisk.evaluation import bootstrap_distribution
 from ptrisk.models import (
     ForestModel,
     FrozenTree,
+    ModelSpec,
     balanced_weights,
     fit_boosted,
     fit_forest,
+    fit_pipeline,
     fit_tree,
 )
 from ptrisk.models import boosting, forest, tree
 from ptrisk.models.logistic import sigmoid
 from ptrisk.models.tree import descend, grow_presorted, rank_codes, tree_sums
 from ptrisk.rng import RngKey, substream
+from ptrisk.synth import SynthConfig, write_cohort
 
 
 def newton_rules(learning_rate):
@@ -52,7 +57,7 @@ def test_tree_pure_split_on_feature_zero():
     (tree,) = fit_tree(X, y, weights).trees
     assert tree.feature[0] == 0
     assert -1.0 < tree.threshold[0] < 1.0
-    left_prob = tree.value[tree.left[0]]
+    left_prob = tree.value[1]
     right_prob = tree.value[tree.right[0]]
     assert (left_prob, right_prob) == (0.0, 1.0)
     assert np.array_equal(tree_sums((tree,), X), y.astype(float))
@@ -68,7 +73,7 @@ def test_tree_respects_depth_and_leaf_size():
     def depth_of(node, depth=0):
         if tree.feature[node] < 0:
             return depth
-        return max(depth_of(tree.left[node], depth + 1), depth_of(tree.right[node], depth + 1))
+        return max(depth_of(node + 1, depth + 1), depth_of(tree.right[node], depth + 1))
 
     assert depth_of(0) <= 2
     # every training row lands in a leaf trained on >= 10 rows
@@ -79,7 +84,7 @@ def test_tree_respects_depth_and_leaf_size():
         rows = np.nonzero(active)[0]
         node = idx[rows]
         go_left = X[rows, tree.feature[node]] <= tree.threshold[node]
-        idx[rows] = np.where(go_left, tree.left[node], tree.right[node])
+        idx[rows] = np.where(go_left, node + 1, tree.right[node])
     _, counts = np.unique(idx, return_counts=True)
     assert counts.min() >= 10
 
@@ -96,7 +101,7 @@ def test_tree_deterministic_tie_break():
 
 def test_forest_mean_of_constant_trees():
     none = np.array([-1], dtype=np.intp)
-    leaf = FrozenTree(feature=none, threshold=np.zeros(1), left=none, right=none, value=np.ones(1))
+    leaf = FrozenTree(feature=none, threshold=np.zeros(1), right=none, value=np.ones(1))
     forest = ForestModel(trees=(leaf,) * 200)
     X = np.zeros((4, 2))
     assert np.array_equal(forest.predict_proba(X), np.ones(4))
@@ -197,6 +202,44 @@ def test_gbt_trees_split_only_on_their_rounds_columns():
         cols = gen.choice(10, size=3, replace=False)
         used = fitted.feature[fitted.feature >= 0]
         assert used.size and np.isin(used, cols).all()
+
+
+# --- the node format ------------------------------------------------------------
+
+
+def is_preorder(feature, right):
+    """Whether the arrays are a tree numbered in depth-first preorder, left
+    before right: each internal node's right child is node + 1 plus the size
+    of the subtree at node + 1, a leaf's is -1, and the root's subtree holds
+    every node."""
+    n = feature.size
+    size = np.ones(n, dtype=np.intp)
+    for node in range(n - 1, -1, -1):  # both children come after their parent
+        if feature[node] < 0:
+            if right[node] != -1:
+                return False
+            continue
+        if node + 1 >= n or right[node] != node + 1 + size[node + 1] or right[node] >= n:
+            return False
+        size[node] += size[node + 1] + size[right[node]]
+    return bool(size[0] == n)
+
+
+def test_every_tree_is_stored_in_preorder(tmp_path):
+    write_cohort(SynthConfig(n=80, prevalence=0.5, biomarker_signal=0.8, reported_signal=1.0, seed=3), tmp_path)
+    dataset = report._curate(ExperimentConfig(input_path=str(tmp_path / "cohort.csv")))[0]
+    X, y = dataset.matrices["F3"], dataset.labels
+    for kind in ("DT", "RF", "GBT"):
+        trees = fit_pipeline(ModelSpec(kind), X, y, RngKey(0).child(kind)).model.trees
+        assert all(is_preorder(fitted.feature, fitted.right) for fitted in trees), kind
+        assert any(fitted.feature[0] >= 0 for fitted in trees), kind
+
+
+def test_preorder_check_refuses_swapped_children():
+    # the root's left child is a leaf and its right child a stump
+    assert is_preorder(np.array([0, -1, 1, -1, -1]), np.array([2, -1, 4, -1, -1]))
+    # the same tree with the stump stored first, as if it were the left child
+    assert not is_preorder(np.array([0, 1, -1, -1, -1]), np.array([1, 3, -1, -1, -1]))
 
 
 # --- the split search: tie-breaks and edge cases ------------------------------
@@ -306,7 +349,7 @@ def test_adjacent_floats_make_a_leaf_not_an_empty_child(stump):
     y = np.array([0, 0, 0, 1, 1, 1])
     tree = stump(X, y)
     assert tree.feature.tolist() == [-1]
-    assert tree.left.tolist() == [-1] and tree.right.tolist() == [-1]
+    assert tree.right.tolist() == [-1]
 
 
 @STUMPS
@@ -348,17 +391,16 @@ def float_sort_grow_tree(X, a, b, leaf_value, split_gain, max_depth, is_leaf, pi
     it searches ``picker``'s features at each node."""
     XT = np.ascontiguousarray(X.T)
     n_features = XT.shape[0]
-    feature, threshold, left, right, value = [], [], [], [], []
-    pending = [(np.arange(XT.shape[1]), 0, None, -1)]
+    feature, threshold, right, value = [], [], [], []
+    pending = [(np.arange(XT.shape[1]), 0, -1)]  # (rows, depth, parent if a right child else -1)
     while pending:
-        rows, depth, link, parent = pending.pop()
+        rows, depth, parent = pending.pop()
         node = len(feature)
         feature.append(-1)
         threshold.append(0.0)
-        left.append(-1)
         right.append(-1)
-        if link is not None:
-            link[parent] = node
+        if parent >= 0:
+            right[parent] = node
         a_rows = a[rows]
         b_rows = b[rows]
         A = a_rows.sum()
@@ -377,12 +419,11 @@ def float_sort_grow_tree(X, a, b, leaf_value, split_gain, max_depth, is_leaf, pi
             continue
         feature[node] = f
         threshold[node] = cut
-        pending.append((rows[~go_left], depth + 1, right, node))
-        pending.append((rows[go_left], depth + 1, left, node))
+        pending.append((rows[~go_left], depth + 1, node))
+        pending.append((rows[go_left], depth + 1, -1))
     return FrozenTree(
         feature=np.asarray(feature, dtype=np.intp),
         threshold=np.asarray(threshold, dtype=float),
-        left=np.asarray(left, dtype=np.intp),
         right=np.asarray(right, dtype=np.intp),
         value=np.asarray(value, dtype=float),
     )
@@ -460,7 +501,7 @@ def tricky_matrix(rng, n):
 def tree_bytes(fitted):
     return [
         (arr.dtype.str, arr.tobytes())
-        for arr in (fitted.feature, fitted.threshold, fitted.left, fitted.right, fitted.value)
+        for arr in (fitted.feature, fitted.threshold, fitted.right, fitted.value)
     ]
 
 
@@ -558,7 +599,7 @@ def test_presorted_grower_matches_lockstep_grower(n):
         )
         got, leaf = grow_presorted(XT, codes, order, a, b, rows, cols, max_depth=max_depth, **rules)
         assert tree_bytes(got) == tree_bytes(expected)
-        walked = descend(got.feature, got.threshold, got.left, got.right, X, np.zeros(n, dtype=np.intp))
+        walked = descend(got.feature, got.threshold, got.right, X, np.zeros(n, dtype=np.intp))
         assert np.array_equal(leaf, walked)
     # five trees on equal-size row subsets in one lockstep call, so their
     # deeper steps share padded search blocks: each is the presorted
@@ -590,6 +631,30 @@ def test_presorted_grower_matches_lockstep_grower(n):
         ]
         assert [tree_bytes(t) for t, _ in got] == [tree_bytes(t) for t in expected]
         assert sum(lockstep_scored) == sum(presorted_scored)
+
+
+@pytest.mark.parametrize("n", [30, 74, 300])
+def test_bootstrap_rows_grow_the_presorted_tree_of_their_slots(n):
+    # a resample that repeats rows, grown in lockstep, is the presorted tree
+    # of the slot-expanded rows: X[sample] with its statistics, every slot
+    # and every column (n=300 gives uint16 codes)
+    rng = np.random.default_rng(n + 2)
+    X = tricky_matrix(rng, n)
+    y = (X[:, 0] + X[:, 1] + X[:, 6] + rng.normal(size=n) > 1.5).astype(int)
+    weights = balanced_weights(y)
+    for trial in range(20):
+        sample = rng.integers(0, n, size=n)
+        max_depth, min_samples_leaf = (4, 5) if trial % 2 else (8, 1)
+        rules = forest._cart_rules(y, weights, min_samples_leaf)
+        a, b = rules.pop("a"), rules.pop("b")
+        (expected,) = tree.grow_tree(
+            X, rank_codes(X.T)[0], a, b, sample.copy()[None, :], max_depth=max_depth, pickers=[np.arange], **rules
+        )
+        XT = np.ascontiguousarray(X[sample].T)
+        got, _ = grow_presorted(
+            XT, *rank_codes(XT), a[sample], b[sample], np.arange(n), np.arange(XT.shape[0]), max_depth=max_depth, **rules
+        )
+        assert tree_bytes(got) == tree_bytes(expected)
 
 
 def test_search_grouping_never_changes_a_tree(monkeypatch):
