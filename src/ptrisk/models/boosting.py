@@ -4,8 +4,7 @@ Raw scores start at 0.  Each round subsamples rows and columns, fits a
 depth-limited regression tree to the gradient/hessian statistics of the
 logistic loss, and adds the shrunken leaf values -lr * G/(H + lambda).
 Round t draws its subsamples from its own substream,
-``rng.child("round", t)``; a fit makes all its rounds' generators before
-the first round.
+``rng.child("round", t)``.
 The tree is grown by ``tree.grow_presorted``, as the DT is, on the
 round's sorted row draw of the full matrix, from the per-row statistics
 (g, h) and the fit's one presort, searching the round's column draw at
@@ -88,8 +87,8 @@ def fit_boosted(
     codes, order = rank_codes(XT)
     raw = np.zeros(n)
     trees = []
-    generators = [rng.child("round", t).generator() for t in range(n_rounds)]
-    for gen in generators:
+    for t in range(n_rounds):
+        gen = rng.child("round", t).generator()
         rows = np.sort(gen.choice(n, size=n_rows, replace=False))
         cols = np.sort(gen.choice(p, size=n_cols, replace=False))
         prob = sigmoid(raw)

@@ -6,6 +6,18 @@ log-odds shift.  Both families have closed-form large-sample AUCs which
 are recorded in the ground-truth sidecar, so evaluation code can be
 checked against known discrimination.
 
+Each column draws whole from its own substream of ``config.seed``, under
+``("synth", ...)``: ``labels`` (one permutation; its first
+round(n * prevalence) rows are positive), ``source``, ``gender``,
+``age``, ``("reported", name)`` for each reported binary and
+``("biomarker", name)`` for each biomarker.  Two streams are read cell
+by cell.  ``missing`` is one uniform per feature cell, row by row over
+the 22 feature columns in header order (gender, age, the reported
+binaries, the biomarkers); a cell below ``missing_rate`` is blank.
+``semiquant`` scans the biomarker cells row by row: one uniform per
+cell, and for a cell below ``semiquant_rate`` a second that renders it
+"<x" (below 0.5) or ">x".  So equal configs give byte-identical files.
+
 ``make_out_dir`` makes the output directory of ``synth`` and of ``run``.
 """
 
@@ -38,6 +50,8 @@ BIOMARKER_BASES = {
     "calcium": (2.3, 0.8),
     "creatinine": (95.0, 35.0),
 }
+
+REPORTED_FEATURES = tuple(name for name in DEFAULT_F1_FEATURES if name not in ("gender", "age"))
 
 COHORT_FILENAME = "cohort.csv"
 SIDECAR_FILENAME = "cohort_sidecar.json"
@@ -92,10 +106,11 @@ def implied_auc_gaussian(shift: float) -> float:
     return normal_cdf(shift / math.sqrt(2.0))
 
 
-def implied_auc_binary(log_odds_shift: float, base_log_odds: float = 0.0) -> float:
-    """Large-sample tie-aware AUC of a Bernoulli column under a log-odds shift."""
-    p0 = 1.0 / (1.0 + math.exp(-base_log_odds))
-    p1 = 1.0 / (1.0 + math.exp(-(base_log_odds + log_odds_shift)))
+def implied_auc_binary(log_odds_shift: float) -> float:
+    """Large-sample tie-aware AUC of a Bernoulli column whose negatives
+    have log-odds 0 and positives log-odds ``log_odds_shift``."""
+    p0 = 0.5
+    p1 = 1.0 / (1.0 + math.exp(-log_odds_shift))
     return p1 * (1.0 - p0) + 0.5 * (p1 * p0 + (1.0 - p1) * (1.0 - p0))
 
 
@@ -114,79 +129,48 @@ class CohortData:
 
 
 def generate_cohort(config: SynthConfig) -> CohortData:
-    """Build the full cohort table and ground-truth sidecar in memory.
-
-    Deterministic: every column draws from its own substream under
-    ``config.seed``, so equal configs give byte-identical files.
-    """
+    """Build the full cohort table and ground-truth sidecar in memory,
+    drawing each column whole from its substream (module docstring)."""
     config.validate()
     n = config.n
     n_pos = positive_count(n, config.prevalence)
 
-    label_gen = substream(config.seed, "synth", "labels")
+    def draw(*path) -> np.random.Generator:
+        return substream(config.seed, "synth", *path)
+
     positive = np.zeros(n, dtype=bool)
-    positive[label_gen.permutation(n)[:n_pos]] = True
+    positive[draw("labels").permutation(n)[:n_pos]] = True
 
-    reported = {}
-    for name in DEFAULT_F1_FEATURES:
-        if name in ("gender", "age"):
-            continue
-        gen = substream(config.seed, "synth", "reported", name)
+    width = max(4, len(str(n - 1)))  # zero-padded ids sort as text in numeric order
+    columns = {
+        "record_id": np.char.mod(f"S%0{width}d", np.arange(n)),
+        "source_cohort": np.where(draw("source").random(n) < 0.5, "UT2018", "LeipzigCE2019"),
+        "qc_flag": np.full(n, "OK"),
+        "gender": np.where(draw("gender").random(n) < 0.5, "male", "female"),
+        "age": draw("age").integers(18, 50, size=n).astype(str),
+    }
+    for name in REPORTED_FEATURES:
         shift = config.reported_signal if name in config.signal_reported else 0.0
-        log_odds = np.where(positive, shift, 0.0)
-        prob = 1.0 / (1.0 + np.exp(-log_odds))
-        reported[name] = gen.random(n) < prob
+        prob = 1.0 / (1.0 + np.exp(-np.where(positive, shift, 0.0)))
+        columns[name] = np.where(draw("reported", name).random(n) < prob, "yes", "no")
 
-    gender_gen = substream(config.seed, "synth", "gender")
-    gender = np.where(gender_gen.random(n) < 0.5, "male", "female")
-    age_gen = substream(config.seed, "synth", "age")
-    ages = age_gen.integers(18, 50, size=n)
-
-    biomarkers = {}
-    for name in DEFAULT_F2_FEATURES:
-        gen = substream(config.seed, "synth", "biomarker", name)
+    semiquant_gen = draw("semiquant")
+    marks = np.full((n, len(DEFAULT_F2_FEATURES)), "")
+    for cell in np.ndindex(marks.shape):  # row-major
+        if semiquant_gen.random() < config.semiquant_rate:
+            marks[cell] = "<" if semiquant_gen.random() < 0.5 else ">"
+    for j, name in enumerate(DEFAULT_F2_FEATURES):
         mu, scale = BIOMARKER_BASES[name]
         shift = config.biomarker_signal if name in config.signal_biomarkers else 0.0
         centers = mu + np.where(positive, 0.5, -0.5) * shift * scale
-        biomarkers[name] = gen.normal(loc=centers, scale=scale)
+        values = draw("biomarker", name).normal(loc=centers, scale=scale)
+        columns[name] = np.char.add(marks[:, j], np.char.mod("%.3f", values))
 
-    source_gen = substream(config.seed, "synth", "source")
-    sources = np.where(source_gen.random(n) < 0.5, "UT2018", "LeipzigCE2019")
-
-    missing_gen = substream(config.seed, "synth", "missing")
-    semiquant_gen = substream(config.seed, "synth", "semiquant")
-
-    def maybe_missing(rendered: str) -> str:
-        return "" if missing_gen.random() < config.missing_rate else rendered
-
-    header = (
-        ["record_id", "source_cohort", "qc_flag", "gender", "age"]
-        + [name for name in DEFAULT_F1_FEATURES if name not in ("gender", "age")]
-        + list(DEFAULT_F2_FEATURES)
-        + ["pcr_result"]
-    )
-    width = max(4, len(str(n - 1)))  # zero-padded ids sort as text in numeric order
-    rows = []
-    for i in range(n):
-        row = [
-            f"S{i:0{width}d}",
-            str(sources[i]),
-            "OK",
-            maybe_missing(str(gender[i])),
-            maybe_missing(str(int(ages[i]))),
-        ]
-        for name in DEFAULT_F1_FEATURES:
-            if name in ("gender", "age"):
-                continue
-            row.append(maybe_missing("yes" if reported[name][i] else "no"))
-        for name in DEFAULT_F2_FEATURES:
-            rendered = f"{biomarkers[name][i]:.3f}"
-            if semiquant_gen.random() < config.semiquant_rate:
-                direction = "<" if semiquant_gen.random() < 0.5 else ">"
-                rendered = f"{direction}{rendered}"
-            row.append(maybe_missing(rendered))
-        row.append("POS" if positive[i] else "NEG")
-        rows.append(row)
+    features = ["gender", "age", *REPORTED_FEATURES, *DEFAULT_F2_FEATURES]
+    missing = draw("missing").random((n, len(features))) < config.missing_rate
+    for j, name in enumerate(features):
+        columns[name] = np.where(missing[:, j], "", columns[name])
+    columns["pcr_result"] = np.where(positive, "POS", "NEG")
 
     implied = {
         name: implied_auc_gaussian(config.biomarker_signal)
@@ -201,7 +185,8 @@ def generate_cohort(config: SynthConfig) -> CohortData:
         "n_positive": int(n_pos),
         "implied_auc": implied,
     }
-    return CohortData(header=header, rows=rows, sidecar=sidecar)
+    rows = np.column_stack(list(columns.values())).tolist()
+    return CohortData(header=list(columns), rows=rows, sidecar=sidecar)
 
 
 def make_out_dir(out_dir) -> Path:
@@ -222,8 +207,9 @@ def write_cohort(config: SynthConfig, out_dir) -> tuple:
     cohort = generate_cohort(config)
     cohort_path = out_dir / COHORT_FILENAME
     sidecar_path = out_dir / SIDECAR_FILENAME
-    cohort_path.write_text(cohort.to_csv(), encoding="utf-8")
+    # no newline translation, so every OS writes the same bytes
+    cohort_path.write_text(cohort.to_csv(), encoding="utf-8", newline="")
     sidecar_path.write_text(
-        json.dumps(cohort.sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        json.dumps(cohort.sidecar, indent=2, sort_keys=True) + "\n", encoding="utf-8", newline=""
     )
     return cohort_path, sidecar_path

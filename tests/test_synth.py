@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -185,3 +186,45 @@ def test_missingness_drops_rows_downstream(tmp_path):
     ds = assemble(table, labels_from_records(records))
     assert ds.n < 80
     assert ds.n + len(ds.dropped_rows) == 80
+
+
+# The [synth] settings every perfbench workload shares (perfbench/workloads.py).
+WORKLOAD_SYNTH = dict(prevalence=0.80, biomarker_signal=0.8, reported_signal=0.5,
+                      semiquant_rate=0.1, seed=20190101)
+PINNED_CONFIGS = {
+    "defaults": SynthConfig(),
+    "paper93": SynthConfig(n=93, missing_rate=0.0, **WORKLOAD_SYNTH),
+    "ci1k": SynthConfig(n=1000, missing_rate=0.02, **WORKLOAD_SYNTH),
+    "trees1k": SynthConfig(n=1000, missing_rate=0.0, **WORKLOAD_SYNTH),
+    "dense": SynthConfig(n=200, prevalence=0.5, biomarker_signal=1.0, reported_signal=0.7,
+                         missing_rate=0.3, semiquant_rate=0.9, seed=7,
+                         signal_biomarkers=("ph", "creatinine"),
+                         signal_reported=("prior_std",)),
+    "six_digit_ids": SynthConfig(n=10_001, prevalence=0.5, missing_rate=0.05,
+                                 semiquant_rate=0.2, seed=1),
+}
+# sha256 of (cohort.csv, cohort_sidecar.json) for each config above
+PINNED_DIGESTS = {
+    "defaults": ("dd7d3c0cb548d5517814ed7ef497f3802a0349fb1dd1fceea14bc07925649aa2",
+                 "05f29acd0b0dc97378eda3b43b6627c567bc67f5f3ff8249151a7f8b29bf39c2"),
+    "paper93": ("508b06a825a4d87c89882d553ddeb0ebee0d872433c912f4a081c59368c4f29a",
+                "9418dcd992f02598d6d37fd60e0c7be4d890eac5fa4d5ff1d9a4727ad2249b10"),
+    "ci1k": ("9e8888770eb85f3efa77983c0d8c7a9e46ebdedd7a472197a373d28b88754766",
+             "e8ea98ac2a2c0f09d996a9a38eb9d1f0bedc2664da49c26f43f216928e00db00"),
+    "trees1k": ("ad94feec5e49ebcb7608fc7b3a3028ab8e4b9a6fab3b6e899aa15b341ee04e3d",
+                "4c689ecec17384adc935f0e60c8f1c340b4dd932ea363d0b7e34d1b59215d4dc"),
+    "dense": ("c4d01a782e39eaea61695c63e197dc5dd585b4b65405fac1672f116bd98ca49e",
+              "180ad21974804ae3e70e31b5e2caa4e36a6ee463fee5fc2644085f4d7585ed64"),
+    "six_digit_ids": ("0e8ef30e102a806b186a65ef7a8ece5d026722452f1245afd53c90cf76617d24",
+                      "4f75cf7a796e900b3c2085af5580b98376bf35271ba440347a14fcfc62025b66"),
+}
+
+
+def test_written_cohort_bytes_are_pinned(tmp_path):
+    # every benchmark workload and the golden bundle run on synth cohorts,
+    # so the same [synth] settings must keep writing the same bytes
+    digests = {}
+    for name, config in PINNED_CONFIGS.items():
+        paths = write_cohort(config, tmp_path / name)
+        digests[name] = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in paths)
+    assert digests == PINNED_DIGESTS
