@@ -23,6 +23,11 @@ Three settings sit outside it: ``[output] dir``, which is not hashed;
 ``[curation] gender_male``/``gender_female``, two keys for one
 ``gender_map``; and the free-form column maps ``[schema.questionnaire]``
 and ``[schema.biomarkers]``.
+
+Beyond each value's own range, loading refuses a token in both lists of
+a vocabulary pair (binaries, PCR values, gender), and proxy rules the
+feature groups alone make impossible: ``curation.aggregate_proxies``
+runs on a cohort with no rows, so only its name checks can fail.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Callable, NamedTuple
 
-from .curation import CurationSettings, FeatureGroups, GROUP_TAGS, plan_proxies, repeated
+from .curation import GROUP_TAGS, CurationSettings, FeatureGroups, aggregate_proxies, encode_features, repeated
 from .errors import ConfigError, CurationError
 from .models import MODEL_KINDS
 from .parsers import DEFAULT_VALID_FLAGS, Schema
@@ -71,14 +76,19 @@ def _parse_proxy_rules(text: str) -> tuple:
         item = item.strip()
         if not item:
             continue
-        if ":" not in item:
-            raise ConfigError(f"malformed proxy rule {item!r}; expected target:src1+src2")
-        target, _, sources = item.partition(":")
+        target, colon, sources = item.partition(":")
         source_names = tuple(s.strip() for s in sources.split("+") if s.strip())
-        if not target.strip() or not source_names:
-            raise ConfigError(f"malformed proxy rule {item!r}")
+        if not colon or not target.strip() or not source_names:
+            raise ConfigError(f"malformed [curation] proxy_rules item {item!r}; expected target:src1+src2")
         rules.append((target.strip(), source_names))
     return tuple(rules)
+
+
+def _refuse_shared(keys: str, first, second) -> None:
+    """A token in both lists of a vocabulary pair would decode two ways."""
+    both = sorted(set(first) & set(second))
+    if both:
+        raise ConfigError(f"tokens repeated in both {keys}: {both}")
 
 
 _EXPECTED = {int: "an integer", float: "a number", _parse_bool: "a boolean"}
@@ -177,24 +187,27 @@ class ExperimentConfig:
             raise ConfigError("threshold must be within [0, 1]")
         unknown = set(self.run_models) - set(MODEL_KINDS)
         if unknown:
-            raise ConfigError(f"unknown model kinds: {sorted(unknown)}")
+            raise ConfigError(f"[models] run names unknown model kinds: {sorted(unknown)}")
         if not self.run_models:
-            raise ConfigError("at least one model kind must be selected")
+            raise ConfigError("[models] run must name at least one model kind")
         if repeated(self.run_models):
-            raise ConfigError(f"repeated model kinds: {repeated(self.run_models)}")
+            raise ConfigError(f"[models] run repeats model kinds: {repeated(self.run_models)}")
         bad_tags = set(self.run_groups) - set(GROUP_TAGS)
         if bad_tags:
-            raise ConfigError(f"unknown feature groups: {sorted(bad_tags)}")
+            raise ConfigError(f"[groups] run names unknown feature groups: {sorted(bad_tags)}")
         if not self.run_groups:
-            raise ConfigError("at least one feature group must be selected")
+            raise ConfigError("[groups] run must name at least one feature group")
         if repeated(self.run_groups):
-            raise ConfigError(f"repeated feature groups: {repeated(self.run_groups)}")
+            raise ConfigError(f"[groups] run repeats feature groups: {repeated(self.run_groups)}")
         if not 0.0 <= self.curation.max_missing_fraction <= 1.0:
             raise ConfigError("max_missing_fraction must be within [0, 1]")
         if self.curation.age_bin_width <= 0:
             raise ConfigError("age_bin_width must be positive")
         if not self.valid_flags:
             raise ConfigError("valid_flags must name at least one flag")
+        curation, schema = self.curation, self.schema
+        _refuse_shared("[curation] binary_true and binary_false", curation.binary_true, curation.binary_false)
+        _refuse_shared("[schema.pcr_values] positive and negative", schema.pcr_positive, schema.pcr_negative)
         self.synth.validate()
 
     def to_dict(self) -> dict:
@@ -272,13 +285,14 @@ def _overrides(parser, part: str) -> dict:
 
 
 def _gender_map(parser, default: dict) -> dict:
-    gender_map = {}
-    for key, code in _GENDER_KEYS:
-        if parser.has_option("curation", key):
-            tokens = _split_list(parser.get("curation", key))
-        else:
-            tokens = [token for token, value in default.items() if value == code]
-        gender_map.update((token.lower(), code) for token in tokens)
+    tokens = {
+        key: [token.lower() for token in _split_list(parser.get("curation", key))]
+        if parser.has_option("curation", key)
+        else [token for token, value in default.items() if value == code]
+        for key, code in _GENDER_KEYS
+    }
+    _refuse_shared("[curation] gender_male and gender_female", *tokens.values())
+    gender_map = {token: code for key, code in _GENDER_KEYS for token in tokens[key]}
     return gender_map or dict(default)
 
 
@@ -307,7 +321,7 @@ def load_config(path=None) -> ExperimentConfig:
         **_overrides(parser, "curation"),
     )
     try:
-        plan_proxies(*groups.columns_and_tags(), curation.proxy_rules)
+        aggregate_proxies(encode_features([], groups, curation), curation.proxy_rules)
     except CurationError as exc:  # the groups alone make a rule impossible
         raise ConfigError(f"bad [curation] proxy_rules: {exc}") from exc
     synth = replace(defaults.synth, **_overrides(parser, "synth"))

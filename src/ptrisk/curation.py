@@ -5,6 +5,13 @@ with its group; from there on the tags, not the group lists, say which
 group a column is in.  A proxy column replaces its sources in place and
 takes their group.
 
+Each cohort rule is stated once.  A categorical cell (an F1 binary or
+gender) is decoded by one vocabulary lookup on its trimmed, lower-cased
+text; ``parsers.load_raw`` decodes the PCR label the same way.  Every
+proxy rule is checked and applied by ``aggregate_proxies``, which the
+config loader also runs on a cohort with no rows, so a rule the groups
+alone make impossible fails at load with the same message.
+
 Missing values are represented as NaN and are never imputed; rows that
 miss any value in the combined feature set are dropped, so F1, F2 and
 the combined group share one row identity.
@@ -80,10 +87,6 @@ class FeatureGroups:
         if twice:
             raise CurationError(f"feature groups overlap or repeat a feature: {twice}")
 
-    def columns_and_tags(self) -> tuple:
-        """The encoded table's columns, F1 then F2, and each one's group."""
-        return list(self.f1) + list(self.f2), ["F1"] * len(self.f1) + ["F2"] * len(self.f2)
-
 
 @dataclass(frozen=True)
 class CurationSettings:
@@ -126,42 +129,32 @@ class CuratedDataset:
         return len(self.row_ids)
 
 
-def _parse_binary(raw: str, true_set, false_set) -> float:
-    norm = (raw or "").strip().lower()
-    if not norm:
-        return np.nan
-    if norm in true_set:
-        return 1.0
-    if norm in false_set:
-        return 0.0
-    return np.nan
+def _lookup(vocab: dict):
+    """Decode a cell by its trimmed, lower-cased text; a miss is NaN."""
+    return lambda raw: vocab.get(raw.strip().lower(), np.nan)
 
 
 def encode_features(records: list, groups: FeatureGroups, settings: CurationSettings) -> FeatureTable:
     """Encode QC-filtered records into a numeric table with missing markers.
 
     The columns are the F1 features, tagged "F1", then the F2 features,
-    tagged "F2"; each reads the record field of its name.  F1 fields are
-    binary-encoded (gender via the configured map, age numeric), and F2
-    biomarkers go through the semi-quantitative parser.  Unknown
-    categorical levels become missing, never errors.
+    tagged "F2"; each reads the record field of its name.  Gender is
+    decoded by ``gender_map`` and every other F1 field but age by the
+    binary vocabulary, where ``binary_true`` wins over ``binary_false``
+    (the config refuses a token in both); age and the F2 biomarkers go
+    through the semi-quantitative parser.  Unknown categorical levels
+    become missing, never errors.
     """
-    columns, tags = groups.columns_and_tags()
+    binary = dict.fromkeys(settings.binary_false, 0.0)
+    binary.update(dict.fromkeys(settings.binary_true, 1.0))  # true wins
+    by_name = {"gender": _lookup(settings.gender_map), "age": parse_semiquant}
+    decode_binary = _lookup(binary)
+    columns = [*groups.f1, *groups.f2]
+    tags = ["F1"] * len(groups.f1) + ["F2"] * len(groups.f2)
+    decoders = [by_name.get(name, decode_binary) for name in groups.f1] + [parse_semiquant] * len(groups.f2)
     data = np.full((len(records), len(columns)), np.nan)
     for i, record in enumerate(records):
-        values = []
-        for name in groups.f1:
-            raw = record.fields.get(name, "")
-            if name == "gender":
-                values.append(settings.gender_map.get((raw or "").strip().lower(), np.nan))
-            elif name == "age":
-                values.append(parse_semiquant(raw))
-            else:
-                values.append(_parse_binary(raw, settings.binary_true, settings.binary_false))
-        for name in groups.f2:
-            values.append(parse_semiquant(record.fields.get(name, "")))
-        data[i] = values
-
+        data[i] = [decode(record.fields.get(name, "")) for name, decode in zip(columns, decoders)]
     return FeatureTable(columns, tags, data, [r.record_id for r in records])
 
 
@@ -171,59 +164,44 @@ def labels_from_records(records: list) -> np.ndarray:
     return np.asarray([record.pcr_result is PcrResult.positive for record in records], dtype=np.int64)
 
 
-def plan_proxies(columns, tags, rules) -> tuple:
-    """Lay the proxy rules out on column names and group tags alone.
+def aggregate_proxies(table: FeatureTable, rules) -> FeatureTable:
+    """Collapse groups of binary indicator columns into OR-proxy columns.
 
     Each proxy takes the place and the group of whichever source comes
     first among the columns, and the other sources go.  Rules apply in
-    order, so a later rule may use an earlier target as a source.  A
-    source no column holds, sources from both groups (the proxy would
-    have no group) and a target naming a column other than its sources
-    (it would be duplicated) are errors.  Returns the columns and tags
-    after every rule, and per rule a dict from each source to its column
-    index just before that rule.
+    order, so a later rule may use an earlier target as a source.  Each
+    rule's names are checked before its data: a source no column holds,
+    sources from both groups (the proxy would have no group) and a target
+    naming a column other than its sources (it would be duplicated) are
+    errors, and then so is a source with a value other than 0 or 1.  On a
+    table with no rows only the name checks can fail, which is how the
+    config loader checks the rules against the groups.
+
+    The proxy is the logical OR of the non-missing sources and is missing
+    only when every source is missing.
     """
-    columns, tags = list(columns), list(tags)
-    steps = []
+    columns, tags, data = list(table.columns), list(table.tags), table.data
     for target, sources in rules:
         rule = f"{target}:{'+'.join(sources)}"
         for name in sources:
             if name not in columns:
                 raise CurationError(f"proxy source column not found: {name}")
-        where = {name: columns.index(name) for name in sources}
-        idx = sorted(set(where.values()))
+        idx = sorted({columns.index(name) for name in sources})
         if len({tags[j] for j in idx}) > 1:
             raise CurationError(f"proxy rule {rule} takes sources from both F1 and F2")
         if target in columns and columns.index(target) not in idx:
             raise CurationError(f"proxy rule {rule} targets a column that is not its source")
-        first, rest = idx[0], idx[1:]
-        columns = [target if j == first else c for j, c in enumerate(columns) if j not in rest]
-        tags = [t for j, t in enumerate(tags) if j not in rest]
-        steps.append(where)
-    return columns, tags, steps
-
-
-def aggregate_proxies(table: FeatureTable, rules) -> FeatureTable:
-    """Collapse groups of binary indicator columns into OR-proxy columns,
-    laid out by ``plan_proxies``.
-
-    The proxy is the logical OR of the non-missing sources and is missing
-    only when every source is missing.  A source with a value other than
-    0 or 1 is an error.
-    """
-    columns, tags, steps = plan_proxies(table.columns, table.tags, rules)
-    data = table.data
-    for where in steps:
-        for name, j in where.items():
-            col = data[:, j]
+        for name in sources:
+            col = data[:, columns.index(name)]
             if not np.isin(col[~np.isnan(col)], (0.0, 1.0)).all():
                 raise CurationError(f"proxy source column not binary: {name}")
-        idx = sorted(set(where.values()))
         block = data[:, idx]
         proxy = np.where(np.isnan(block).all(axis=1), np.nan, (block == 1.0).any(axis=1))
         first, rest = idx[0], idx[1:]  # first stays put when the rest go
         data = np.delete(data, rest, axis=1)
         data[:, first] = proxy
+        columns = [target if j == first else c for j, c in enumerate(columns) if j not in rest]
+        tags = [t for j, t in enumerate(tags) if j not in rest]
     return FeatureTable(columns, tags, data, list(table.row_ids))
 
 

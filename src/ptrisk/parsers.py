@@ -79,15 +79,13 @@ class Schema:
 _INEQ_MARKERS = ("<=", ">=", "<", ">", "≤", "≥")
 
 
-def parse_semiquant(text: "str | None") -> float:
+def parse_semiquant(text: str) -> float:
     """Parse a lab value string to a float; "<5" gives 5.0.
 
     One leading inequality marker is stripped, decimal commas are accepted,
     surrounding whitespace is ignored.  Anything that does not leave a
     finite number is missing, returned as NaN.
     """
-    if text is None:
-        return math.nan
     stripped = text.strip()
     for marker in _INEQ_MARKERS:
         if stripped.startswith(marker):
@@ -101,15 +99,6 @@ def parse_semiquant(text: "str | None") -> float:
 
 
 # --- file ingestion ----------------------------------------------------------
-
-def _parse_pcr(raw: str, schema: Schema) -> PcrResult:
-    norm = raw.strip().lower()
-    if norm in schema.pcr_positive:
-        return PcrResult.positive
-    if norm in schema.pcr_negative:
-        return PcrResult.negative
-    return PcrResult.invalid
-
 
 def _sniff_delimiter(header_line: str) -> str:
     return ";" if header_line.count(";") > header_line.count(",") else ","
@@ -138,6 +127,10 @@ def load_raw(path, schema: Schema) -> list:
     DataError naming the record: its cells are likely shifted.  A file
     that is not UTF-8 text, or a line the csv module cannot split (a bare
     carriage return outside quotes, say), is a DataError naming the file.
+    The PCR label is looked up by its trimmed, lower-cased text: a token
+    of ``pcr_positive`` reads as positive, even if ``pcr_negative`` holds
+    it too (the config refuses that), one of ``pcr_negative`` as
+    negative, and any other text as invalid.
 
     The cohort is held once: rows are parsed one at a time from an
     in-memory copy of the file's text, and equal cells share one string
@@ -193,6 +186,8 @@ def load_raw(path, schema: Schema) -> list:
             return ""
         return row[idx]
 
+    pcr_vocab = dict.fromkeys(schema.pcr_negative, PcrResult.negative)
+    pcr_vocab.update(dict.fromkeys(schema.pcr_positive, PcrResult.positive))  # positive wins
     records = []
     seen_ids = set()
     texts = {}  # each distinct cell text, stored once
@@ -202,7 +197,7 @@ def load_raw(path, schema: Schema) -> list:
         row = [texts.setdefault(c, c) for c in row]
         record_id = cell(row, schema.record_id).strip()
         if not record_id:
-            raise DataError("row with empty record_id")
+            raise DataError(f"row with empty record_id (column {schema.record_id!r})")
         if any(c.strip() for c in row[len(header) :]):
             raise DataError(f"record {record_id!r} has cells past the last of {len(header)} columns")
         if record_id in seen_ids:
@@ -216,7 +211,7 @@ def load_raw(path, schema: Schema) -> list:
                 beta_assay=cohort in _BETA_ASSAY_COHORTS,
                 qc_flag=cell(row, schema.qc_flag).strip(),
                 fields={name: cell(row, column) for name, column in field_columns.items()},
-                pcr_result=_parse_pcr(cell(row, schema.pcr_result), schema),
+                pcr_result=pcr_vocab.get(cell(row, schema.pcr_result).strip().lower(), PcrResult.invalid),
             )
         )
     return records

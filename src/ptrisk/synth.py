@@ -191,13 +191,13 @@ def generate_cohort(config: SynthConfig) -> CohortData:
 
 def make_out_dir(out_dir) -> Path:
     """Make the output directory ``out_dir`` if it is missing and return it
-    as a Path.  A path that names a file, or runs through one, is a
-    ConfigError."""
+    as a Path.  A path the OS refuses to make (it names a file, runs
+    through one, or is not writable) is a ConfigError."""
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError) as exc:
-        raise ConfigError(f"output directory {out_dir} is not a directory: {exc}") from exc
+    except OSError as exc:
+        raise ConfigError(f"cannot make output directory {out_dir}: {exc}") from exc
     return out_dir
 
 

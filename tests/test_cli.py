@@ -475,18 +475,48 @@ def test_load_config_rejects_bad_values(tmp_path):
     from ptrisk.errors import ConfigError
 
     ini = tmp_path / "bad.ini"
-    ini.write_text("[protocol]\nk = covfefe\n")
-    with pytest.raises(ConfigError):
-        load_config(ini)
-    ini.write_text("[models]\nrun = SVM\n")
-    with pytest.raises(ConfigError):
-        load_config(ini)
-    ini.write_text("[protocol]\nk = 1\n")
-    with pytest.raises(ConfigError, match="k must be at least 2"):
-        load_config(ini)
-    ini.write_text("[protocol]\nbootstrap_samples = 0\n")
-    with pytest.raises(ConfigError, match="bootstrap_samples must be at least 1"):
-        load_config(ini)
+    for text, named in (
+        ("[protocol]\nk = covfefe\n", "[protocol] k"),
+        ("[models]\nrun = SVM\n", "[models] run names unknown model kinds: ['SVM']"),
+        ("[protocol]\nk = 1\n", "k must be at least 2"),
+        ("[protocol]\nbootstrap_samples = 0\n", "bootstrap_samples must be at least 1"),
+        ("[protocol]\nalpha = 0\n", "alpha must be within (0, 1)"),
+        ("[protocol]\nalpha = 1\n", "alpha must be within (0, 1)"),
+        ("[protocol]\nthreshold = 1.5\n", "threshold must be within [0, 1]"),
+        ("[protocol]\nthreshold = -0.1\n", "threshold must be within [0, 1]"),
+        ("[models]\nrun =\n", "[models] run must name at least one model kind"),
+        ("[groups]\nrun = F4\n", "[groups] run names unknown feature groups: ['F4']"),
+        ("[groups]\nrun = |\n", "[groups] run must name at least one feature group"),
+    ):
+        ini.write_text(text)
+        with pytest.raises(ConfigError, match=re.escape(named)):
+            load_config(ini)
+
+
+@pytest.mark.parametrize("damage", ["missing", "directory", "no_section_header", "repeated_key"])
+def test_unreadable_or_malformed_config_file_exit_1(tmp_path, capsys, damage):
+    ini = tmp_path / "cfg.ini"
+    if damage == "directory":
+        ini.mkdir()
+    elif damage == "no_section_header":
+        ini.write_text("k = 3\n")
+    elif damage == "repeated_key":
+        ini.write_text("[protocol]\nk = 3\nk = 4\n")
+    assert main(["synth", "--config", str(ini), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert str(ini) in err
+    assert ("cannot read" if damage in ("missing", "directory") else "malformed") in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("true", True), ("1", True), (" Yes ", True), ("ON", True),
+     ("false", False), ("0", False), ("no", False), ("Off", False)],
+)
+def test_drop_zero_variance_spellings(tmp_path, text, value):
+    ini = write_ini(tmp_path / "cfg.ini", tmp_path, curation={"drop_zero_variance": text})
+    assert load_config(ini).curation.drop_zero_variance is value
 
 
 def test_overlapping_feature_groups_are_a_config_error(tmp_path, capsys):
@@ -507,6 +537,11 @@ def test_overlapping_feature_groups_are_a_config_error(tmp_path, capsys):
         ("models", "run", "DT|DT", "DT"),
         ("groups", "f1", "age|age|gender", "age"),
         ("groups", "f2", "ph|protein|ph", "ph"),
+        # a token in both lists of a vocabulary pair, here the list the
+        # file sets and the other list's default, would decode two ways
+        ("curation", "binary_true", "yes|No", "no"),
+        ("schema.pcr_values", "positive", "detected| neg ", "neg"),
+        ("curation", "gender_male", "man|F", "f"),
     ],
 )
 def test_repeated_names_are_a_config_error(tmp_path, capsys, section, key, value, named):
@@ -520,11 +555,20 @@ def test_repeated_names_are_a_config_error(tmp_path, capsys, section, key, value
 
 
 @pytest.mark.parametrize("command", ["synth", "run"])
-@pytest.mark.parametrize("out", ["taken", "taken/sub"])
-def test_output_directory_through_a_file_is_a_config_error(tmp_path, capsys, command, out):
+@pytest.mark.parametrize("out", ["taken", "taken/sub", "denied"])
+def test_output_directory_through_a_file_is_a_config_error(tmp_path, monkeypatch, capsys, command, out):
     # once an internal error (exit 3) from mkdir; run refuses it before
     # ingest, so the missing cohort file is not reached
     (tmp_path / "taken").write_text("a file\n")
+    if out == "denied":  # file modes do not stop root, so mkdir is made to refuse
+        mkdir = Path.mkdir
+
+        def refuse(self, *args, **kwargs):
+            if self == tmp_path / out:
+                raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(self))
+            return mkdir(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", refuse)
     ini = write_ini(tmp_path / "cfg.ini", tmp_path)
     assert main([command, "--config", str(ini), "--out", str(tmp_path / out)]) == 1
     assert f"output directory {tmp_path / out}" in capsys.readouterr().err
@@ -670,13 +714,17 @@ def test_partial_column_map_keeps_the_other_features(tmp_path, monkeypatch, sect
         ),
         ({"max_missing_fraction": "1.5"}, "max_missing_fraction"),
         ({"max_missing_fraction": "-0.1"}, "max_missing_fraction"),
+        ({"drop_zero_variance": "maybe"}, "[curation] drop_zero_variance: expected a boolean"),
+        ({"proxy_rules": "irritation"}, "[curation] proxy_rules item 'irritation'"),
+        ({"proxy_rules": " :dysuria+prior_std"}, "[curation] proxy_rules item ':dysuria+prior_std'"),
+        ({"proxy_rules": "irritation: + "}, "[curation] proxy_rules item 'irritation: +'"),
     ],
 )
 def test_curation_settings_are_checked_at_load(tmp_path, capsys, curation, named):
     from ptrisk.errors import ConfigError
 
     ini = write_ini(tmp_path / "cfg.ini", tmp_path, curation=curation)
-    with pytest.raises(ConfigError, match=named):
+    with pytest.raises(ConfigError, match=re.escape(named)):
         load_config(ini)
     assert main(["run", "--config", str(ini)]) == 1
     assert named in capsys.readouterr().err

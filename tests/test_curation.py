@@ -17,7 +17,7 @@ from ptrisk.curation import (
     labels_from_records,
 )
 from ptrisk.errors import CurationError
-from ptrisk.parsers import PcrResult, RawRecord
+from ptrisk.parsers import PcrResult, RawRecord, Schema, load_raw
 
 
 def make_record(record_id, fields=None, pcr=PcrResult.positive):
@@ -66,6 +66,22 @@ def test_encode_gender_and_binaries():
     assert _column(table, "age").tolist() == [25.0, 31.0]
     assert _column(table, "leukocytes").tolist() == [5.0, 5.0]
     assert _column(table, "ph").tolist() == [6.0, 7.5]
+
+
+def test_every_vocabulary_ignores_surrounding_spaces_and_case(tmp_path):
+    # the PCR label, the binaries and gender are each matched after
+    # trimming and lower-casing the cell
+    path = tmp_path / "cased.csv"
+    path.write_text(
+        "record_id,qc_flag,pcr_result,gender,age,prior_std,leukocytes,ph\n"
+        "a,OK, Positive ,  MALE,25, Yes ,5,6\n"
+        "b,OK,NEG , Female,31,NO  ,<5,7\n"
+    )
+    records = load_raw(path, Schema(questionnaire={name: name for name in SMALL_GROUPS.f1 + SMALL_GROUPS.f2}))
+    assert [r.pcr_result for r in records] == [PcrResult.positive, PcrResult.negative]
+    table = encode_features(records, SMALL_GROUPS, CurationSettings())
+    assert _column(table, "gender").tolist() == [1.0, 0.0]
+    assert _column(table, "prior_std").tolist() == [1.0, 0.0]
 
 
 def test_encode_unknown_level_is_missing():

@@ -154,6 +154,13 @@ def test_load_raw_duplicate_ids(tmp_path):
         load_raw(path, Schema())
 
 
+def test_load_raw_rejects_an_empty_record_id(tmp_path):
+    path = tmp_path / "noid.csv"
+    path.write_text("SampleID,qc_flag,pcr_result\nA,OK,POS\n  ,OK,NEG\n")
+    with pytest.raises(DataError, match="empty record_id \\(column 'SampleID'\\)"):
+        load_raw(path, Schema(record_id="SampleID"))
+
+
 def test_load_raw_rejects_repeated_headers(tmp_path):
     path = tmp_path / "repeated.csv"
     path.write_text("record_id,qc_flag,pcr_result,age,note,age,note\nA,OK,POS,25,x,99,y\n")
