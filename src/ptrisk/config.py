@@ -14,20 +14,24 @@ functions that apply the settings take them as required arguments:
 holds free of parameter defaults.  Environment variables override
 nothing.
 
-``_SETTINGS`` names each setting once: its INI section and key, its
+``_SETTINGS`` names each INI key once: its section and key, its
 attribute path on ``ExperimentConfig``, the parser of its INI text and,
-where it is not ``section.key``, its path in ``to_dict()``.  The same
-table drives ``load_config`` (a key the file leaves out keeps its
-dataclass default), the rejection of unknown keys, and ``to_dict``.
-Three settings sit outside it: ``[output] dir``, which is not hashed;
-``[curation] gender_male``/``gender_female``, two keys for one
-``gender_map``; and the free-form column maps ``[schema.questionnaire]``
-and ``[schema.biomarkers]``.
+where it is not ``section.key``, its path in ``to_dict()`` (``None``:
+not dumped on its own).  The same table drives ``load_config`` (a key
+the file leaves out keeps its dataclass default), the rejection of
+unknown keys, and ``to_dict``.  Only the free-form column maps
+``[schema.questionnaire]`` and ``[schema.biomarkers]`` sit outside it.
+``[output] dir`` is not hashed, and the two gender lists are hashed as
+one ``curation.gender_map`` leaf.
 
-Beyond each value's own range, loading refuses a token in both lists of
-a vocabulary pair (binaries, PCR values, gender), and proxy rules the
-feature groups alone make impossible: ``curation.aggregate_proxies``
-runs on a cohort with no rows, so only its name checks can fail.
+Each rule across settings is stated once, in ``validate``: each list of
+a vocabulary pair (binaries, PCR values, gender) names at least one
+token and none that the other names, and each run list (``[models]``,
+``[groups]``) names known, distinct entries and at least one.  Loading
+also refuses what the feature groups alone make impossible, by running
+``curation.aggregate_proxies`` and ``exclude_features`` on a cohort with
+no rows, so only their name checks can fail: a proxy rule naming a
+column it cannot take, and a blocklist name no column holds.
 """
 
 from __future__ import annotations
@@ -39,7 +43,9 @@ from dataclasses import dataclass, replace
 from functools import reduce
 from typing import Callable, NamedTuple
 
-from .curation import GROUP_TAGS, CurationSettings, FeatureGroups, aggregate_proxies, encode_features, repeated
+from .curation import (
+    GROUP_TAGS, CurationSettings, FeatureGroups, aggregate_proxies, encode_features, exclude_features, repeated
+)
 from .errors import ConfigError, CurationError
 from .models import MODEL_KINDS
 from .parsers import DEFAULT_VALID_FLAGS, Schema
@@ -84,13 +90,6 @@ def _parse_proxy_rules(text: str) -> tuple:
     return tuple(rules)
 
 
-def _refuse_shared(keys: str, first, second) -> None:
-    """A token in both lists of a vocabulary pair would decode two ways."""
-    both = sorted(set(first) & set(second))
-    if both:
-        raise ConfigError(f"tokens repeated in both {keys}: {both}")
-
-
 _EXPECTED = {int: "an integer", float: "a number", _parse_bool: "a boolean"}
 
 
@@ -99,7 +98,7 @@ class _Setting(NamedTuple):
     key: str
     attr: str  # dotted attribute path on ExperimentConfig
     parse: Callable  # INI text -> value; ValueError for a bad value
-    dumped_as: str = ""  # dotted to_dict() path when it is not section.key
+    dumped_as: str | None = ""  # dotted to_dict() path when it is not section.key; None: not dumped
 
 
 _SETTINGS = (
@@ -120,6 +119,8 @@ _SETTINGS = (
     _Setting("curation", "proxy_rules", "curation.proxy_rules", _parse_proxy_rules),
     _Setting("curation", "binary_true", "curation.binary_true", _lowered_set),
     _Setting("curation", "binary_false", "curation.binary_false", _lowered_set),
+    _Setting("curation", "gender_male", "curation.gender_male", _lowered_set, None),  # dumped as gender_map
+    _Setting("curation", "gender_female", "curation.gender_female", _lowered_set, None),
     _Setting("curation", "age_bin_width", "curation.age_bin_width", int),
     _Setting("protocol", "k", "k", int),
     _Setting("protocol", "seed", "seed", int),
@@ -136,15 +137,10 @@ _SETTINGS = (
     _Setting("synth", "seed", "synth.seed", int),
     _Setting("synth", "signal_biomarkers", "synth.signal_biomarkers", _split_list),
     _Setting("synth", "signal_reported", "synth.signal_reported", _split_list),
+    _Setting("output", "dir", "out_dir", str, None),  # not hashed
 )
-_OUTPUT_DIR = ("output", "dir")
-_GENDER_KEYS = (("gender_male", 1.0), ("gender_female", 0.0))  # [curation] key, code
 _COLUMN_MAPS = {"schema.questionnaire": "questionnaire", "schema.biomarkers": "biomarkers"}
-_KNOWN_KEYS = (
-    {(s.section, s.key) for s in _SETTINGS}
-    | {_OUTPUT_DIR}
-    | {("curation", key) for key, _ in _GENDER_KEYS}
-)
+_KNOWN_KEYS = {(s.section, s.key) for s in _SETTINGS}
 
 
 def _jsonable(value):
@@ -185,20 +181,17 @@ class ExperimentConfig:
             raise ConfigError("alpha must be within (0, 1)")
         if not 0.0 <= self.threshold <= 1.0:
             raise ConfigError("threshold must be within [0, 1]")
-        unknown = set(self.run_models) - set(MODEL_KINDS)
-        if unknown:
-            raise ConfigError(f"[models] run names unknown model kinds: {sorted(unknown)}")
-        if not self.run_models:
-            raise ConfigError("[models] run must name at least one model kind")
-        if repeated(self.run_models):
-            raise ConfigError(f"[models] run repeats model kinds: {repeated(self.run_models)}")
-        bad_tags = set(self.run_groups) - set(GROUP_TAGS)
-        if bad_tags:
-            raise ConfigError(f"[groups] run names unknown feature groups: {sorted(bad_tags)}")
-        if not self.run_groups:
-            raise ConfigError("[groups] run must name at least one feature group")
-        if repeated(self.run_groups):
-            raise ConfigError(f"[groups] run repeats feature groups: {repeated(self.run_groups)}")
+        for section, names, known, entry in (
+            ("models", self.run_models, MODEL_KINDS, "model kind"),
+            ("groups", self.run_groups, GROUP_TAGS, "feature group"),
+        ):
+            unknown = set(names) - set(known)
+            if unknown:
+                raise ConfigError(f"[{section}] run names unknown {entry}s: {sorted(unknown)}")
+            if not names:
+                raise ConfigError(f"[{section}] run must name at least one {entry}")
+            if repeated(names):
+                raise ConfigError(f"[{section}] run repeats {entry}s: {repeated(names)}")
         if not 0.0 <= self.curation.max_missing_fraction <= 1.0:
             raise ConfigError("max_missing_fraction must be within [0, 1]")
         if self.curation.age_bin_width <= 0:
@@ -206,8 +199,15 @@ class ExperimentConfig:
         if not self.valid_flags:
             raise ConfigError("valid_flags must name at least one flag")
         curation, schema = self.curation, self.schema
-        _refuse_shared("[curation] binary_true and binary_false", curation.binary_true, curation.binary_false)
-        _refuse_shared("[schema.pcr_values] positive and negative", schema.pcr_positive, schema.pcr_negative)
+        for pair, first, second in (
+            ("[curation] binary_true and binary_false", curation.binary_true, curation.binary_false),
+            ("[schema.pcr_values] positive and negative", schema.pcr_positive, schema.pcr_negative),
+            ("[curation] gender_male and gender_female", curation.gender_male, curation.gender_female),
+        ):
+            if not first or not second:
+                raise ConfigError(f"{pair} must each name at least one token")
+            if first & second:  # the token would decode two ways
+                raise ConfigError(f"tokens repeated in both {pair}: {sorted(first & second)}")
         self.synth.validate()
 
     def to_dict(self) -> dict:
@@ -216,6 +216,8 @@ class ExperimentConfig:
         reports."""
         out = {}
         for setting in _SETTINGS:
+            if setting.dumped_as is None:
+                continue
             *parents, leaf = (setting.dumped_as or f"{setting.section}.{setting.key}").split(".")
             node = reduce(lambda d, name: d.setdefault(name, {}), parents, out)
             node[leaf] = _jsonable(reduce(getattr, setting.attr.split("."), self))
@@ -284,18 +286,6 @@ def _overrides(parser, part: str) -> dict:
     return out
 
 
-def _gender_map(parser, default: dict) -> dict:
-    tokens = {
-        key: [token.lower() for token in _split_list(parser.get("curation", key))]
-        if parser.has_option("curation", key)
-        else [token for token, value in default.items() if value == code]
-        for key, code in _GENDER_KEYS
-    }
-    _refuse_shared("[curation] gender_male and gender_female", *tokens.values())
-    gender_map = {token: code for key, code in _GENDER_KEYS for token in tokens[key]}
-    return gender_map or dict(default)
-
-
 def load_config(path=None) -> ExperimentConfig:
     """Build the effective configuration; ``path=None`` means defaults."""
     defaults = ExperimentConfig()
@@ -315,15 +305,15 @@ def load_config(path=None) -> ExperimentConfig:
         if parser.has_section(section)
     }
     schema = replace(default_schema(groups), **_overrides(parser, "schema"), **column_maps)
-    curation = replace(
-        defaults.curation,
-        gender_map=_gender_map(parser, defaults.curation.gender_map),
-        **_overrides(parser, "curation"),
-    )
+    curation = replace(defaults.curation, **_overrides(parser, "curation"))
     try:
-        aggregate_proxies(encode_features([], groups, curation), curation.proxy_rules)
+        table = aggregate_proxies(encode_features([], groups, curation), curation.proxy_rules)
     except CurationError as exc:  # the groups alone make a rule impossible
         raise ConfigError(f"bad [curation] proxy_rules: {exc}") from exc
+    try:
+        exclude_features(table, curation)
+    except CurationError as exc:  # a blocklist name no column holds
+        raise ConfigError(str(exc)) from exc
     synth = replace(defaults.synth, **_overrides(parser, "synth"))
     config = replace(
         defaults,
@@ -333,7 +323,5 @@ def load_config(path=None) -> ExperimentConfig:
         synth=synth,
         **_overrides(parser, ""),
     )
-    if parser.has_option(*_OUTPUT_DIR):
-        config = replace(config, out_dir=parser.get(*_OUTPUT_DIR))
     config.validate()
     return config

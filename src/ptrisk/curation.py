@@ -24,7 +24,7 @@ fields are the only defaults, and no function here has one.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,7 +63,8 @@ GROUP_TAGS = ("F1", "F2", "F3")
 
 DEFAULT_BINARY_TRUE = frozenset({"yes", "y", "true", "1", "pos", "positive"})
 DEFAULT_BINARY_FALSE = frozenset({"no", "n", "false", "0", "neg", "negative"})
-DEFAULT_GENDER_MAP = {"male": 1.0, "m": 1.0, "female": 0.0, "f": 0.0}
+DEFAULT_GENDER_MALE = frozenset({"male", "m"})
+DEFAULT_GENDER_FEMALE = frozenset({"female", "f"})
 
 # [lo, hi) years binned by age_histogram; ages outside are only counted.
 AGE_RANGE = (0, 120)
@@ -92,12 +93,18 @@ class FeatureGroups:
 class CurationSettings:
     binary_true: frozenset = DEFAULT_BINARY_TRUE
     binary_false: frozenset = DEFAULT_BINARY_FALSE
-    gender_map: dict = field(default_factory=lambda: dict(DEFAULT_GENDER_MAP))
+    gender_male: frozenset = DEFAULT_GENDER_MALE
+    gender_female: frozenset = DEFAULT_GENDER_FEMALE
     max_missing_fraction: float = 0.30
     drop_zero_variance: bool = True
     blocklist: tuple = ()
     proxy_rules: tuple = ()  # of (target_name, (source, ...)) pairs
     age_bin_width: int = 5
+
+    @property
+    def gender_map(self) -> dict:
+        """Gender token -> code: 1.0 for a male token, 0.0 for a female one."""
+        return {**dict.fromkeys(self.gender_female, 0.0), **dict.fromkeys(self.gender_male, 1.0)}
 
 
 @dataclass
@@ -139,11 +146,12 @@ def encode_features(records: list, groups: FeatureGroups, settings: CurationSett
 
     The columns are the F1 features, tagged "F1", then the F2 features,
     tagged "F2"; each reads the record field of its name.  Gender is
-    decoded by ``gender_map`` and every other F1 field but age by the
-    binary vocabulary, where ``binary_true`` wins over ``binary_false``
-    (the config refuses a token in both); age and the F2 biomarkers go
-    through the semi-quantitative parser.  Unknown categorical levels
-    become missing, never errors.
+    decoded by the gender pair, a ``gender_male`` token to 1.0 and a
+    ``gender_female`` token to 0.0, and every other F1 field but age by
+    the binary pair, where ``binary_true`` wins over ``binary_false``;
+    the config holds each list of a pair non-empty and refuses a token
+    in both.  Age and the F2 biomarkers go through the semi-quantitative
+    parser.  Unknown categorical levels become missing, never errors.
     """
     binary = dict.fromkeys(settings.binary_false, 0.0)
     binary.update(dict.fromkeys(settings.binary_true, 1.0))  # true wins
@@ -210,11 +218,20 @@ def exclude_features(table: FeatureTable, settings: CurationSettings):
     those missing in more than ``max_missing_fraction`` of the rows, and,
     with ``drop_zero_variance``, those with one value or none.
 
+    A blocklist name that no column holds is an error.  The table has
+    been through ``aggregate_proxies``, so a proxy target may be
+    blocklisted and a proxy source may not.  On a table with no rows only
+    this check can fail, which is how the config loader checks the
+    blocklist against the groups and proxy rules.
+
     Returns (reduced table, [(name, reason), ...]); reasons are recorded
     verbatim in the curation report.  The config holds
     ``max_missing_fraction`` within [0, 1].
     """
     max_missing_fraction = settings.max_missing_fraction
+    unknown = [name for name in settings.blocklist if name not in table.columns]
+    if unknown:
+        raise CurationError(f"[curation] blocklist names no feature column: {unknown}")
     blocked = set(settings.blocklist)
     dropped = []
     keep = []
@@ -247,9 +264,6 @@ def assemble(table: FeatureTable, labels: np.ndarray) -> CuratedDataset:
     the three row-aligned matrices: F1 and F2 are the columns tagged so,
     in table order, and F3 is F1 then F2.  A group may be left without
     columns; the run refuses a run group that is (``report._curate``)."""
-    if len(labels) != len(table.row_ids):
-        raise CurationError("labels length does not match table rows")
-
     idx = {tag: [j for j, t in enumerate(table.tags) if t == tag] for tag in ("F1", "F2")}
     idx["F3"] = idx["F1"] + idx["F2"]
     names = {tag: tuple(table.columns[j] for j in idx[tag]) for tag in GROUP_TAGS}

@@ -96,11 +96,7 @@ def run_oof(
     fitted."""
     X = np.asarray(X, dtype=float)
     labels = np.asarray(labels)
-    n = labels.size
-    if folds.fold_of.size != n or X.shape[0] != n:
-        raise ContractError("fold assignment does not match the dataset")
-
-    p_hat = np.full(n, np.nan)
+    p_hat = np.full(labels.size, np.nan)
     for f in range(folds.k):
         test = folds.fold_of == f
         if test.any():

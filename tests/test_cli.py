@@ -452,7 +452,7 @@ def test_load_config_parses_sections(tmp_path):
                 "run = LR|KNN",
                 "[curation]",
                 "max_missing_fraction = 0.2",
-                "blocklist = lab_result_code",
+                "blocklist = ph",
                 "proxy_rules = irritation:genital_irritation+dysuria;either:irritation+prior_std",
                 "[schema]",
                 "record_id = SampleID",
@@ -463,7 +463,7 @@ def test_load_config_parses_sections(tmp_path):
     assert config.k == 4 and config.seed == 9
     assert config.run_models == ("LR", "KNN")
     assert config.curation.max_missing_fraction == 0.2
-    assert config.curation.blocklist == ("lab_result_code",)
+    assert config.curation.blocklist == ("ph",)
     assert config.curation.proxy_rules == (
         ("irritation", ("genital_irritation", "dysuria")),
         ("either", ("irritation", "prior_std")),
@@ -487,10 +487,24 @@ def test_load_config_rejects_bad_values(tmp_path):
         ("[models]\nrun =\n", "[models] run must name at least one model kind"),
         ("[groups]\nrun = F4\n", "[groups] run names unknown feature groups: ['F4']"),
         ("[groups]\nrun = |\n", "[groups] run must name at least one feature group"),
+        # an empty vocabulary list once decoded every cell of its pair's
+        # columns as missing, and empty gender lists fell back to the default
+        ("[curation]\nbinary_true =\n", "[curation] binary_true and binary_false must each name"),
+        ("[curation]\nbinary_false = |\n", "[curation] binary_true and binary_false must each name"),
+        ("[schema.pcr_values]\npositive =\n", "[schema.pcr_values] positive and negative must each name"),
+        ("[schema.pcr_values]\nnegative =\n", "[schema.pcr_values] positive and negative must each name"),
+        ("[curation]\ngender_male =\n", "[curation] gender_male and gender_female must each name"),
+        ("[curation]\ngender_female =\n", "[curation] gender_male and gender_female must each name"),
+        (
+            "[curation]\ngender_male =\ngender_female =\n",
+            "[curation] gender_male and gender_female must each name",
+        ),
     ):
-        ini.write_text(text)
+        # the cohort and the output directory sit in tmp_path, whether or not the run gets that far
+        ini.write_text(f"{text}[input]\npath = {tmp_path / 'cohort.csv'}\n[output]\ndir = {tmp_path}\n")
         with pytest.raises(ConfigError, match=re.escape(named)):
             load_config(ini)
+        assert main(["run", "--config", str(ini)]) == 1
 
 
 @pytest.mark.parametrize("damage", ["missing", "directory", "no_section_header", "repeated_key"])
@@ -718,6 +732,14 @@ def test_partial_column_map_keeps_the_other_features(tmp_path, monkeypatch, sect
         ({"proxy_rules": "irritation"}, "[curation] proxy_rules item 'irritation'"),
         ({"proxy_rules": " :dysuria+prior_std"}, "[curation] proxy_rules item ':dysuria+prior_std'"),
         ({"proxy_rules": "irritation: + "}, "[curation] proxy_rules item 'irritation: +'"),
+        # a blocklist name no feature column holds was once ignored in silence
+        ({"blocklist": "nonexistent_feature"}, "[curation] blocklist names no feature column: ['nonexistent_feature']"),
+        ({"blocklist": "age|Age"}, "[curation] blocklist names no feature column: ['Age']"),
+        # a proxy source's column is gone when the blocklist applies
+        (
+            {"proxy_rules": "irritation:genital_irritation+dysuria", "blocklist": "irritation|dysuria"},
+            "[curation] blocklist names no feature column: ['dysuria']",
+        ),
     ],
 )
 def test_curation_settings_are_checked_at_load(tmp_path, capsys, curation, named):

@@ -122,6 +122,19 @@ def _table(columns, rows, tags=None):
     return FeatureTable(list(columns), tags, data, [f"r{i}" for i in range(len(rows))])
 
 
+@pytest.mark.parametrize(
+    "tags, shape, row_ids",
+    [
+        (["F1"], (2, 2), ["r0", "r1"]),  # zip would pair the second column with no group
+        (["F1", "F2"], (2, 3), ["r0", "r1"]),
+        (["F1", "F2"], (2, 2), ["r0"]),
+    ],
+)
+def test_feature_table_refuses_a_shape_mismatch(tags, shape, row_ids):
+    with pytest.raises(CurationError, match="feature table shape mismatch"):
+        FeatureTable(["a", "b"], tags, np.zeros(shape), row_ids)
+
+
 def test_proxy_or():
     table = _table(["a", "b", "c", "keep"], [[0, 1, 0, 5], [0, 0, 0, 6], [1, 1, 1, 7]])
     out = aggregate_proxies(table, [("proxy", ("a", "b", "c"))])

@@ -9,6 +9,7 @@ from ptrisk.evaluation import (
     run_oof,
     stratified_kfold,
 )
+from ptrisk.errors import ContractError
 from ptrisk.models import MODEL_KINDS, ModelSpec, fit_pipeline
 from ptrisk.rng import RngKey
 
@@ -187,6 +188,14 @@ def test_oof_recovers_planted_signal():
 
 def report_of(y, p_hat, threshold=0.5):
     return evaluate_oof(y, p_hat, "LR", "F1", B=20, alpha=0.05, seed=1, threshold=threshold)
+
+
+def test_unknown_metric_is_refused():
+    # without the check, a name that is no threshold metric would fall
+    # through _threshold_from_counts to F1
+    y, p = np.array([1, 0]), np.array([0.9, 0.1])
+    with pytest.raises(ContractError, match="unknown metric 'accuracy'"):
+        metric_point("accuracy", y, p, threshold=0.5)
 
 
 def test_threshold_boundary_inclusive():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ptrisk.cli import main
-from ptrisk.models import balanced_weights, fit_logistic, objective
+from ptrisk.models import balanced_weights, fit_logistic, logistic, objective
 from test_cli import write_ini
 
 
@@ -43,16 +43,48 @@ def test_separable_1d_ranks_perfectly():
     assert probs[y == 1].min() > probs[y == 0].max()  # in-sample AUC 1.0
 
 
-def test_convergence_tolerance_met():
+def _noisy_problem():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(60, 4))
     y = (X[:, 0] + rng.normal(scale=0.8, size=60) > 0).astype(float)
-    weights = balanced_weights(y)
+    return X, y, balanced_weights(y)
+
+
+def test_convergence_tolerance_met():
+    X, y, weights = _noisy_problem()
     model = fit_logistic(X, y, weights)
     theta = np.append(model.weights, model.intercept)
     sw = weights / weights.mean()
     _, grad = objective(theta, X, y, sw, C=1.0)
     assert np.max(np.abs(grad)) < 1e-8
+
+
+def test_iteration_cap_stops_unconverged(monkeypatch):
+    monkeypatch.setattr(logistic, "MAX_ITER", 2)
+    model = fit_logistic(*_noisy_problem())
+    assert model.converged is False
+    assert model.n_iter == 2
+
+
+def test_singular_hessian_falls_back_to_a_ridge(monkeypatch):
+    # the first solve raises as on a singular Hessian; its retry adds
+    # 1e-10 on the diagonal, and the fit still converges to the same point
+    solve = np.linalg.solve
+    calls = []
+
+    def solve_that_fails_once(H, g):
+        calls.append(H)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(H, g)
+
+    expected = fit_logistic(*_noisy_problem())
+    monkeypatch.setattr(np.linalg, "solve", solve_that_fails_once)
+    model = fit_logistic(*_noisy_problem())
+    assert np.array_equal(calls[1], calls[0] + 1e-10 * np.eye(5))
+    assert model.converged
+    np.testing.assert_allclose(model.weights, expected.weights, rtol=1e-9)
+    assert model.intercept == pytest.approx(expected.intercept, rel=1e-9)
 
 
 def test_class_weight_scaling_leaves_fit_unchanged():

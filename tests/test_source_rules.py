@@ -14,7 +14,9 @@ only ``_publish`` writes, moves or deletes a file, so every bundle file
 goes out through one path.  The presorted tree grower sorts nothing: its
 one stable argsort per fit is ``rank_codes``'.  No function of
 ``parsers.py``, ``curation.py`` or ``evaluation.py`` has a parameter
-default, so a setting's one default is its config dataclass field.
+default, so a setting's one default is its config dataclass field.  In
+``config.py`` only ``_overrides`` reads an INI key, so every key is one
+``_SETTINGS`` row.
 """
 
 import ast
@@ -234,4 +236,22 @@ def test_setting_modules_have_no_parameter_defaults():
             defaulted = positional[len(positional) - len(node.defaults) :]
             defaulted += [arg for arg, default in zip(node.kwonlyargs, node.kw_defaults) if default is not None]
             hits += [f"{path}:{arg.lineno} {function}({arg.arg}=...)" for arg in defaulted]
+    assert hits == []
+
+
+KEY_READS = {"get", "getint", "getfloat", "getboolean", "has_option"}
+
+
+def test_only_overrides_reads_an_ini_key():
+    # every key is one _SETTINGS row, read by _overrides; the free-form
+    # column maps are read whole, with parser.items
+    config = Path("src", "ptrisk", "config.py")
+    hits = [
+        f"{config}:{node.lineno} {_dotted(node.func)} in {function}"
+        for function, node in _enclosed(parsed(PACKAGE)[config], ast.Call)
+        if function != "_overrides"
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in KEY_READS
+        and _dotted(node.func.value) == "parser"
+    ]
     assert hits == []
